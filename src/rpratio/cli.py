@@ -62,7 +62,33 @@ def _finite_or_none(value):
 
 
 def _dump_json(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    try:
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError:  # nan or infinity, which JSON cannot represent
+        raise EstimationError(
+            "result is not finite; the inputs overflow double precision"
+        ) from None
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither nan nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _is_finite_number(value) -> bool:
+    """True for a JSON int or float that is finite as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def _write_manifest(out_path: Path, command: str, seed, inputs: dict,
@@ -142,17 +168,34 @@ def _load_stats(path_text: str) -> SummaryStats:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise EstimationError(f"stats file {path}: {exc}") from None
-    try:
-        sd_y = raw["sd_y"] if "sd_y" in raw else math.sqrt(raw["var_y"])
-        sd_x = raw["sd_x"] if "sd_x" in raw else math.sqrt(raw["var_x"])
-        return SummaryStats.from_moments(
-            mean_y=raw["mean_y"], mean_x=raw["mean_x"],
-            sd_y=sd_y, sd_x=sd_x, r=raw["r"],
-        )
-    except KeyError as exc:
+    if not isinstance(raw, dict):
         raise EstimationError(
-            f"stats file {path} missing key {exc}"
-        ) from None
+            f"stats file {path}: expected a JSON object, got {type(raw).__name__}"
+        )
+
+    def number(key: str):
+        if key not in raw:
+            raise EstimationError(f"stats file {path} missing key {key!r}")
+        value = raw[key]
+        if not _is_finite_number(value):
+            raise EstimationError(
+                f"stats file {path}: {key} must be a finite number, got {value!r}"
+            )
+        return value
+
+    def sd(axis: str):
+        if f"sd_{axis}" in raw:
+            return number(f"sd_{axis}")
+        var = number(f"var_{axis}")
+        if var < 0:
+            raise EstimationError(f"stats file {path}: var_{axis} is negative")
+        return math.sqrt(var)
+
+    sd_y, sd_x = sd("y"), sd("x")
+    return SummaryStats.from_moments(
+        mean_y=number("mean_y"), mean_x=number("mean_x"),
+        sd_y=sd_y, sd_x=sd_x, r=number("r"),
+    )
 
 
 def _cmd_analyze(args) -> int:
@@ -377,21 +420,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("plan", help="sample size for a target margin")
-    p.add_argument("--sigma2", type=float, required=True)
-    p.add_argument("--margin", type=float)
-    p.add_argument("--margin-percent", type=float,
+    p.add_argument("--sigma2", type=_finite_float, required=True)
+    p.add_argument("--margin", type=_finite_float)
+    p.add_argument("--margin-percent", type=_finite_float,
                    help="margin as a percentage of --mean")
-    p.add_argument("--mean", type=float,
+    p.add_argument("--mean", type=_finite_float,
                    help="target mean, used with --margin-percent")
-    p.add_argument("--confidence", type=float, default=0.90)
+    p.add_argument("--confidence", type=_finite_float, default=0.90)
     p.add_argument("--population-size", type=int, required=True)
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("theory", help="first-order bias/MSE/dominance at (alpha, beta)")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
+    p.add_argument("--alpha", type=_finite_float)
+    p.add_argument("--beta", type=_finite_float)
     p.add_argument("--stats", help="population CSV or stats JSON file")
-    p.add_argument("--c", type=float, help="moment ratio override")
+    p.add_argument("--c", type=_finite_float, help="moment ratio override")
     p.add_argument("--design", help="sample design as 'n,N'")
     p.add_argument("--aoe", action="store_true",
                    help="print only the optimal-parameter solution")
@@ -404,7 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--confidence", type=float, default=0.90)
+    p.add_argument("--confidence", type=_finite_float, default=0.90)
     p.add_argument(
         "--estimators", default="mean,ratio,product",
         help="comma-separated tokens, e.g. 'mean,ratio,product,aoe:0.6092'",
@@ -424,11 +467,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="synthesize a population CSV with given moments")
     p.add_argument("--size", type=int, required=True)
-    p.add_argument("--mean-y", type=float, required=True)
-    p.add_argument("--mean-x", type=float, required=True)
-    p.add_argument("--cv-y", type=float, required=True)
-    p.add_argument("--cv-x", type=float, required=True)
-    p.add_argument("--r", type=float, required=True)
+    p.add_argument("--mean-y", type=_finite_float, required=True)
+    p.add_argument("--mean-x", type=_finite_float, required=True)
+    p.add_argument("--cv-y", type=_finite_float, required=True)
+    p.add_argument("--cv-x", type=_finite_float, required=True)
+    p.add_argument("--r", type=_finite_float, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_generate)

@@ -34,7 +34,12 @@ from .estimators import (
     estimator_token,
 )
 from .population import Population, make_design
-from .sampling import confidence_interval, quartiles, srswor
+from .sampling import (
+    confidence_interval,
+    quartiles,
+    srswor_streams,
+    stream_block_rows,
+)
 
 __all__ = [
     "SimConfig",
@@ -138,10 +143,10 @@ def run_simulation(
     """Compare the configured estimators over cfg.reps SRSWOR replications.
 
     Per replication r the indices come from stream r of the seeded
-    generator; every estimator sees the same draw.  The plain sample mean
-    is always evaluated internally as the efficiency baseline, whether or
-    not it appears in cfg.estimators.  With dump_path given, one CSV row
-    per (replication, estimator) is written.
+    generator, drawn in blocks of streams at once; every estimator sees the
+    same draw.  The plain sample mean is always evaluated internally as the
+    efficiency baseline, whether or not it appears in cfg.estimators.  With
+    dump_path given, one CSV row per (replication, estimator) is written.
     """
     if threads < 1:
         raise InvalidInputError(f"threads must be at least 1, got {threads}")
@@ -166,19 +171,27 @@ def run_simulation(
     ok = np.zeros((reps, k), dtype=bool)
     base = np.empty(reps)
 
+    block = stream_block_rows(N)
+
     def fill(lo: int, hi: int) -> None:
-        for rep in range(lo, hi):
-            idx = srswor(N, cfg.n, cfg.seed, stream=rep)
-            ybar = float(pop.y[idx].mean())
-            xbar = float(pop.x[idx].mean())
-            s = SampleSummary(ybar, xbar, mean_x)
-            base[rep] = ybar
-            for j, spec in enumerate(specs):
-                try:
-                    est[rep, j] = estimate(spec, s)
-                    ok[rep, j] = True
-                except SingularDenominatorError:
-                    pass
+        for first in range(lo, hi, block):
+            last = min(first + block, hi)
+            idx = srswor_streams(N, cfg.n, cfg.seed, first, last - first)
+            # Row means reduce along contiguous rows, so each equals the
+            # per-draw pop.y[idx[r]].mean() bit for bit.
+            ybars = pop.y[idx].mean(axis=1)
+            xbars = pop.x[idx].mean(axis=1)
+            base[first:last] = ybars
+            for rep, ybar, xbar in zip(
+                range(first, last), ybars.tolist(), xbars.tolist()
+            ):
+                s = SampleSummary(ybar, xbar, mean_x)
+                for j, spec in enumerate(specs):
+                    try:
+                        est[rep, j] = estimate(spec, s)
+                        ok[rep, j] = True
+                    except SingularDenominatorError:
+                        pass
 
     if threads == 1:
         fill(0, reps)

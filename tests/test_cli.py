@@ -222,6 +222,57 @@ class TestTheory:
         rc = main(["theory", "--alpha", "0.1", "--beta", "0.2"])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["theory", "--c", "nan", "--aoe"],
+            ["theory", "--c", "0.6", "--alpha", "inf", "--beta", "0.2"],
+            ["theory", "--c", "0.6", "--alpha", "0.1", "--beta=-Infinity"],
+        ],
+    )
+    def test_non_finite_floats_exit_2(self, argv, capsys):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "must be finite" in captured.err
+        assert captured.out == ""
+
+    def test_output_is_strict_json(self, stats_json, capsys):
+        def reject(constant):
+            raise AssertionError(f"non-JSON constant {constant}")
+
+        rc = main([
+            "theory", "--alpha", "0.1", "--beta", "0.25", "--c", "0.25",
+            "--stats", str(stats_json), "--design", "112,365",
+        ])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert payload["aoe"]["minus_minus"]["alpha_star"] is None
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("[0.5832, 0.6277]", "expected a JSON object"),
+            (json.dumps({**BENCH_STATS, "mean_y": "x"}), "mean_y must be a finite number"),
+            (json.dumps({**BENCH_STATS, "r": True}), "r must be a finite number"),
+            (json.dumps({**BENCH_STATS, "sd_x": None}), "sd_x must be a finite number"),
+            ('{"mean_y": NaN, "mean_x": 0.6, "sd_y": 0.4, "sd_x": 0.7, "r": 0.9}',
+             "mean_y must be a finite number"),
+            (json.dumps({"mean_y": 0.5, "mean_x": 0.6, "var_y": -1.0,
+                         "sd_x": 0.7, "r": 0.9}), "var_y is negative"),
+            (json.dumps({"mean_y": 0.5, "mean_x": 0.6, "sd_y": 0.4, "r": 0.9}),
+             "missing key 'var_x'"),
+        ],
+    )
+    def test_malformed_stats_exit_2(self, tmp_path, capsys, content, message):
+        path = tmp_path / "stats.json"
+        path.write_text(content)
+        rc = main(["theory", "--stats", str(path), "--re"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert message in captured.err
+        assert "internal error" not in captured.err
+
     def test_stats_from_population_csv(self, pop_csv, capsys):
         rc = main(["theory", "--stats", str(pop_csv), "--re"])
         payload = json.loads(capsys.readouterr().out)

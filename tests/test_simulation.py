@@ -13,6 +13,7 @@ from rpratio.estimators import (
     SampleMean,
     UnbiasedAOE,
 )
+from rpratio import simulation
 from rpratio.population import Population, make_design, summarize
 from rpratio.simulation import (
     SimConfig,
@@ -103,6 +104,18 @@ class TestDeterminism:
         serial = run_simulation(tiny_pop, cfg, threads=1)
         threaded = run_simulation(tiny_pop, cfg, threads=3)
         assert comparable(serial) == comparable(threaded)
+
+    def test_block_size_is_invisible(self, tiny_pop, tmp_path, monkeypatch):
+        # Blocks of 7 streams leave a partial block at both thread chunks'
+        # ends; the per-replication dump must not change by a byte.
+        cfg = SimConfig(reps=401, n=3, seed=8)
+        whole = run_simulation(tiny_pop, cfg, dump_path=tmp_path / "a.csv")
+        monkeypatch.setattr(simulation, "stream_block_rows", lambda N: 7)
+        for threads in (1, 2):
+            dump = tmp_path / f"b{threads}.csv"
+            blocked = run_simulation(tiny_pop, cfg, threads=threads, dump_path=dump)
+            assert comparable(blocked) == comparable(whole)
+            assert dump.read_bytes() == (tmp_path / "a.csv").read_bytes()
 
     def test_seed_changes_results(self, tiny_pop):
         a = run_simulation(tiny_pop, SimConfig(reps=400, n=3, seed=1))
