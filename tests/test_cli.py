@@ -237,6 +237,14 @@ class TestTheory:
         assert "must be finite" in captured.err
         assert captured.out == ""
 
+    def test_overflowing_result_exit_2(self, capsys):
+        # Finite inputs whose bias-free beta overflows to infinity.
+        rc = main(["theory", "--alpha", "1e200", "--beta", "0", "--c", "1e200"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "not finite" in captured.err
+        assert "Infinity" not in captured.out
+
     def test_output_is_strict_json(self, stats_json, capsys):
         def reject(constant):
             raise AssertionError(f"non-JSON constant {constant}")

@@ -281,7 +281,6 @@ class TestSrsworStreams:
 
     def test_int32_path_above_int16_range(self):
         pop_size = 40_000
-        assert stream_block_rows(pop_size) == 8
         got = srswor_streams(pop_size, 25, 99, 3, 20)
         assert got.dtype == np.int32
         np.testing.assert_array_equal(got, _scalar_rows(pop_size, 25, 99, 3, 20))
