@@ -58,7 +58,6 @@ from .sampling import (
     plan_sample_size,
     quartiles,
     srswor,
-    srswor_streams,
     z_quantile,
 )
 from .simulation import (

@@ -6,13 +6,12 @@ statistics library.  Index draws come from a small counter-style generator
 with explicit (seed, stream) keying: replication r of a simulation uses
 stream r, which makes every draw a pure function of its key and therefore
 reproducible bit for bit on any platform or thread schedule.
-srswor_streams draws a block of streams at once and matches srswor row for
-row.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,8 +30,6 @@ __all__ = [
     "confidence_interval",
     "SplitMix64",
     "srswor",
-    "srswor_streams",
-    "stream_block_rows",
     "quartiles",
 ]
 
@@ -183,118 +180,85 @@ class SplitMix64:
                 return u % bound
 
 
-def srswor(pop_size: int, n: int, seed: int, stream: int = 0) -> np.ndarray:
-    """Draw a simple random sample of n distinct indices from range(pop_size).
-
-    Partial Fisher-Yates over an index array; the result is returned sorted
-    ascending.  Identical (pop_size, n, seed, stream) give identical draws.
-    """
-    pop_size = int(pop_size)
-    n = int(n)
-    if not 1 <= n <= pop_size:
-        raise InvalidDesignError(f"need 1 <= n <= pop_size, got n={n}, pop_size={pop_size}")
-    rng = SplitMix64(seed, stream)
-    idx = list(range(pop_size))
-    for i in range(n):
-        j = i + rng.below(pop_size - i)
-        idx[i], idx[j] = idx[j], idx[i]
-    return np.array(sorted(idx[:n]), dtype=np.int64)
-
-
-# Budget for the (rows, pop_size) index matrix of one batched draw.  Eight
-# rows is the floor: fewer lanes leave numpy's per-call cost unamortized,
-# and eight int32 rows hold less than the Python list the scalar draw
-# builds.  The budget itself gives eight rows at the largest int16 size.
-_BLOCK_BYTES = 512 * 1024
-_MIN_BLOCK_ROWS = 8
 _GOLDEN_U64 = np.uint64(_GOLDEN)
 _MIX1_U64 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2_U64 = np.uint64(0x94D049BB133111EB)
-
-
-def _index_dtype(pop_size: int) -> np.dtype:
-    """Narrowest signed integer type that holds every index below pop_size."""
-    if pop_size < 1 << 15:
-        return np.dtype(np.int16)
-    if pop_size < 1 << 31:
-        return np.dtype(np.int32)
-    return np.dtype(np.int64)
-
-
-def stream_block_rows(pop_size: int) -> int:
-    """Streams per batched draw: as many (pop_size,) index rows as fit the
-    block budget, and at least _MIN_BLOCK_ROWS."""
-    pop_size = int(pop_size)
-    row_bytes = pop_size * _index_dtype(pop_size).itemsize
-    return max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // row_bytes)
+_SHIFTS_U64 = (np.uint64(30), np.uint64(27), np.uint64(31))
 
 
 def _mix64_lanes(z: np.ndarray) -> np.ndarray:
-    """_mix64 applied lane-wise to a uint64 array (arithmetic wraps)."""
-    z = z ^ (z >> np.uint64(30))
+    """_mix64 applied element-wise to a uint64 array, in place (arithmetic
+    wraps)."""
+    s30, s27, s31 = _SHIFTS_U64
+    z ^= z >> s30
     z *= _MIX1_U64
-    z ^= z >> np.uint64(27)
+    z ^= z >> s27
     z *= _MIX2_U64
-    z ^= z >> np.uint64(31)
+    z ^= z >> s31
     return z
 
 
-def _below_lanes(state: np.ndarray, bound: int) -> np.ndarray:
-    """SplitMix64.below(bound) for every lane of a uint64 state array.
+@lru_cache(maxsize=8)
+def _swap_plan(pop_size: int, n: int):
+    """Read-only uint64 arrays for _below_run: the bounds pop_size - i for
+    i < n, the largest output accepted for each, and the counter steps
+    GOLDEN * (1, ..., n).
 
-    Each lane advances its own counter in place; only lanes whose output
-    falls at or above the rejection threshold draw again.  For a bound that
-    is a power of two the threshold is 2^64 and nothing is ever rejected.
+    Output u is accepted for bound b iff u < 2^64 - 2^64 % b, that is
+    u <= ~(2^64 % b), and 2^64 % b is computed as (2^64 - b) % b.  For a
+    power of two b it is 0, so every output is accepted.
     """
-    state += _GOLDEN_U64
-    u = _mix64_lanes(state)
-    rem = (1 << 64) % bound
-    if rem:
-        threshold = np.uint64((1 << 64) - rem)
-        redo = np.flatnonzero(u >= threshold)
-        while redo.size:
-            state[redo] += _GOLDEN_U64
-            u[redo] = _mix64_lanes(state[redo])
-            redo = redo[u[redo] >= threshold]
-    return u % np.uint64(bound)
+    bounds = np.uint64(pop_size) - np.arange(n, dtype=np.uint64)
+    limits = ~((np.uint64(0) - bounds) % bounds)
+    steps = np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN_U64
+    for a in (bounds, limits, steps):
+        a.flags.writeable = False
+    return bounds, limits, steps
 
 
-def srswor_streams(
-    pop_size: int, n: int, seed: int, first_stream: int, count: int
-) -> np.ndarray:
-    """srswor for streams first_stream, ..., first_stream + count - 1 at once.
+def _below_run(state: int, pop_size: int, n: int) -> list[int]:
+    """SplitMix64.below(pop_size - i) for i = 0, ..., n - 1 in turn, from a
+    generator whose state is `state`.
 
-    Row r of the (count, n) result equals
-    srswor(pop_size, n, seed, stream=first_stream + r) element for element;
-    the dtype is the narrowest integer type that holds pop_size - 1.  The
-    streams advance in lockstep as uint64 lanes over one (count, pop_size)
-    index matrix, so callers bound memory by drawing at most
-    stream_block_rows(pop_size) streams per call.
+    Output k of a stream is _mix64(state + k * GOLDEN), so a whole run of
+    draws is one array expression.  A rejected output shifts every later
+    draw by one counter: the draws before it are kept and the run resumes
+    just after it.
+    """
+    out: list[int] = []
+    while True:
+        bounds, limits, steps = _swap_plan(pop_size, n)
+        u = _mix64_lanes(steps + np.uint64(state))
+        rejected = np.flatnonzero(u > limits)
+        take = int(rejected[0]) if rejected.size else n
+        out += (u[:take] % bounds[:take]).tolist()
+        if take == n:
+            return out
+        state = (state + (take + 1) * _GOLDEN) & _MASK64
+        pop_size -= take
+        n -= take
+
+
+def srswor(pop_size: int, n: int, seed: int, stream: int = 0) -> np.ndarray:
+    """Draw a simple random sample of n distinct indices from range(pop_size).
+
+    Partial Fisher-Yates over an index array: swap i exchanges position i
+    with i + SplitMix64(seed, stream).below(pop_size - i).  The n bounded
+    draws are computed as one array by _below_run; only the swaps run one
+    by one.  The result is returned sorted ascending.  Identical
+    (pop_size, n, seed, stream) give identical draws.
     """
     pop_size = int(pop_size)
     n = int(n)
-    count = int(count)
     if not 1 <= n <= pop_size:
         raise InvalidDesignError(f"need 1 <= n <= pop_size, got n={n}, pop_size={pop_size}")
-    if count < 0:
-        raise InvalidInputError(f"count must be nonnegative, got {count}")
-    # Lane r starts where SplitMix64(seed, first_stream + r) does:
-    # _mix64(_mix64(seed) + stream), with the sum taken modulo 2^64.
-    state = np.arange(count, dtype=np.uint64)
-    state += np.uint64(int(first_stream) & _MASK64)
-    state += np.uint64(_mix64(seed & _MASK64))
-    state = _mix64_lanes(state)
-    idx = np.empty((count, pop_size), dtype=_index_dtype(pop_size))
-    idx[:] = np.arange(pop_size, dtype=idx.dtype)
-    flat = idx.reshape(-1)
-    row_start = np.arange(count, dtype=np.intp) * pop_size
-    for i in range(n):
-        at_i = row_start + i
-        at_j = at_i + _below_lanes(state, pop_size - i).astype(np.intp)
-        held = flat[at_i]
-        flat[at_i] = flat[at_j]
-        flat[at_j] = held
-    return np.sort(idx[:, :n], axis=1)
+    idx = list(range(pop_size))
+    for i, j in enumerate(_below_run(SplitMix64(seed, stream)._state, pop_size, n)):
+        j += i
+        idx[i], idx[j] = idx[j], idx[i]
+    sample = np.array(idx[:n], dtype=np.int64)
+    sample.sort()
+    return sample
 
 
 def quartiles(values) -> tuple[float, float, float]:

@@ -34,12 +34,7 @@ from .estimators import (
     estimator_token,
 )
 from .population import Population, make_design
-from .sampling import (
-    confidence_interval,
-    quartiles,
-    srswor_streams,
-    stream_block_rows,
-)
+from .sampling import confidence_interval, quartiles, srswor
 
 __all__ = [
     "SimConfig",
@@ -54,6 +49,7 @@ __all__ = [
 
 PRNG_NAME = "splitmix64"
 _ENUMERATION_BUDGET = 1_000_000
+_GATHER_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -143,10 +139,10 @@ def run_simulation(
     """Compare the configured estimators over cfg.reps SRSWOR replications.
 
     Per replication r the indices come from stream r of the seeded
-    generator, drawn in blocks of streams at once; every estimator sees the
-    same draw.  The plain sample mean is always evaluated internally as the
-    efficiency baseline, whether or not it appears in cfg.estimators.  With
-    dump_path given, one CSV row per (replication, estimator) is written.
+    generator; every estimator sees the same draw.  The plain sample mean
+    is always evaluated internally as the efficiency baseline, whether or
+    not it appears in cfg.estimators.  With dump_path given, one CSV row
+    per (replication, estimator) is written.
     """
     if threads < 1:
         raise InvalidInputError(f"threads must be at least 1, got {threads}")
@@ -171,20 +167,19 @@ def run_simulation(
     ok = np.zeros((reps, k), dtype=bool)
     base = np.empty(reps)
 
-    block = stream_block_rows(N)
+    # Replications per gather: their int64 indices fill _GATHER_BYTES.
+    block = max(1, _GATHER_BYTES // (8 * cfg.n))
 
     def fill(lo: int, hi: int) -> None:
         for first in range(lo, hi, block):
-            last = min(first + block, hi)
-            idx = srswor_streams(N, cfg.n, cfg.seed, first, last - first)
+            rows = range(first, min(first + block, hi))
+            idx = np.array([srswor(N, cfg.n, cfg.seed, stream=rep) for rep in rows])
             # Row means reduce along contiguous rows, so each equals the
             # per-draw pop.y[idx[r]].mean() bit for bit.
             ybars = pop.y[idx].mean(axis=1)
             xbars = pop.x[idx].mean(axis=1)
-            base[first:last] = ybars
-            for rep, ybar, xbar in zip(
-                range(first, last), ybars.tolist(), xbars.tolist()
-            ):
+            base[rows.start:rows.stop] = ybars
+            for rep, ybar, xbar in zip(rows, ybars.tolist(), xbars.tolist()):
                 s = SampleSummary(ybar, xbar, mean_x)
                 for j, spec in enumerate(specs):
                     try:

@@ -21,11 +21,9 @@ from rpratio.sampling import (
     plan_sample_size,
     quartiles,
     srswor,
-    srswor_streams,
-    stream_block_rows,
     z_quantile,
 )
-from rpratio.sampling import _below_lanes, _norm_ppf
+from rpratio.sampling import _below_run, _norm_ppf, _swap_plan
 
 
 class TestNormalQuantile:
@@ -245,15 +243,33 @@ class TestSrswor:
         assert rates == pytest.approx([0.5] * 6, abs=0.01)
 
 
-def _scalar_rows(pop_size, n, seed, first_stream, count):
+def _reference_srswor(pop_size, n, seed, stream):
+    """Partial Fisher-Yates driven one SplitMix64.below call at a time."""
+    rng = SplitMix64(seed, stream)
+    idx = list(range(pop_size))
+    for i in range(n):
+        j = i + rng.below(pop_size - i)
+        idx[i], idx[j] = idx[j], idx[i]
+    return np.array(sorted(idx[:n]), dtype=np.int64)
+
+
+def _reference_rows(pop_size, n, seed, first_stream, count):
+    return np.array(
+        [_reference_srswor(pop_size, n, seed, first_stream + r) for r in range(count)],
+        dtype=np.int64,
+    ).reshape(count, n)
+
+
+def _srswor_rows(pop_size, n, seed, first_stream, count):
     return np.array(
         [srswor(pop_size, n, seed, stream=first_stream + r) for r in range(count)],
         dtype=np.int64,
     ).reshape(count, n)
 
 
-class TestSrsworStreams:
-    """The batched draw must reproduce scalar srswor row for row."""
+class TestSrsworMatchesReference:
+    """srswor computes its bounded draws as one array; every draw must equal
+    the one-call-at-a-time Fisher-Yates over SplitMix64.below."""
 
     @pytest.mark.parametrize(
         "pop_size, n, seed, first_stream, count",
@@ -270,38 +286,14 @@ class TestSrsworStreams:
             (50, 7, -987654321, 0, 60),  # negative seed
             (50, 7, 42, -25, 60),  # negative streams, crossing zero
             (50, 7, 2**70 + 3, 2**64 - 30, 60),  # keys wrap modulo 2^64
+            (40_000, 25, 99, 3, 20),  # population past the int16 range
         ],
     )
-    def test_rows_match_scalar(self, pop_size, n, seed, first_stream, count):
-        got = srswor_streams(pop_size, n, seed, first_stream, count)
-        assert got.shape == (count, n)
+    def test_draws_match_reference(self, pop_size, n, seed, first_stream, count):
         np.testing.assert_array_equal(
-            got, _scalar_rows(pop_size, n, seed, first_stream, count)
+            _srswor_rows(pop_size, n, seed, first_stream, count),
+            _reference_rows(pop_size, n, seed, first_stream, count),
         )
-
-    def test_int32_path_above_int16_range(self):
-        pop_size = 40_000
-        got = srswor_streams(pop_size, 25, 99, 3, 20)
-        assert got.dtype == np.int32
-        np.testing.assert_array_equal(got, _scalar_rows(pop_size, 25, 99, 3, 20))
-
-    def test_narrowest_index_dtype(self):
-        assert srswor_streams(2**15 - 1, 2, 0, 0, 1).dtype == np.int16
-        assert srswor_streams(2**15, 2, 0, 0, 1).dtype == np.int32
-
-    def test_block_rows_bounded_by_bytes(self):
-        assert stream_block_rows(365) == 512 * 1024 // (365 * 2)
-        assert stream_block_rows(2**15 - 1) == 8
-        assert stream_block_rows(10**6) == 8
-
-    def test_empty_and_invalid(self):
-        assert srswor_streams(10, 3, 1, 0, 0).shape == (0, 3)
-        with pytest.raises(InvalidDesignError):
-            srswor_streams(10, 0, 1, 0, 5)
-        with pytest.raises(InvalidDesignError):
-            srswor_streams(10, 11, 1, 0, 5)
-        with pytest.raises(InvalidInputError):
-            srswor_streams(10, 3, 1, 0, -1)
 
     @given(
         data=st.data(),
@@ -311,11 +303,11 @@ class TestSrsworStreams:
         count=st.integers(min_value=1, max_value=12),
     )
     @settings(max_examples=150, deadline=None)
-    def test_matches_scalar_property(self, data, pop_size, seed, first_stream, count):
+    def test_matches_reference_property(self, data, pop_size, seed, first_stream, count):
         n = data.draw(st.integers(min_value=1, max_value=pop_size))
         np.testing.assert_array_equal(
-            srswor_streams(pop_size, n, seed, first_stream, count),
-            _scalar_rows(pop_size, n, seed, first_stream, count),
+            _srswor_rows(pop_size, n, seed, first_stream, count),
+            _reference_rows(pop_size, n, seed, first_stream, count),
         )
 
     def test_row_means_bit_identical_past_pairwise_block(self):
@@ -323,37 +315,54 @@ class TestSrsworStreams:
         # of a (rows, n) gather must split each row exactly as the 1-D one.
         y = np.random.default_rng(5).lognormal(size=1000)
         n = 300
-        idx = srswor_streams(1000, n, 8, 0, 64)
+        idx = _srswor_rows(1000, n, 8, 0, 64)
         means = y[idx].mean(axis=1)
         for r in range(64):
             one = float(y[srswor(1000, n, 8, stream=r)].mean())
             assert means[r].tobytes() == np.float64(one).tobytes()
 
 
-class TestBelowLanes:
-    """The lane-wise bounded draw against SplitMix64.below, state included."""
+class TestBelowRun:
+    """The array-wise run of bounded draws against SplitMix64.below."""
 
-    @pytest.mark.parametrize("bound", [2**63 + 1, 2**63, 3 * 2**61 + 7, 365, 1])
-    def test_matches_scalar_below(self, bound):
-        # At 2^63 + 1 the threshold is 2^63 + 1 itself, so about half of all
-        # outputs are rejected and many lanes redraw more than once.
-        streams = range(-50, 350)
-        rngs = [SplitMix64(2024, stream=s) for s in streams]
-        state = np.array([rng._state for rng in rngs], dtype=np.uint64)
-        for _ in range(4):
-            got = _below_lanes(state, bound)
-            want = [rng.below(bound) for rng in rngs]
-            assert got.tolist() == want
-            assert state.tolist() == [rng._state for rng in rngs]
+    @pytest.mark.parametrize(
+        "pop_size, n",
+        [
+            (2**63 + 60, 60),  # about half of all outputs rejected
+            (2**64 - 1, 40),
+            (2**63 + 1, 1),
+            (3 * 2**61 + 7, 30),
+            (2**63, 20),  # first bound a power of two
+            (365, 112),
+            (64, 64),
+            (1, 1),
+        ],
+    )
+    def test_matches_scalar_below(self, pop_size, n):
+        for stream in range(-20, 80):
+            rng = SplitMix64(2024, stream=stream)
+            start = rng._state
+            want = [rng.below(pop_size - i) for i in range(n)]
+            assert _below_run(start, pop_size, n) == want
+
+    @pytest.mark.parametrize("pop_size, n", [(2**63 + 1, 3), (2**64 - 1, 2), (365, 112), (64, 64)])
+    def test_largest_accepted_output(self, pop_size, n):
+        bounds, limits, _ = _swap_plan(pop_size, n)
+        for b, limit in zip(bounds.tolist(), limits.tolist()):
+            assert limit == 2**64 - 2**64 % b - 1
 
     def test_rejections_happen_at_huge_bound(self):
-        state = np.array(
-            [SplitMix64(1, stream=s)._state for s in range(400)], dtype=np.uint64
-        )
-        one_step = state + np.uint64(0x9E3779B97F4A7C15)
-        _below_lanes(state, 2**63 + 1)
-        # A lane that redrew has advanced its counter more than once.
-        assert (state != one_step).sum() > 100
+        # A draw that was rejected advanced the generator more than once.
+        extra = 0
+        for stream in range(100):
+            rng = SplitMix64(1, stream=stream)
+            start = rng._state
+            assert _below_run(start, 2**63 + 40, 40) == [
+                rng.below(2**63 + 40 - i) for i in range(40)
+            ]
+            steps = ((rng._state - start) * pow(0x9E3779B97F4A7C15, -1, 2**64)) % 2**64
+            extra += steps - 40
+        assert extra > 1000
 
 
 class TestQuartiles:

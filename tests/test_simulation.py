@@ -106,11 +106,11 @@ class TestDeterminism:
         assert comparable(serial) == comparable(threaded)
 
     def test_block_size_is_invisible(self, tiny_pop, tmp_path, monkeypatch):
-        # Blocks of 7 streams leave a partial block at both thread chunks'
-        # ends; the per-replication dump must not change by a byte.
+        # Gathers of 7 replications leave a partial block at both thread
+        # chunks' ends; the per-replication dump must not change by a byte.
         cfg = SimConfig(reps=401, n=3, seed=8)
         whole = run_simulation(tiny_pop, cfg, dump_path=tmp_path / "a.csv")
-        monkeypatch.setattr(simulation, "stream_block_rows", lambda N: 7)
+        monkeypatch.setattr(simulation, "_GATHER_BYTES", 7 * 8 * cfg.n)
         for threads in (1, 2):
             dump = tmp_path / f"b{threads}.csv"
             blocked = run_simulation(tiny_pop, cfg, threads=threads, dump_path=dump)
