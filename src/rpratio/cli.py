@@ -144,20 +144,13 @@ def _parse_range(text: str) -> tuple[float, float, float]:
         raise EstimationError(f"non-numeric bound in range {text!r}") from None
 
 
+_STATS_KEYS = (
+    "mean_y", "mean_x", "var_y", "var_x", "sd_y", "sd_x", "cov_xy", "r", "cv_y", "cv_x", "c",
+)
+
+
 def _stats_payload(st: SummaryStats) -> dict:
-    return {
-        "mean_y": st.mean_y,
-        "mean_x": st.mean_x,
-        "var_y": st.var_y,
-        "var_x": st.var_x,
-        "sd_y": st.sd_y,
-        "sd_x": st.sd_x,
-        "cov_xy": st.cov_xy,
-        "r": st.r,
-        "cv_y": st.cv_y,
-        "cv_x": st.cv_x,
-        "c": st.c,
-    }
+    return {key: getattr(st, key) for key in _STATS_KEYS}
 
 
 def _load_stats(path_text: str) -> SummaryStats:
@@ -257,9 +250,7 @@ def _cmd_theory(args) -> int:
         payload["alpha"] = alpha
         payload["beta"] = beta
         payload["dominates"] = {
-            "mean": dominates(Baseline.SAMPLE_MEAN, alpha, beta, c),
-            "ratio": dominates(Baseline.RATIO, alpha, beta, c),
-            "product": dominates(Baseline.PRODUCT, alpha, beta, c),
+            over.value: dominates(over, alpha, beta, c) for over in Baseline
         }
         payload["biasfree_betas"] = list(biasfree_betas(alpha, c))
         if st is not None and d is not None:
@@ -320,9 +311,7 @@ def _cmd_simulate(args) -> int:
         reps=args.reps, n=args.n, seed=args.seed,
         confidence=args.confidence, estimators=specs,
     )
-    result = run_simulation(
-        pop, cfg, threads=args.threads, dump_path=args.dump_estimates
-    )
+    result = run_simulation(pop, cfg, dump_path=args.dump_estimates)
     out = Path(args.out)
     out.write_text(_dump_json(_report_payload(result)))
     outputs = [str(out)]
@@ -335,7 +324,6 @@ def _cmd_simulate(args) -> int:
             "reps": args.reps, "n": args.n,
             "confidence": args.confidence,
             "estimators": args.estimators,
-            "threads": args.threads,
         },
         outputs=outputs,
         wall_time_s=time.perf_counter() - started,
@@ -454,7 +442,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", default="report.json")
     p.add_argument("--dump-estimates", help="per-replication CSV path")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("surface", help="tabulate a parameter-space surface")

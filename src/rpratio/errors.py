@@ -70,7 +70,7 @@ class OutOfRangeError(EstimationError):
 
 
 class TooLargeError(EstimationError):
-    """An exhaustive enumeration would exceed the subset budget."""
+    """A requested enumeration or grid would exceed its size budget."""
 
 
 class EmptyDataError(EstimationError):

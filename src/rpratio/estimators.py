@@ -1,8 +1,8 @@
 """Point estimators of a finite population mean using an auxiliary variable.
 
-Every estimator here is a scalar function of the same three numbers: the
-sample means ``ybar`` and ``xbar`` and the known population mean ``Xbar``
-of the auxiliary variable.  The central object is the two-parameter family
+Every estimator here is a function of the same three numbers: the sample
+means ``ybar`` and ``xbar`` and the known population mean ``Xbar`` of the
+auxiliary variable.  The central object is the two-parameter family
 
     t(alpha, beta) = alpha * B * ybar + (1 - alpha) * ybar / B,
 
@@ -16,12 +16,19 @@ the point reflection (alpha, beta) -> (1 - alpha, 1 - beta).
 
 A handful of one-parameter competitors from the same literature are
 included so they can run side by side in the simulation harness.
+
+Each estimator kind is one frozen dataclass that carries everything about
+it: its token name (the dataclass fields are the token's arguments, in
+order), an evaluator over arrays of sample means, and its first-order
+expansion coefficients.  ESTIMATOR_KINDS maps token names to the classes.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, fields
+from typing import ClassVar, Union, get_args
+
+import numpy as np
 
 from .errors import InvalidInputError, SingularDenominatorError
 
@@ -37,11 +44,20 @@ __all__ = [
     "SahaiTransformed",
     "SinghRatioProduct",
     "EstimatorSpec",
+    "ESTIMATOR_KINDS",
     "estimate",
     "symmetry_partner",
     "estimator_token",
     "parse_estimator",
 ]
+
+
+def _check_means(ybar, xbar, Xbar) -> None:
+    for name, value in (("ybar", ybar), ("xbar", xbar), ("Xbar", Xbar)):
+        if not np.isfinite(value).all():
+            raise InvalidInputError(f"{name} must be finite")
+    if Xbar == 0.0:
+        raise InvalidInputError("population auxiliary mean Xbar must be nonzero")
 
 
 @dataclass(frozen=True)
@@ -53,38 +69,113 @@ class SampleSummary:
     Xbar: float
 
     def __post_init__(self):
-        for name in ("ybar", "xbar", "Xbar"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidInputError(f"{name} must be finite")
-        if self.Xbar == 0.0:
-            raise InvalidInputError("population auxiliary mean Xbar must be nonzero")
+        _check_means(self.ybar, self.xbar, self.Xbar)
+
+
+class _Kind:
+    """What every estimator kind provides; subclasses are frozen dataclasses.
+
+    Each kind defines ``_values(ybar, xbar, Xbar) -> (values, singular)``
+    over arrays of sample means and ``coefficients() -> (w, q)``: the
+    estimator equals Ybar * (1 + e1) * (1 - w*e2 + q*e2^2 + ...) with e1, e2
+    the relative deviations of the two sample means.
+    """
+
+    name: ClassVar[str]
+
+    def evaluate(self, ybar, xbar, Xbar: float) -> tuple[np.ndarray, np.ndarray]:
+        """Estimates for paired arrays of sample means (nan where singular),
+        and the mask of the singular draws."""
+        ybar, xbar, Xbar = np.asarray(ybar, float), np.asarray(xbar, float), float(Xbar)
+        _check_means(ybar, xbar, Xbar)
+        with np.errstate(all="ignore"):
+            values, singular = self._values(ybar, xbar, Xbar)
+        return np.where(singular, np.nan, values), singular
+
+
+def _pow(base: float, k: float) -> float | None:
+    try:
+        return math.pow(base, k)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return None
+
+
+class _PowerTransform(_Kind):
+    """Kinds built on (xbar / Xbar) ** k, taken with math.pow per draw.
+
+    math.pow fails for 0**negative, for a negative base with fractional
+    exponent and on overflow; each means the transform has left its domain
+    for that draw.  (np.power may differ from math.pow in the last bit.)
+    """
+
+    def _power(self, xb, Xb) -> tuple[np.ndarray, np.ndarray]:
+        out = [_pow(base, self.k) for base in np.ravel(xb / Xb).tolist()]
+        singular = np.array([value is None for value in out], dtype=bool)
+        return np.array(out, dtype=float).reshape(xb.shape), singular.reshape(xb.shape)
 
 
 @dataclass(frozen=True)
-class SampleMean:
+class SampleMean(_Kind):
     """ybar, ignoring the auxiliary variable."""
 
+    name = "mean"
+
+    def _values(self, yb, xb, Xb):
+        return yb, np.zeros_like(yb, dtype=bool)
+
+    def coefficients(self):
+        return 0.0, 0.0
+
 
 @dataclass(frozen=True)
-class Ratio:
+class Ratio(_Kind):
     """ybar * Xbar / xbar."""
 
+    name = "ratio"
+
+    def _values(self, yb, xb, Xb):
+        return yb * Xb / xb, xb == 0.0
+
+    def coefficients(self):
+        return 1.0, 1.0
+
 
 @dataclass(frozen=True)
-class Product:
+class Product(_Kind):
     """ybar * xbar / Xbar."""
 
+    name = "product"
+
+    def _values(self, yb, xb, Xb):
+        return yb * xb / Xb, np.zeros_like(yb, dtype=bool)
+
+    def coefficients(self):
+        return -1.0, 0.0
+
 
 @dataclass(frozen=True)
-class RatioProductRatio:
+class RatioProductRatio(_Kind):
     """The two-parameter family t(alpha, beta) described in the module docstring."""
 
     alpha: float
     beta: float
 
+    name = "rpr"
+
+    def _values(self, yb, xb, Xb):
+        a, b = self.alpha, self.beta
+        d1 = b * xb + (1.0 - b) * Xb
+        bracket = ((1.0 - b) * xb + b * Xb) / d1
+        values = a * bracket * yb + (1.0 - a) * yb / bracket
+        return values, (d1 == 0.0) | (bracket == 0.0)
+
+    def coefficients(self):
+        v = 1.0 - 2.0 * self.beta
+        return (1.0 - 2.0 * self.alpha) * v, (1.0 - self.alpha - self.beta) * v
+
 
 @dataclass(frozen=True)
-class UnbiasedAOE:
+class UnbiasedAOE(_Kind):
     """Closed form of the family member sitting at the optimal parameter pair
     for a population whose moment ratio equals ``c``:
 
@@ -97,103 +188,117 @@ class UnbiasedAOE:
 
     c: float
 
+    name = "aoe"
+
+    def _values(self, yb, xb, Xb):
+        c = self.c
+        t = 2.0 * c * c - c - 1.0
+        gap = Xb - xb
+        den = 4.0 * Xb * xb - t * gap * gap
+        num = 2.0 * (c + 1.0) * Xb * Xb - 2.0 * (c - 1.0) * xb * xb + t * gap * gap
+        return num / den * yb, den == 0.0
+
+    def coefficients(self):
+        return self.c, self.c * self.c
+
 
 @dataclass(frozen=True)
-class SrivastavaPower:
+class SrivastavaPower(_PowerTransform):
     """ybar * (xbar / Xbar) ** k."""
 
     k: float
 
+    name = "srivastava"
+
+    def _values(self, yb, xb, Xb):
+        power, singular = self._power(xb, Xb)
+        return yb * power, singular
+
+    def coefficients(self):
+        return -self.k, self.k * (self.k - 1.0) / 2.0
+
 
 @dataclass(frozen=True)
-class Reddy:
+class Reddy(_Kind):
     """ybar * Xbar / (Xbar + k * (xbar - Xbar))."""
 
     k: float
 
+    name = "reddy"
+
+    def _values(self, yb, xb, Xb):
+        den = Xb + self.k * (xb - Xb)
+        return yb * Xb / den, den == 0.0
+
+    def coefficients(self):
+        return self.k, self.k * self.k
+
 
 @dataclass(frozen=True)
-class SahaiTransformed:
+class SahaiTransformed(_PowerTransform):
     """ybar * (2 - (xbar / Xbar) ** k)."""
 
     k: float
 
+    name = "sahai"
+
+    def _values(self, yb, xb, Xb):
+        power, singular = self._power(xb, Xb)
+        return yb * (2.0 - power), singular
+
+    def coefficients(self):
+        return self.k, -self.k * (self.k - 1.0) / 2.0
+
 
 @dataclass(frozen=True)
-class SinghRatioProduct:
-    """ybar * (k * Xbar / xbar + (1 - k) * xbar / Xbar)."""
+class SinghRatioProduct(_Kind):
+    """ybar * (k * Xbar / xbar + (1 - k) * xbar / Xbar); the product
+    estimator, never singular, at k = 0."""
 
     k: float
 
+    name = "singh"
 
+    def _values(self, yb, xb, Xb):
+        k = self.k
+        if k == 0.0:
+            return yb * xb / Xb, np.zeros_like(yb, dtype=bool)
+        return yb * (k * Xb / xb + (1.0 - k) * xb / Xb), xb == 0.0
+
+    def coefficients(self):
+        return 2.0 * self.k - 1.0, self.k
+
+
+# The order of the kinds is the order of the forms in parse errors.
 EstimatorSpec = Union[
-    SampleMean,
-    Ratio,
-    Product,
-    RatioProductRatio,
-    UnbiasedAOE,
-    SrivastavaPower,
-    Reddy,
-    SahaiTransformed,
-    SinghRatioProduct,
+    SampleMean, Ratio, Product, RatioProductRatio, UnbiasedAOE,
+    SrivastavaPower, Reddy, SahaiTransformed, SinghRatioProduct,
 ]
 
-
-def _nonzero(value: float, what: str) -> float:
-    if value == 0.0:
-        raise SingularDenominatorError(f"{what} is zero", denominator=value)
-    return value
+ESTIMATOR_KINDS: dict[str, type] = {kind.name: kind for kind in get_args(EstimatorSpec)}
 
 
-def _power(base: float, k: float) -> float:
-    # math.pow raises for 0**negative and for negative base with fractional
-    # exponent; both mean the transform has left its domain for this draw.
-    try:
-        return math.pow(base, k)
-    except (ValueError, ZeroDivisionError):
-        raise SingularDenominatorError(
-            f"power transform undefined for base {base!r} and exponent {k!r}",
-            denominator=base,
-        ) from None
+def _checked(spec) -> EstimatorSpec:
+    if type(spec) not in ESTIMATOR_KINDS.values():
+        raise InvalidInputError(f"unknown estimator spec {spec!r}")
+    return spec
 
 
 def estimate(spec: EstimatorSpec, s: SampleSummary) -> float:
     """Evaluate an estimator on one sample summary.
 
     Raises SingularDenominatorError when a denominator of the requested
-    estimator vanishes on this draw.
+    estimator vanishes on this draw; its ``denominator`` is 0.0, or the
+    base xbar/Xbar when a power transform leaves its domain.
     """
-    yb, xb, Xb = s.ybar, s.xbar, s.Xbar
-    match spec:
-        case SampleMean():
-            return yb
-        case Ratio():
-            return yb * Xb / _nonzero(xb, "sample auxiliary mean xbar")
-        case Product():
-            return yb * xb / Xb
-        case RatioProductRatio(alpha=a, beta=b):
-            d1 = _nonzero(b * xb + (1.0 - b) * Xb, "beta*xbar + (1-beta)*Xbar")
-            d2 = _nonzero((1.0 - b) * xb + b * Xb, "(1-beta)*xbar + beta*Xbar")
-            bracket = d2 / d1
-            return a * bracket * yb + (1.0 - a) * yb / bracket
-        case UnbiasedAOE(c=c):
-            t = 2.0 * c * c - c - 1.0
-            gap = Xb - xb
-            den = _nonzero(4.0 * Xb * xb - t * gap * gap, "closed-form denominator")
-            num = 2.0 * (c + 1.0) * Xb * Xb - 2.0 * (c - 1.0) * xb * xb + t * gap * gap
-            return num / den * yb
-        case SrivastavaPower(k=k):
-            return yb * _power(xb / Xb, k)
-        case Reddy(k=k):
-            return yb * Xb / _nonzero(Xb + k * (xb - Xb), "Xbar + k*(xbar - Xbar)")
-        case SahaiTransformed(k=k):
-            return yb * (2.0 - _power(xb / Xb, k))
-        case SinghRatioProduct(k=k):
-            if k == 0.0:
-                return yb * xb / Xb
-            return yb * (k * Xb / _nonzero(xb, "sample auxiliary mean xbar") + (1.0 - k) * xb / Xb)
-        case _:
-            raise InvalidInputError(f"unknown estimator spec {spec!r}")
+    values, singular = _checked(spec).evaluate([s.ybar], [s.xbar], s.Xbar)
+    if singular[0]:
+        raise SingularDenominatorError(
+            f"{estimator_token(spec)} is singular at xbar={s.xbar!r}: a denominator"
+            " vanishes or the power transform leaves its domain",
+            denominator=s.xbar / s.Xbar if isinstance(spec, _PowerTransform) else 0.0,
+        )
+    return float(values[0])
 
 
 def symmetry_partner(alpha: float, beta: float) -> tuple[float, float]:
@@ -201,80 +306,33 @@ def symmetry_partner(alpha: float, beta: float) -> tuple[float, float]:
     return 1.0 - alpha, 1.0 - beta
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _token(name: str, args: list[str]) -> str:
+    return f"{name}:{','.join(args)}" if args else name
 
 
 def estimator_token(spec: EstimatorSpec) -> str:
     """Canonical command-line token for a spec; inverse of parse_estimator."""
-    match spec:
-        case SampleMean():
-            return "mean"
-        case Ratio():
-            return "ratio"
-        case Product():
-            return "product"
-        case RatioProductRatio(alpha=a, beta=b):
-            return f"rpr:{_fmt(a)},{_fmt(b)}"
-        case UnbiasedAOE(c=c):
-            return f"aoe:{_fmt(c)}"
-        case SrivastavaPower(k=k):
-            return f"srivastava:{_fmt(k)}"
-        case Reddy(k=k):
-            return f"reddy:{_fmt(k)}"
-        case SahaiTransformed(k=k):
-            return f"sahai:{_fmt(k)}"
-        case SinghRatioProduct(k=k):
-            return f"singh:{_fmt(k)}"
-        case _:
-            raise InvalidInputError(f"unknown estimator spec {spec!r}")
-
-
-_TOKEN_FORMS = (
-    "mean",
-    "ratio",
-    "product",
-    "rpr:<alpha>,<beta>",
-    "aoe:<c>",
-    "srivastava:<k>",
-    "reddy:<k>",
-    "sahai:<k>",
-    "singh:<k>",
-)
+    args = [repr(float(getattr(spec, f.name))) for f in fields(_checked(spec))]
+    return _token(spec.name, args)
 
 
 def parse_estimator(token: str) -> EstimatorSpec:
     """Parse a command-line estimator token such as ``rpr:-0.3349,0.3176``."""
-    text = token.strip()
-    name, sep, arg = text.partition(":")
-    try:
-        if not sep:
-            match name:
-                case "mean":
-                    return SampleMean()
-                case "ratio":
-                    return Ratio()
-                case "product":
-                    return Product()
-        else:
-            match name:
-                case "rpr":
-                    alpha_text, _, beta_text = arg.partition(",")
-                    return RatioProductRatio(float(alpha_text), float(beta_text))
-                case "aoe":
-                    return UnbiasedAOE(float(arg))
-                case "srivastava":
-                    return SrivastavaPower(float(arg))
-                case "reddy":
-                    return Reddy(float(arg))
-                case "sahai":
-                    return SahaiTransformed(float(arg))
-                case "singh":
-                    return SinghRatioProduct(float(arg))
-    except ValueError:
+    name, sep, arg = token.strip().partition(":")
+    kind = ESTIMATOR_KINDS.get(name)
+    if kind is None or bool(sep) != bool(fields(kind)):
+        forms = ", ".join(
+            _token(other.name, [f"<{f.name}>" for f in fields(other)])
+            for other in ESTIMATOR_KINDS.values()
+        )
+        raise InvalidInputError(
+            f"unknown estimator token {token!r}; valid forms: {forms}"
+        )
+    if not sep:
+        return kind()
+    try:  # too few arguments leave a field missing: TypeError
+        return kind(*(float(t) for t in arg.split(",", len(fields(kind)) - 1)))
+    except (TypeError, ValueError):
         raise InvalidInputError(
             f"bad numeric argument in estimator token {token!r}"
         ) from None
-    raise InvalidInputError(
-        f"unknown estimator token {token!r}; valid forms: {', '.join(_TOKEN_FORMS)}"
-    )

@@ -101,6 +101,10 @@ class SummaryStats:
         r: float,
     ) -> "SummaryStats":
         """Build a summary from published moments rather than raw data."""
+        moments = dict(mean_y=mean_y, mean_x=mean_x, sd_y=sd_y, sd_x=sd_x, r=r)
+        for name, value in moments.items():
+            if not math.isfinite(value):
+                raise InvalidInputError(f"{name} must be finite, got {value!r}")
         if mean_y == 0.0 or mean_x == 0.0:
             raise ZeroMeanError("means must be nonzero")
         if sd_y <= 0.0 or sd_x <= 0.0:
@@ -157,9 +161,11 @@ def summarize(pop: Population) -> SummaryStats:
     dx = pop.x - mean_x
     var_y = float(dy @ dy) / (N - 1)
     var_x = float(dx @ dx) / (N - 1)
-    if var_y == 0.0:
+    # The mean of identical values can miss them by an ulp, leaving a
+    # rounding-noise variance, so constancy is tested on the values.
+    if var_y == 0.0 or np.ptp(pop.y) == 0.0:
         raise DegenerateVarianceError("y values are all identical")
-    if var_x == 0.0:
+    if var_x == 0.0 or np.ptp(pop.x) == 0.0:
         raise DegenerateVarianceError("x values are all identical")
     cov_xy = float(dy @ dx) / (N - 1)
     # Cauchy-Schwarz bounds |r| by 1 up to float rounding; clamp the excursion.

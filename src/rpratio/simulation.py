@@ -1,11 +1,10 @@
 """Deterministic Monte Carlo comparison of estimators plus an exact oracle.
 
 run_simulation draws SRSWOR replications with one PRNG stream per
-replication, so the output is a pure function of (population, config) no
-matter how the replications are scheduled.  exhaustive_oracle trades
-randomness for enumeration: it walks every one of the C(N, n) subsets and
-returns exact design moments, which is what the Monte Carlo results are
-tested against on small populations.
+replication, so the output is a pure function of (population, config).
+exhaustive_oracle trades randomness for enumeration: it walks every one of
+the C(N, n) subsets and returns exact design moments, which is what the
+Monte Carlo results are tested against on small populations.
 """
 from __future__ import annotations
 
@@ -13,7 +12,6 @@ import itertools
 import math
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +19,6 @@ import numpy as np
 from .errors import (
     InvalidDesignError,
     InvalidInputError,
-    SingularDenominatorError,
     TooLargeError,
 )
 from .estimators import (
@@ -110,7 +107,7 @@ class SimResult:
     ranking: RankingTable
     meta: dict = field(default_factory=dict)
     # Volatile by nature, so kept out of meta: the serialized report must be
-    # byte-identical across reruns and thread counts.
+    # byte-identical across reruns.
     wall_time_s: float = 0.0
 
 
@@ -130,22 +127,16 @@ def _shape(devs: np.ndarray) -> tuple[float | None, float | None]:
     return m3 / m2**1.5, m4 / (m2 * m2)
 
 
-def run_simulation(
-    pop: Population,
-    cfg: SimConfig,
-    threads: int = 1,
-    dump_path=None,
-) -> SimResult:
+def run_simulation(pop: Population, cfg: SimConfig, dump_path=None) -> SimResult:
     """Compare the configured estimators over cfg.reps SRSWOR replications.
 
     Per replication r the indices come from stream r of the seeded
-    generator; every estimator sees the same draw.  The plain sample mean
-    is always evaluated internally as the efficiency baseline, whether or
-    not it appears in cfg.estimators.  With dump_path given, one CSV row
-    per (replication, estimator) is written.
+    generator; every estimator sees the same draw.  The sample means are
+    gathered block by block, and each estimator is then evaluated once over
+    the arrays of all replications.  The plain sample mean is always the
+    efficiency baseline, whether or not it appears in cfg.estimators.  With
+    dump_path given, one CSV row per (replication, estimator) is written.
     """
-    if threads < 1:
-        raise InvalidInputError(f"threads must be at least 1, got {threads}")
     started = time.perf_counter()
     N = pop.size
     make_design(cfg.n, N)
@@ -161,58 +152,33 @@ def run_simulation(
 
     specs = cfg.estimators
     labels = [estimator_token(s) for s in specs]
-    k = len(specs)
     reps = cfg.reps
-    est = np.full((reps, k), np.nan)
-    ok = np.zeros((reps, k), dtype=bool)
     base = np.empty(reps)
+    xbars = np.empty(reps)
 
     # Replications per gather: their int64 indices fill _GATHER_BYTES.
     block = max(1, _GATHER_BYTES // (8 * cfg.n))
+    for first in range(0, reps, block):
+        rows = range(first, min(first + block, reps))
+        idx = np.array([srswor(N, cfg.n, cfg.seed, stream=rep) for rep in rows])
+        # Row means reduce along contiguous rows, so each equals the
+        # per-draw pop.y[idx[r]].mean() bit for bit.
+        base[rows.start:rows.stop] = pop.y[idx].mean(axis=1)
+        xbars[rows.start:rows.stop] = pop.x[idx].mean(axis=1)
 
-    def fill(lo: int, hi: int) -> None:
-        for first in range(lo, hi, block):
-            rows = range(first, min(first + block, hi))
-            idx = np.array([srswor(N, cfg.n, cfg.seed, stream=rep) for rep in rows])
-            # Row means reduce along contiguous rows, so each equals the
-            # per-draw pop.y[idx[r]].mean() bit for bit.
-            ybars = pop.y[idx].mean(axis=1)
-            xbars = pop.x[idx].mean(axis=1)
-            base[rows.start:rows.stop] = ybars
-            for rep, ybar, xbar in zip(rows, ybars.tolist(), xbars.tolist()):
-                s = SampleSummary(ybar, xbar, mean_x)
-                for j, spec in enumerate(specs):
-                    try:
-                        est[rep, j] = estimate(spec, s)
-                        ok[rep, j] = True
-                    except SingularDenominatorError:
-                        pass
-
-    if threads == 1:
-        fill(0, reps)
-    else:
-        # Replications write disjoint rows, so chunks can run concurrently
-        # and the merged arrays are identical for every schedule.
-        chunk = math.ceil(reps / threads)
-        bounds = [(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda be: fill(*be), bounds))
-
+    est = np.empty((reps, len(specs)))
+    ok = np.empty((reps, len(specs)), dtype=bool)
+    for j, spec in enumerate(specs):
+        est[:, j], singular = spec.evaluate(base, xbars, mean_x)
+        ok[:, j] = ~singular
     base_mse = float(np.mean((base - true_mean) ** 2))
 
     reports = []
     for j, label in enumerate(labels):
         vals = est[ok[:, j], j]
         singular = reps - int(ok[:, j].sum())
-        if vals.size == 0:
-            reports.append(
-                EstimatorReport(
-                    label=label, coverage=0.0, neg_bias_rate=0.0,
-                    pos_bias_rate=0.0, q1=None, median=None, q3=None,
-                    mse_empirical=None, re_vs_sample_mean=None,
-                    skewness=None, kurtosis=None, singular_count=singular,
-                )
-            )
+        if vals.size == 0:  # zero rates; every moment-shape field undefined
+            reports.append(EstimatorReport(label, 0.0, 0.0, 0.0, *[None] * 7, singular))
             continue
         devs = vals - true_mean
         coverage = float(np.mean(np.abs(devs) <= half_width))
@@ -222,14 +188,9 @@ def run_simulation(
         mse = float(np.mean(devs * devs))
         re = base_mse / mse if mse > 0.0 else None
         skew, kurt = _shape(devs - devs.mean())
-        reports.append(
-            EstimatorReport(
-                label=label, coverage=coverage, neg_bias_rate=neg,
-                pos_bias_rate=pos, q1=q1, median=med, q3=q3,
-                mse_empirical=mse, re_vs_sample_mean=re,
-                skewness=skew, kurtosis=kurt, singular_count=singular,
-            )
-        )
+        reports.append(EstimatorReport(
+            label, coverage, neg, pos, q1, med, q3, mse, re, skew, kurt, singular
+        ))
 
     clean = ok.all(axis=1)
     counter: Counter = Counter()
@@ -255,10 +216,7 @@ def run_simulation(
     if dump_path is not None:
         write_estimates_csv(dump_path, labels, est, ok, true_mean, half_width)
     return SimResult(
-        reports=tuple(reports),
-        ranking=ranking,
-        meta=meta,
-        wall_time_s=time.perf_counter() - started,
+        tuple(reports), ranking, meta, wall_time_s=time.perf_counter() - started
     )
 
 
@@ -276,6 +234,15 @@ def write_estimates_csv(path, labels, est, ok, true_mean, half_width) -> None:
                     fh.write(f"{rep},{label},nan,0\n")
 
 
+def _subset_means(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Means of values over each row of idx, summed one column at a time
+    from zero, which is the order of Python's sum() over each subset."""
+    total = np.zeros(len(idx))
+    for column in idx.T:
+        total += values[column]
+    return total / idx.shape[1]
+
+
 def exhaustive_oracle(pop: Population, n: int, spec: EstimatorSpec) -> ExactMoments:
     """Exact design expectation, bias and MSE by enumerating all C(N, n)
     subsets with equal weight.  Refuses budgets beyond 10^6 subsets."""
@@ -287,15 +254,20 @@ def exhaustive_oracle(pop: Population, n: int, spec: EstimatorSpec) -> ExactMome
         raise TooLargeError(
             f"C({N}, {n}) = {total} subsets exceeds the {_ENUMERATION_BUDGET} budget"
         )
-    y = pop.y.tolist()
-    x = pop.x.tolist()
     Xbar = float(pop.x.mean())
     Ybar = float(pop.y.mean())
-    values = []
-    for subset in itertools.combinations(range(N), n):
-        ybar = sum(y[i] for i in subset) / n
-        xbar = sum(x[i] for i in subset) / n
-        values.append(estimate(spec, SampleSummary(ybar, xbar, Xbar)))
+    subsets = itertools.combinations(range(N), n)
+    chunk = max(1, _GATHER_BYTES // (8 * n))
+    values: list[float] = []
+    while block := list(itertools.islice(subsets, chunk)):
+        idx = np.array(block)
+        ybar, xbar = _subset_means(pop.y, idx), _subset_means(pop.x, idx)
+        est, singular = spec.evaluate(ybar, xbar, Xbar)
+        if singular.any():
+            first = int(np.argmax(singular))
+            # Raises the scalar estimator's error for that subset.
+            estimate(spec, SampleSummary(float(ybar[first]), float(xbar[first]), Xbar))
+        values += est.tolist()
     expectation = math.fsum(values) / total
     mse = math.fsum((v - Ybar) ** 2 for v in values) / total
     return ExactMoments(expectation=expectation, bias=expectation - Ybar, mse=mse)

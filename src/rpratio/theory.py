@@ -29,19 +29,9 @@ from .errors import (
     InvalidInputError,
     NonRealParametersError,
     PoleAtHalfError,
+    TooLargeError,
 )
-from .estimators import (
-    EstimatorSpec,
-    Product,
-    Ratio,
-    RatioProductRatio,
-    Reddy,
-    SahaiTransformed,
-    SampleMean,
-    SinghRatioProduct,
-    SrivastavaPower,
-    UnbiasedAOE,
-)
+from .estimators import EstimatorSpec, RatioProductRatio, _checked
 from .population import SamplingDesign, SummaryStats
 
 __all__ = [
@@ -63,6 +53,9 @@ __all__ = [
     "family_theory",
     "surface_grid",
 ]
+
+# Most rows surface_grid builds in memory; the benchmark grid has 418 241.
+_GRID_BUDGET = 10_000_000
 
 
 class Branch(Enum):
@@ -111,8 +104,7 @@ def bias1_rpr(alpha: float, beta: float, st: SummaryStats, d: SamplingDesign) ->
 
 def mse1_rpr(alpha: float, beta: float, st: SummaryStats, d: SamplingDesign) -> float:
     """First-order MSE of the family member at (alpha, beta)."""
-    w = (1.0 - 2.0 * alpha) * (1.0 - 2.0 * beta)
-    return d.fpc_rate * st.mean_y**2 * (st.cv_y**2 + st.cv_x**2 * w * (w - 2.0 * st.c))
+    return family_theory(RatioProductRatio(alpha, beta), st, d).mse1
 
 
 def mse1_grad(
@@ -131,42 +123,13 @@ def mse1_grad(
     return k * v, k * u
 
 
-def _coefficients(spec: EstimatorSpec) -> tuple[float, float]:
-    """Per-estimator expansion coefficients (w, q).
-
-    Each estimator equals Ybar * (1 + e1) * (1 - w*e2 + q*e2^2 + ...) with
-    e1, e2 the relative deviations of the two sample means, so
-    bias1 = fpc * Ybar * cv_x^2 * (q - w*c) and mse1 shares one formula.
-    """
-    match spec:
-        case SampleMean():
-            return 0.0, 0.0
-        case Ratio():
-            return 1.0, 1.0
-        case Product():
-            return -1.0, 0.0
-        case RatioProductRatio(alpha=a, beta=b):
-            v = 1.0 - 2.0 * b
-            return (1.0 - 2.0 * a) * v, (1.0 - a - b) * v
-        case UnbiasedAOE(c=c):
-            return c, c * c
-        case SrivastavaPower(k=k):
-            return -k, k * (k - 1.0) / 2.0
-        case Reddy(k=k):
-            return k, k * k
-        case SahaiTransformed(k=k):
-            return k, -k * (k - 1.0) / 2.0
-        case SinghRatioProduct(k=k):
-            return 2.0 * k - 1.0, k
-        case _:
-            raise InvalidInputError(f"unknown estimator spec {spec!r}")
-
-
 def family_theory(
     spec: EstimatorSpec, st: SummaryStats, d: SamplingDesign
 ) -> FirstOrderResult:
-    """First-order bias and MSE for any estimator spec."""
-    w, q = _coefficients(spec)
+    """First-order bias and MSE for any estimator spec: with its expansion
+    coefficients (w, q), bias1 = fpc * Ybar * cv_x^2 * (q - w*c), and mse1
+    is the family formula with w in place of u*v."""
+    w, q = _checked(spec).coefficients()
     scale = d.fpc_rate * st.cv_x**2 * st.mean_y
     bias1 = scale * (q - w * st.c)
     mse1 = d.fpc_rate * st.mean_y**2 * (
@@ -175,20 +138,9 @@ def family_theory(
     return FirstOrderResult(bias1=bias1, mse1=mse1)
 
 
-def mse1_classical(
-    spec: SampleMean | Ratio | Product, st: SummaryStats, d: SamplingDesign
-) -> float:
-    """First-order MSE of the three classical estimators."""
-    base = d.fpc_rate * st.mean_y**2
-    match spec:
-        case SampleMean():
-            return base * st.cv_y**2
-        case Ratio():
-            return base * (st.cv_y**2 + st.cv_x**2 * (1.0 - 2.0 * st.c))
-        case Product():
-            return base * (st.cv_y**2 + st.cv_x**2 * (1.0 + 2.0 * st.c))
-        case _:
-            raise InvalidInputError("expected SampleMean, Ratio or Product")
+def mse1_classical(spec: EstimatorSpec, st: SummaryStats, d: SamplingDesign) -> float:
+    """First-order MSE of an estimator spec, such as the three classical ones."""
+    return family_theory(spec, st, d).mse1
 
 
 def minimal_mse1(st: SummaryStats, d: SamplingDesign) -> float:
@@ -230,10 +182,14 @@ def aoe_parameters(
     if c == 0.0:
         # Degenerate hyperbola: the unique bias-free minimum is the center.
         return AOESolution(0.5, 0.5, branch, True)
-    u = math.sqrt(c / (2.0 * c - 1.0))
+    twice = 2.0 * c - 1.0
+    # Past |c| ~ 9e307, 2c - 1 overflows; c / (2c - 1) = 1 / (2 - 1/c) there.
+    u = math.sqrt(c / twice if math.isfinite(twice) else 1.0 / (2.0 - 1.0 / c))
     if branch is Branch.PLUS_PLUS:
         u = -u
     v = c / u
+    if not math.isfinite(v):
+        raise InvalidInputError(f"optimal beta overflows double precision for c = {c!r}")
     return AOESolution((1.0 - u) / 2.0, (1.0 - v) / 2.0, branch, True)
 
 
@@ -290,14 +246,17 @@ def relative_efficiency(
     return num / den
 
 
-def _axis(bounds: tuple[float, float, float], what: str) -> list[float]:
+def _axis(bounds: tuple[float, float, float], what: str) -> tuple[float, float, int]:
+    """(start, step, count) of an inclusive 'start:stop:step' range."""
     start, stop, step = (float(t) for t in bounds)
     if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(step)):
         raise InvalidInputError(f"{what} bounds must be finite")
     if step <= 0.0 or stop < start:
         raise InvalidInputError(f"{what} needs stop >= start and step > 0")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + step * i for i in range(count)]
+    span = (stop - start) / step + 1e-9
+    if not span < _GRID_BUDGET:
+        raise TooLargeError(f"{what} range exceeds the {_GRID_BUDGET} row budget")
+    return start, step, int(math.floor(span)) + 1
 
 
 def surface_grid(
@@ -313,9 +272,22 @@ def surface_grid(
     beta = (1 - c/(1 - 2*alpha)) / 2 per node, skipping the alpha = 1/2
     pole.  DOMINANCE walks (alpha, beta, c) nodes and appends an indicator
     that the family member beats all three classical baselines at once.
+    Grids of more than _GRID_BUDGET rows raise TooLargeError before any row
+    is built.
     """
-    alphas = _axis(alpha_range, "alpha")
-    cs = _axis(c_range, "c")
+    axes = [_axis(alpha_range, "alpha"), _axis(c_range, "c")]
+    if kind is SurfaceKind.DOMINANCE:
+        if beta_range is None:
+            raise InvalidInputError("dominance region needs a beta range")
+        axes.append(_axis(beta_range, "beta"))
+    rows_wanted = math.prod(count for _, _, count in axes)
+    if kind is SurfaceKind.BIAS_FREE:
+        rows_wanted *= 2
+    if rows_wanted > _GRID_BUDGET:
+        raise TooLargeError(
+            f"surface of {rows_wanted} rows exceeds the {_GRID_BUDGET} row budget"
+        )
+    alphas, cs, *betas = ([s + t * i for i in range(n)] for s, t, n in axes)
     rows: list[tuple] = []
     if kind is SurfaceKind.BIAS_FREE:
         for a in alphas:
@@ -331,11 +303,8 @@ def surface_grid(
             for c in cs:
                 rows.append((a, (1.0 - c / u) / 2.0, c))
     elif kind is SurfaceKind.DOMINANCE:
-        if beta_range is None:
-            raise InvalidInputError("dominance region needs a beta range")
-        betas = _axis(beta_range, "beta")
         for a in alphas:
-            for b in betas:
+            for b in betas[0]:
                 for c in cs:
                     flag = (
                         dominates(Baseline.SAMPLE_MEAN, a, b, c)

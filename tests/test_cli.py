@@ -245,6 +245,25 @@ class TestTheory:
         assert "not finite" in captured.err
         assert "Infinity" not in captured.out
 
+    @pytest.mark.parametrize("c", ["1e308", "-1e308"])
+    def test_huge_c_aoe_is_finite(self, c, capsys):
+        # 2c - 1 overflows here; the radical must not collapse to zero.
+        rc = main(["theory", f"--c={c}", "--aoe"])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        for sol in json.loads(captured.out)["aoe"].values():
+            assert sol["is_real"] is True
+            assert isinstance(sol["alpha_star"], float)
+            assert isinstance(sol["beta_star"], float)
+
+    @pytest.mark.parametrize("c", ["1.7e308", "-1.7e308"])
+    def test_overflowing_aoe_exit_2(self, c, capsys):
+        rc = main(["theory", f"--c={c}", "--aoe"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "overflows" in captured.err
+        assert captured.out == ""
+
     def test_output_is_strict_json(self, stats_json, capsys):
         def reject(constant):
             raise AssertionError(f"non-JSON constant {constant}")
@@ -302,8 +321,7 @@ class TestSimulate:
     def test_reports_byte_identical(self, pop_csv, tmp_path, capsys):
         a = self.run_once(pop_csv, tmp_path, "r1.json")
         b = self.run_once(pop_csv, tmp_path, "r2.json")
-        c = self.run_once(pop_csv, tmp_path, "r3.json", ("--threads", "2"))
-        assert a == b == c
+        assert a == b
         out = capsys.readouterr().out
         assert "estimator" in out and "report written" in out
 
@@ -353,6 +371,24 @@ class TestSimulate:
         lines = dump.read_text().splitlines()
         assert lines[0] == "rep,estimator,estimate,covered"
         assert len(lines) == 1 + 20 * 3
+
+    def test_power_overflow_is_a_singular_draw(self, tmp_path, capsys):
+        # Any pair holding the x = 20 unit has xbar/Xbar > 3, and 3**5000
+        # overflows; every other pair underflows to zero harmlessly.
+        pop = tmp_path / "skewed.csv"
+        pop.write_text("y,x\n" + "".join(f"{i},{1 if i < 8 else 20}\n" for i in range(1, 9)))
+        out = tmp_path / "rep.json"
+        rc = main([
+            "simulate", "--population", str(pop),
+            "--reps", "200", "--n", "2", "--seed", "4",
+            "--estimators", "mean,srivastava:5000",
+            "--out", str(out),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        mean_rep, power_rep = json.loads(out.read_text())["estimators"]
+        assert mean_rep["singular_count"] == 0
+        assert 0 < power_rep["singular_count"] < 200
 
     def test_unknown_token_lists_grammar(self, pop_csv, tmp_path, capsys):
         rc = main([
@@ -446,6 +482,15 @@ class TestSurface:
         ])
         assert rc == 2
         assert "start:stop:step" in capsys.readouterr().err
+
+
+    def test_over_budget_grid_exit_2_at_once(self, capsys):
+        rc = main([
+            "surface", "--kind", "region", "--alpha=0:1:1e-12",
+            "--c", "0.6:0.6:1", "--beta", "0:1:0.5",
+        ])
+        assert rc == 2
+        assert "budget" in capsys.readouterr().err
 
 
 class TestTopLevel:

@@ -1,12 +1,15 @@
 """Point-estimator identities, singularities, and token round-trips."""
 import math
+from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rpratio.errors import InvalidInputError, SingularDenominatorError
 from rpratio.estimators import (
+    ESTIMATOR_KINDS,
     Product,
     Ratio,
     RatioProductRatio,
@@ -229,4 +232,128 @@ class TestTokens:
     def test_error_lists_valid_forms(self):
         with pytest.raises(InvalidInputError) as err:
             parse_estimator("bogus")
-        assert "rpr:<alpha>,<beta>" in str(err.value)
+        assert str(err.value) == (
+            "unknown estimator token 'bogus'; valid forms: mean, ratio, product, "
+            "rpr:<alpha>,<beta>, aoe:<c>, srivastava:<k>, reddy:<k>, sahai:<k>, "
+            "singh:<k>"
+        )
+
+
+def _nonzero(value):
+    if value == 0.0:
+        raise ZeroDivisionError
+    return value
+
+
+def reference_estimate(spec, yb, xb, Xb):
+    """The scalar formulas, one branch per kind: the value, or None on a
+    singular draw (a zero divisor, including a family bracket that
+    underflows to zero, or math.pow leaving its domain)."""
+    try:
+        match spec:
+            case SampleMean():
+                return yb
+            case Ratio():
+                return yb * Xb / _nonzero(xb)
+            case Product():
+                return yb * xb / Xb
+            case RatioProductRatio(alpha=a, beta=b):
+                d1 = _nonzero(b * xb + (1.0 - b) * Xb)
+                d2 = _nonzero((1.0 - b) * xb + b * Xb)
+                bracket = d2 / d1
+                return a * bracket * yb + (1.0 - a) * yb / bracket
+            case UnbiasedAOE(c=c):
+                t = 2.0 * c * c - c - 1.0
+                gap = Xb - xb
+                den = _nonzero(4.0 * Xb * xb - t * gap * gap)
+                num = 2.0 * (c + 1.0) * Xb * Xb - 2.0 * (c - 1.0) * xb * xb + t * gap * gap
+                return num / den * yb
+            case SrivastavaPower(k=k):
+                return yb * math.pow(xb / Xb, k)
+            case Reddy(k=k):
+                return yb * Xb / _nonzero(Xb + k * (xb - Xb))
+            case SahaiTransformed(k=k):
+                return yb * (2.0 - math.pow(xb / Xb, k))
+            case SinghRatioProduct(k=k):
+                if k == 0.0:
+                    return yb * xb / Xb
+                return yb * (k * Xb / _nonzero(xb) + (1.0 - k) * xb / Xb)
+    except (ZeroDivisionError, ValueError, OverflowError):
+        return None
+    raise AssertionError(f"no reference for {spec!r}")
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+kind_params = st.sampled_from([0.0, 0.5, 1.0, -0.5, 2.0, -0.6, 5000.0, -5000.0]) | st.floats(
+    min_value=-10.0, max_value=10.0
+)
+any_spec = st.sampled_from(list(ESTIMATOR_KINDS.values())).flatmap(
+    lambda kind: st.builds(kind, *(kind_params for _ in fields(kind)))
+)
+
+
+@st.composite
+def mean_arrays(draw):
+    """Paired sample-mean arrays and an Xbar, with the special points that
+    zero a denominator or push a power base out of its domain."""
+    Xbar = draw(finite.filter(lambda v: v != 0.0))
+    special = st.sampled_from([0.0, -0.0, Xbar, -Xbar, Xbar / 2.0, 1e300, -1e-300])
+    pairs = draw(st.lists(st.tuples(finite, finite | special), min_size=1, max_size=12))
+    ybar, xbar = zip(*pairs)
+    return np.array(ybar), np.array(xbar), Xbar
+
+
+def same_float(a: float, b: float) -> bool:
+    return repr(float(a)) == repr(float(b))
+
+
+class TestArrayEvaluator:
+    @given(spec=any_spec, means=mean_arrays())
+    @settings(max_examples=600, deadline=None)
+    def test_matches_scalar_reference_bit_for_bit(self, spec, means):
+        ybar, xbar, Xbar = means
+        values, singular = spec.evaluate(ybar, xbar, Xbar)
+        for i, (yb, xb) in enumerate(zip(ybar.tolist(), xbar.tolist())):
+            want = reference_estimate(spec, yb, xb, Xbar)
+            assert bool(singular[i]) == (want is None), (yb, xb)
+            if want is None:
+                assert math.isnan(values[i])
+            else:
+                assert same_float(values[i], want), (yb, xb, values[i], want)
+
+    @pytest.mark.parametrize(
+        "spec, xbar",
+        [
+            (Ratio(), 0.0),
+            (Ratio(), -0.0),
+            (SinghRatioProduct(0.3), 0.0),
+            (RatioProductRatio(0.3, 0.5), -2.0),    # beta*xbar + (1-beta)*Xbar
+            (RatioProductRatio(0.3, 0.0), 0.0),     # (1-beta)*xbar + beta*Xbar
+            (UnbiasedAOE(1.0), 0.0),                # 2c^2 - c - 1 = 0
+            (Reddy(1.0), 0.0),
+            (SrivastavaPower(-0.6), 0.0),           # 0 ** negative
+            (SrivastavaPower(0.5), -1.0),           # negative ** fractional
+            (SahaiTransformed(0.5), -1.0),
+            (SrivastavaPower(5000.0), 4.0),         # 2 ** 5000 overflows
+            (SahaiTransformed(5000.0), 4.0),
+        ],
+        ids=repr,
+    )
+    def test_singular_draws(self, spec, xbar):
+        values, singular = spec.evaluate([1.0, 1.0], [xbar, 2.0], 2.0)
+        assert singular.tolist() == [True, False]
+        assert math.isnan(values[0]) and values[1] == 1.0
+        assert reference_estimate(spec, 1.0, xbar, 2.0) is None
+        with pytest.raises(SingularDenominatorError):
+            estimate(spec, SampleSummary(1.0, xbar, 2.0))
+
+    def test_power_overflow_keeps_the_base(self):
+        with pytest.raises(SingularDenominatorError) as err:
+            estimate(SrivastavaPower(5000.0), SampleSummary(1.0, 4.0, 2.0))
+        assert err.value.denominator == 2.0
+
+    def test_rejects_non_finite_means(self):
+        with pytest.raises(InvalidInputError):
+            Ratio().evaluate([1.0, math.inf], [1.0, 1.0], 1.0)
+        with pytest.raises(InvalidInputError):
+            Ratio().evaluate([1.0], [1.0], 0.0)

@@ -98,6 +98,14 @@ class TestSummarize:
         with pytest.raises(DegenerateVarianceError):
             summarize(Population(y=[1.0, 2.0, 3.0], x=[5.0, 5.0, 5.0]))
 
+    def test_constant_column_with_inexact_mean_rejected(self):
+        # The float mean of three copies of this value is not the value, so
+        # the computed variance is rounding noise rather than zero.
+        x = [21.866699846101177] * 3
+        assert float(np.var(x)) != 0.0
+        with pytest.raises(DegenerateVarianceError):
+            summarize(Population(y=[1.0, 1.6385551241324805, 63.86669984610118], x=x))
+
     @given(
         data=st.lists(
             st.tuples(
@@ -113,7 +121,7 @@ class TestSummarize:
     def test_permutation_invariance(self, data, seed):
         y = np.array([p[0] for p in data])
         x = np.array([p[1] for p in data])
-        if y.std() == 0.0 or x.std() == 0.0:
+        if np.ptp(y) == 0.0 or np.ptp(x) == 0.0:
             return
         perm = np.random.default_rng(seed).permutation(len(y))
         a = summarize(Population(y=y, x=x))
@@ -148,7 +156,7 @@ class TestSummarize:
     def test_r_bounded_and_c_identity(self, data):
         y = np.array([p[0] for p in data])
         x = np.array([p[1] for p in data])
-        if y.std() == 0.0 or x.std() == 0.0:
+        if np.ptp(y) == 0.0 or np.ptp(x) == 0.0:
             return
         stx = summarize(Population(y=y, x=x))
         assert -1.0 <= stx.r <= 1.0
@@ -174,6 +182,15 @@ class TestFromMoments:
             SummaryStats.from_moments(1.0, 1.0, 0.0, 1.0, 0.5)
         with pytest.raises(InvalidInputError):
             SummaryStats.from_moments(1.0, 1.0, 1.0, 1.0, 1.5)
+
+
+    @pytest.mark.parametrize("field", ["mean_y", "mean_x", "sd_y", "sd_x", "r"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_moments_rejected(self, field, bad):
+        moments = {"mean_y": 2.0, "mean_x": 4.0, "sd_y": 1.0, "sd_x": 2.0, "r": 0.5}
+        moments[field] = bad
+        with pytest.raises(InvalidInputError, match=f"{field} must be finite"):
+            SummaryStats.from_moments(**moments)
 
 
 class TestMakeDesign:

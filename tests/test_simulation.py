@@ -1,17 +1,21 @@
 """Monte Carlo harness determinism and agreement with the exact oracle."""
 import csv
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from rpratio.errors import InvalidInputError, TooLargeError
+from rpratio.errors import InvalidInputError, SingularDenominatorError, TooLargeError
 from rpratio.estimators import (
     Product,
     Ratio,
     RatioProductRatio,
     SampleMean,
+    SampleSummary,
     UnbiasedAOE,
+    estimate,
+    estimator_token,
 )
 from rpratio import simulation
 from rpratio.population import Population, make_design, summarize
@@ -70,6 +74,37 @@ class TestExhaustiveOracle:
                 assert abs(m1 - exact.mse) <= 0.15 * exact.mse
 
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SampleMean(), Ratio(), Product(),
+            RatioProductRatio(-0.3349, 0.3176), UnbiasedAOE(0.6092),
+        ],
+        ids=estimator_token,
+    )
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_matches_the_scalar_enumeration_bit_for_bit(self, tiny_pop, spec, n, monkeypatch):
+        # Small chunks make the enumeration span several of them.
+        monkeypatch.setattr(simulation, "_GATHER_BYTES", 5 * 8 * n)
+        y, x = tiny_pop.y.tolist(), tiny_pop.x.tolist()
+        Xbar, Ybar = float(tiny_pop.x.mean()), float(tiny_pop.y.mean())
+        values = [
+            estimate(spec, SampleSummary(
+                sum(y[i] for i in subset) / n, sum(x[i] for i in subset) / n, Xbar
+            ))
+            for subset in itertools.combinations(range(tiny_pop.size), n)
+        ]
+        expectation = math.fsum(values) / len(values)
+        mse = math.fsum((v - Ybar) ** 2 for v in values) / len(values)
+        out = exhaustive_oracle(tiny_pop, n, spec)
+        assert (out.expectation, out.bias, out.mse) == (expectation, expectation - Ybar, mse)
+
+    def test_singular_subset_raises(self):
+        pop = Population(y=[1.0, 2.0, 3.0, 4.0, 5.0], x=[-1.0, -1.0, 1.0, 1.0, 1.0])
+        with pytest.raises(SingularDenominatorError):
+            exhaustive_oracle(pop, 2, Ratio())
+
+
 class TestMonteCarloAgreement:
     def test_matches_oracle_on_enumerable_population(self, tiny_pop, tmp_path):
         reps = 30000
@@ -99,23 +134,15 @@ class TestDeterminism:
         assert comparable(a) == comparable(b)
         assert a.wall_time_s > 0.0 and b.wall_time_s > 0.0
 
-    def test_thread_count_is_invisible(self, tiny_pop):
-        cfg = SimConfig(reps=401, n=3, seed=8)
-        serial = run_simulation(tiny_pop, cfg, threads=1)
-        threaded = run_simulation(tiny_pop, cfg, threads=3)
-        assert comparable(serial) == comparable(threaded)
-
     def test_block_size_is_invisible(self, tiny_pop, tmp_path, monkeypatch):
-        # Gathers of 7 replications leave a partial block at both thread
-        # chunks' ends; the per-replication dump must not change by a byte.
+        # Gathers of 7 replications leave a partial block at the end; the
+        # per-replication dump must not change by a byte.
         cfg = SimConfig(reps=401, n=3, seed=8)
         whole = run_simulation(tiny_pop, cfg, dump_path=tmp_path / "a.csv")
         monkeypatch.setattr(simulation, "_GATHER_BYTES", 7 * 8 * cfg.n)
-        for threads in (1, 2):
-            dump = tmp_path / f"b{threads}.csv"
-            blocked = run_simulation(tiny_pop, cfg, threads=threads, dump_path=dump)
-            assert comparable(blocked) == comparable(whole)
-            assert dump.read_bytes() == (tmp_path / "a.csv").read_bytes()
+        blocked = run_simulation(tiny_pop, cfg, dump_path=tmp_path / "b.csv")
+        assert comparable(blocked) == comparable(whole)
+        assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
 
     def test_seed_changes_results(self, tiny_pop):
         a = run_simulation(tiny_pop, SimConfig(reps=400, n=3, seed=1))
@@ -215,10 +242,6 @@ class TestConfigValidation:
             SimConfig(reps=10, n=3, seed=1, estimators=())
         with pytest.raises(InvalidInputError):
             SimConfig(reps=10, n=3, seed=1, estimators=(Ratio(), Ratio()))
-
-    def test_rejects_bad_threads(self, tiny_pop):
-        with pytest.raises(InvalidInputError):
-            run_simulation(tiny_pop, SimConfig(reps=5, n=3, seed=1), threads=0)
 
     def test_distinct_parameterizations_allowed(self, tiny_pop):
         cfg = SimConfig(

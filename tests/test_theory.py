@@ -16,6 +16,7 @@ from rpratio.errors import (
     InvalidInputError,
     NonRealParametersError,
     PoleAtHalfError,
+    TooLargeError,
 )
 from rpratio.estimators import (
     Product,
@@ -156,6 +157,27 @@ class TestMse:
             value = mse1_rpr(alpha, beta, bench_stats, bench_design)
             assert value == pytest.approx(minimum, rel=1e-12)
 
+    @given(
+        stx=stats_strategy(),
+        d=design_strategy(),
+        alpha=st.floats(min_value=-3.0, max_value=4.0),
+        beta=st.floats(min_value=-3.0, max_value=4.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_wrappers_keep_their_closed_forms_bit_for_bit(self, stx, d, alpha, beta):
+        base = d.fpc_rate * stx.mean_y**2
+        w = (1.0 - 2.0 * alpha) * (1.0 - 2.0 * beta)
+        assert mse1_rpr(alpha, beta, stx, d) == base * (
+            stx.cv_y**2 + stx.cv_x**2 * w * (w - 2.0 * stx.c)
+        )
+        assert mse1_classical(SampleMean(), stx, d) == base * stx.cv_y**2
+        assert mse1_classical(Ratio(), stx, d) == base * (
+            stx.cv_y**2 + stx.cv_x**2 * (1.0 - 2.0 * stx.c)
+        )
+        assert mse1_classical(Product(), stx, d) == base * (
+            stx.cv_y**2 + stx.cv_x**2 * (1.0 + 2.0 * stx.c)
+        )
+
     def test_classical_ratio_product_coincide_at_c_zero(self):
         stx = stats_with_c(0.0)
         d = make_design(10, 50)
@@ -282,6 +304,35 @@ class TestOptimalParameters:
         assert sol.is_real
         residual = (1 - 2 * sol.alpha_star) * (1 - 2 * sol.beta_star) - c
         assert abs(residual) <= 1e-10
+
+
+    @given(
+        c=st.floats(min_value=-8e307, max_value=0.0, exclude_max=True)
+        | st.floats(min_value=0.5, max_value=8e307, exclude_min=True),
+        branch=st.sampled_from(list(Branch)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_unchanged_below_the_overflow_guard(self, c, branch):
+        u = math.sqrt(c / (2.0 * c - 1.0))
+        if branch is Branch.PLUS_PLUS:
+            u = -u
+        sol = aoe_parameters(c, branch)
+        assert (sol.alpha_star, sol.beta_star) == ((1.0 - u) / 2.0, (1.0 - c / u) / 2.0)
+
+    @pytest.mark.parametrize("c", [1e308, -1e308, 9e307, -9e307])
+    def test_huge_c_where_two_c_overflows(self, c):
+        for branch in Branch:
+            sol = aoe_parameters(c, branch)
+            assert sol.is_real
+            assert math.isfinite(sol.alpha_star) and math.isfinite(sol.beta_star)
+            assert abs(1.0 - 2.0 * sol.alpha_star) == pytest.approx(math.sqrt(0.5))
+            u = 1.0 - 2.0 * sol.alpha_star
+            assert u * (1.0 - 2.0 * sol.beta_star) == pytest.approx(c, rel=1e-12)
+
+    @pytest.mark.parametrize("c", [1.7e308, -1.7e308])
+    def test_overflowing_beta_is_rejected(self, c):
+        with pytest.raises(InvalidInputError):
+            aoe_parameters(c)
 
 
 class TestBiasAlongHyperbola:
@@ -486,3 +537,16 @@ class TestSurfaceGrid:
             surface_grid(
                 SurfaceKind.DOMINANCE, (0.0, 1.0, 0.5), (0.0, 1.0, 0.5), None
             )
+
+    @pytest.mark.parametrize(
+        "kind, alpha, c, beta",
+        [
+            (SurfaceKind.DOMINANCE, (0.0, 1.0, 1e-12), (0.6, 0.6, 1.0), (0.0, 1.0, 0.5)),
+            (SurfaceKind.AOE, (0.0, 1e300, 1e-300), (0.6, 0.6, 1.0), None),
+            (SurfaceKind.DOMINANCE, (0.0, 1.0, 1e-3), (0.0, 1.0, 1e-3), (0.0, 1.0, 0.1)),
+            (SurfaceKind.BIAS_FREE, (0.0, 1.0, 2e-4), (0.0, 1.0, 1e-3), None),
+        ],
+    )
+    def test_over_budget_grids_rejected_before_building(self, kind, alpha, c, beta):
+        with pytest.raises(TooLargeError):
+            surface_grid(kind, alpha, c, beta)
