@@ -1,8 +1,10 @@
-"""Golden digests: exact report and dump bytes for fixed seeds.
+"""Golden digests: exact report, dump and surface bytes.
 
-The digests were recorded with the scalar per-replication draw loop.  Any
-change to how replications are drawn, gathered or evaluated must keep them;
-a change that alters output bytes on purpose has to record new ones.
+The simulate digests were recorded with the scalar per-replication draw
+loop, the surface digests with the scalar row-by-row grid.  Any change to
+how replications are drawn, gathered or evaluated, or to how a surface is
+computed or written, must keep them; a change that alters output bytes on
+purpose has to record new ones.
 """
 import hashlib
 
@@ -31,6 +33,20 @@ WIDE_REPORT_SHA256 = (
 WIDE_DUMP_SHA256 = (
     "b21fb03d4dd5a899497b00584138bf849cea72fa655993cfc75c2b7752708bb2"
 )
+# The benchmark's 101 x 101 x 41 dominance grid, 418 241 rows.
+REGION_ARGS = ["--kind", "region", "--alpha=-1:1:0.02", "--beta=-1:1:0.02", "--c=0:2:0.05"]
+REGION_SHA256 = "e4a4c6787e910f2a6e91be15574a2b288005068a51945a80ce991e4d868baac8"
+# Written to stdout.  The aoe grid crosses the alpha = 1/2 pole.
+STDOUT_SURFACES = [
+    (
+        ["--kind", "biasfree", "--alpha=-1:1:0.05", "--c=-1:1:0.05"],
+        "ffba58c73802c75b332ac50018169eccb4dff3be089d950fef88ad79c1f6b142",
+    ),
+    (
+        ["--kind", "aoe", "--alpha=-1:1:0.05", "--c=0:2:0.05"],
+        "d232a9bc8ae337795a9d70639fa3d555a3dfa46bf85a34b05f575a6a54f7f14d",
+    ),
+]
 
 
 def _sha256(path) -> str:
@@ -68,3 +84,16 @@ def test_all_estimators_dump_digest(paper_pop, tmp_path, capsys):
     assert rc == 0
     assert _sha256(dump) == WIDE_DUMP_SHA256
     assert _sha256(out) == WIDE_REPORT_SHA256
+
+
+def test_region_surface_digest(tmp_path, capsys):
+    out = tmp_path / "region.csv"
+    assert main(["surface", *REGION_ARGS, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"418241 rows written to {out}\n"
+    assert _sha256(out) == REGION_SHA256
+
+
+@pytest.mark.parametrize("args, digest", STDOUT_SURFACES)
+def test_stdout_surface_digest(args, digest, capsys):
+    assert main(["surface", *args]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
