@@ -17,6 +17,8 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .errors import EstimationError, PoleAtHalfError
 from .estimators import (
@@ -51,6 +53,9 @@ from .theory import (
 )
 
 __all__ = ["main", "run"]
+
+# Rows joined into one write by _write_csv_blocks.
+_CSV_BLOCK_ROWS = 1 << 15
 
 
 def _finite_or_none(value):
@@ -354,17 +359,36 @@ def _cmd_surface(args) -> int:
         _parse_range(args.c),
         _parse_range(args.beta) if args.beta else None,
     )
-    header = "alpha,beta,c,indicator" if kind is SurfaceKind.DOMINANCE else "alpha,beta,c"
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    text = "\n".join(lines) + "\n"
+    formats = [repr, repr, repr]
+    header = "alpha,beta,c"
+    if kind is SurfaceKind.DOMINANCE:
+        formats.append(lambda flag: str(int(flag)))
+        header += ",indicator"
     if args.out:
-        Path(args.out).write_text(text)
+        with open(args.out, "w") as fh:
+            _write_csv_blocks(fh, header, rows, formats)
         sys.stdout.write(f"{len(rows)} rows written to {args.out}\n")
     else:
-        sys.stdout.write(text)
+        _write_csv_blocks(sys.stdout, header, rows, formats)
     return 0
+
+
+def _column_text(column: np.ndarray, fmt) -> list[str]:
+    """fmt applied to each distinct value of a float column once, keyed by
+    bit pattern so that -0.0 keeps its own text."""
+    distinct, index = np.unique(column.view(np.uint64), return_inverse=True)
+    text = np.array([fmt(float(v)) for v in distinct.view(np.float64)], dtype=object)
+    return text[index].tolist()
+
+
+def _write_csv_blocks(fh, header: str, table: np.ndarray, formats) -> None:
+    """Write a header line and one CSV line per row of a float table, in
+    blocks of _CSV_BLOCK_ROWS rows."""
+    fh.write(header + "\n")
+    for start in range(0, len(table), _CSV_BLOCK_ROWS):
+        block = table[start:start + _CSV_BLOCK_ROWS]
+        columns = [_column_text(block[:, j], fmt) for j, fmt in enumerate(formats)]
+        fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 def _cmd_generate(args) -> int:

@@ -83,6 +83,16 @@ class SummaryStats:
     cv_x: float
     c: float
 
+    def __post_init__(self):
+        # The first-order formulas square these; a square past the float
+        # range would make Python's ** raise OverflowError.
+        for name in ("mean_y", "mean_x", "cv_y", "cv_x"):
+            value = getattr(self, name)
+            if not math.isfinite(value * value):
+                raise InvalidInputError(
+                    f"{name} = {value!r} is too large: its square overflows double precision"
+                )
+
     @property
     def sd_y(self) -> float:
         return math.sqrt(self.var_y)
@@ -189,8 +199,9 @@ def load_population_csv(path) -> Population:
     """Read a two-column population file.
 
     The format is strict: the header line must be exactly ``y,x``, every
-    following line must hold exactly two finite numeric cells, and at least
-    two data rows must be present.  Errors carry 1-based line numbers.
+    following line must hold exactly two finite numeric cells (no ``_``
+    digit separators), and at least two data rows must be present.  Errors
+    carry 1-based line numbers.
     """
     ys: list[float] = []
     xs: list[float] = []
@@ -211,6 +222,11 @@ def load_population_csv(path) -> Population:
                 )
             pair = []
             for cell in row:
+                # float() would also accept digit-group underscores (1_000).
+                if "_" in cell:
+                    raise ParseError(
+                        f"non-numeric cell {cell!r}: '_' is not allowed", line=lineno
+                    )
                 try:
                     value = float(cell)
                 except ValueError:

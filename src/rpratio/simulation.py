@@ -47,6 +47,8 @@ __all__ = [
 PRNG_NAME = "splitmix64"
 _ENUMERATION_BUDGET = 1_000_000
 _GATHER_BYTES = 256 * 1024
+# Most replications one run holds estimates for; the benchmark runs 20 000.
+_REPS_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,10 @@ class SimConfig:
     def __post_init__(self):
         if self.reps < 1:
             raise InvalidInputError(f"reps must be at least 1, got {self.reps}")
+        if self.reps > _REPS_BUDGET:
+            raise TooLargeError(
+                f"{self.reps} replications exceed the {_REPS_BUDGET} replication budget"
+            )
         if not self.estimators:
             raise InvalidInputError("estimator list must not be empty")
         labels = [estimator_token(s) for s in self.estimators]

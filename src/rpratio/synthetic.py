@@ -22,10 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleTargetsError, InvalidInputError
+from .errors import InfeasibleTargetsError, InvalidInputError, TooLargeError
 from .population import Population
 
 __all__ = ["MomentTargets", "generate_population"]
+
+# Most units generate_population draws; the benchmark generates 365.
+_SIZE_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -43,6 +46,10 @@ class MomentTargets:
         if self.size < 3:
             raise InvalidInputError(
                 f"population size must be at least 3, got {self.size}"
+            )
+        if self.size > _SIZE_BUDGET:
+            raise TooLargeError(
+                f"population size {self.size} exceeds the {_SIZE_BUDGET} unit budget"
             )
         if self.mean_y <= 0.0 or self.mean_x <= 0.0:
             raise InvalidInputError("means must be positive for positive-valued data")

@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import (
     DegenerateMseError,
     InvalidInputError,
@@ -150,7 +152,8 @@ def minimal_mse1(st: SummaryStats, d: SamplingDesign) -> float:
 
 def biasfree_betas(alpha: float, c: float) -> tuple[float, float]:
     """Both beta roots that zero bias1 at a given alpha: the plane beta = 1/2
-    and the ruled sheet beta = 1 - alpha - c + 2*alpha*c."""
+    and the ruled sheet beta = 1 - alpha - c + 2*alpha*c.  The sheet is
+    computed element-wise when alpha or c is a numpy array."""
     return 0.5, 1.0 - alpha - c + 2.0 * alpha * c
 
 
@@ -215,7 +218,8 @@ def dominates(over: Baseline, alpha: float, beta: float, c: float) -> bool:
         ratio:       g * (c - 1 - g)       > 0
         sample mean: u*v * (2c - u*v)      > 0
 
-    with g = 2*alpha*beta - alpha - beta = (u*v - 1)/2.
+    with g = 2*alpha*beta - alpha - beta = (u*v - 1)/2.  Given numpy arrays,
+    returns the boolean array of the broadcast predicate.
     """
     g = 2.0 * alpha * beta - alpha - beta
     match over:
@@ -259,13 +263,22 @@ def _axis(bounds: tuple[float, float, float], what: str) -> tuple[float, float, 
     return start, step, int(math.floor(span)) + 1
 
 
+def _table(*columns) -> np.ndarray:
+    """Broadcast the columns against each other and flatten them into rows."""
+    return np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(-1, len(columns))
+
+
 def surface_grid(
     kind: SurfaceKind,
     alpha_range: tuple[float, float, float],
     c_range: tuple[float, float, float],
     beta_range: tuple[float, float, float] | None = None,
-) -> list[tuple]:
+) -> np.ndarray:
     """Tabulate one of the three parameter-space surfaces.
+
+    Returns a float64 array with one row per grid point: columns
+    (alpha, beta, c), plus an indicator column of 0.0/1.0 for DOMINANCE.
+    Rows run in nested-loop order, alpha slowest and c fastest.
 
     BIAS_FREE emits, per (alpha, c) node, both beta roots of bias1 = 0 as
     rows (alpha, beta, c).  AOE emits the hyperbola point
@@ -287,31 +300,25 @@ def surface_grid(
         raise TooLargeError(
             f"surface of {rows_wanted} rows exceeds the {_GRID_BUDGET} row budget"
         )
-    alphas, cs, *betas = ([s + t * i for i in range(n)] for s, t, n in axes)
-    rows: list[tuple] = []
-    if kind is SurfaceKind.BIAS_FREE:
-        for a in alphas:
-            for c in cs:
-                trivial, sheet = biasfree_betas(a, c)
-                rows.append((a, trivial, c))
-                rows.append((a, sheet, c))
-    elif kind is SurfaceKind.AOE:
-        for a in alphas:
-            u = 1.0 - 2.0 * a
-            if abs(u) < 1e-12:
-                continue
-            for c in cs:
-                rows.append((a, (1.0 - c / u) / 2.0, c))
-    elif kind is SurfaceKind.DOMINANCE:
-        for a in alphas:
-            for b in betas[0]:
-                for c in cs:
-                    flag = (
-                        dominates(Baseline.SAMPLE_MEAN, a, b, c)
-                        and dominates(Baseline.RATIO, a, b, c)
-                        and dominates(Baseline.PRODUCT, a, b, c)
-                    )
-                    rows.append((a, b, c, int(flag)))
-    else:
-        raise InvalidInputError(f"unknown surface kind {kind!r}")
-    return rows
+    alphas, cs, *betas = (s + t * np.arange(n, dtype=float) for s, t, n in axes)
+    # Huge axis values overflow to inf and nan exactly as Python floats do.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind is SurfaceKind.BIAS_FREE:
+            a, c = alphas[:, None, None], cs[None, :, None]
+            trivial, sheet = biasfree_betas(a, c)
+            roots = np.concatenate([np.full_like(sheet, trivial), sheet], axis=-1)
+            return _table(a, roots, c)
+        if kind is SurfaceKind.AOE:
+            u = 1.0 - 2.0 * alphas
+            off_pole = np.abs(u) >= 1e-12
+            a, u = alphas[off_pole, None], u[off_pole, None]
+            return _table(a, (1.0 - cs / u) / 2.0, cs)
+        if kind is SurfaceKind.DOMINANCE:
+            a, b, c = alphas[:, None, None], betas[0][None, :, None], cs
+            flag = (
+                dominates(Baseline.SAMPLE_MEAN, a, b, c)
+                & dominates(Baseline.RATIO, a, b, c)
+                & dominates(Baseline.PRODUCT, a, b, c)
+            )
+            return _table(a, b, c, flag)
+    raise InvalidInputError(f"unknown surface kind {kind!r}")

@@ -1,8 +1,11 @@
 """End-to-end CLI behavior: exit codes, JSON payloads, manifests."""
+import io
 import json
 
+import numpy as np
 import pytest
 
+from rpratio import cli
 from rpratio.cli import main
 
 BENCH_STATS = {
@@ -68,6 +71,17 @@ class TestGenerate:
         ])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_over_budget_size_exit_2_at_once(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = main([
+            "generate", "--size", "1000000000000000", "--mean-y", "1.0",
+            "--mean-x", "1.0", "--cv-y", "0.3", "--cv-x", "0.4", "--r", "0.5",
+            "--seed", "1", "--out", str(out),
+        ])
+        assert rc == 2
+        assert "budget" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestAnalyze:
@@ -300,6 +314,28 @@ class TestTheory:
         assert message in captured.err
         assert "internal error" not in captured.err
 
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            ("stats.json", json.dumps(
+                {"mean_y": 1.0, "mean_x": 1e-100, "sd_y": 1.0, "sd_x": 1e100, "r": 0.5}
+            )),
+            # mean_x = 1e-100 and sd_x = 1e150, so cv_x = 1e250.
+            ("pop.csv", "y,x\n1,1e150\n2,-1e150\n3,3e-100\n"),
+        ],
+    )
+    def test_overflowing_stats_exit_2(self, tmp_path, capsys, name, content):
+        path = tmp_path / name
+        path.write_text(content)
+        rc = main([
+            "theory", "--stats", str(path), "--alpha", "0.1", "--beta", "0.2",
+            "--design", "10,100",
+        ])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "cv_x" in captured.err and "too large" in captured.err
+        assert captured.out == ""
+
     def test_stats_from_population_csv(self, pop_csv, capsys):
         rc = main(["theory", "--stats", str(pop_csv), "--re"])
         payload = json.loads(capsys.readouterr().out)
@@ -358,6 +394,17 @@ class TestSimulate:
         assert rc == 0
         payload = json.loads(out.read_text())
         assert sum(o["count"] for o in payload["ranking"]["orders"]) == 1
+
+    def test_over_budget_reps_exit_2_at_once(self, pop_csv, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        rc = main([
+            "simulate", "--population", str(pop_csv),
+            "--reps", "1000000000000000", "--n", "5", "--seed", "1",
+            "--out", str(out),
+        ])
+        assert rc == 2
+        assert "budget" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_dump_estimates(self, pop_csv, tmp_path, capsys):
         out = tmp_path / "rep.json"
@@ -484,13 +531,31 @@ class TestSurface:
         assert "start:stop:step" in capsys.readouterr().err
 
 
-    def test_over_budget_grid_exit_2_at_once(self, capsys):
+    def test_over_budget_grid_exit_2_at_once(self, tmp_path, capsys):
+        out = tmp_path / "region.csv"
         rc = main([
             "surface", "--kind", "region", "--alpha=0:1:1e-12",
-            "--c", "0.6:0.6:1", "--beta", "0:1:0.5",
+            "--c", "0.6:0.6:1", "--beta", "0:1:0.5", "--out", str(out),
         ])
         assert rc == 2
         assert "budget" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_csv_blocks_equal_repr_of_every_value(self, monkeypatch):
+        # Blocks of 3 rows split the table unevenly; -0.0 and 0.0 compare
+        # equal but must keep their own text.
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 3)
+        rng = np.random.default_rng(5)
+        table = rng.choice([0.0, -0.0, 0.1, 1e-300, -2.5e16, 1.0 / 3.0], size=(8, 3))
+        formats = [repr, repr, lambda v: str(int(v))]
+        table[:, 2] = rng.integers(0, 2, size=8)
+        fh = io.StringIO()
+        cli._write_csv_blocks(fh, "a,b,flag", table, formats)
+        want = ["a,b,flag"] + [
+            f"{float(a)!r},{float(b)!r},{int(flag)}" for a, b, flag in table
+        ]
+        assert fh.getvalue() == "\n".join(want) + "\n"
+        assert "-0.0" in fh.getvalue()
 
 
 class TestTopLevel:

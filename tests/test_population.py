@@ -192,6 +192,23 @@ class TestFromMoments:
         with pytest.raises(InvalidInputError, match=f"{field} must be finite"):
             SummaryStats.from_moments(**moments)
 
+    @pytest.mark.parametrize(
+        "moments, field",
+        [
+            (dict(mean_y=1.0, mean_x=1e-100, sd_y=1.0, sd_x=1e100, r=0.5), "cv_x"),
+            (dict(mean_y=1e-200, mean_x=1.0, sd_y=1e200, sd_x=1.0, r=0.5), "cv_y"),
+            (dict(mean_y=1e200, mean_x=1.0, sd_y=1e200, sd_x=1.0, r=0.5), "mean_y"),
+            (dict(mean_y=1.0, mean_x=-1e155, sd_y=1.0, sd_x=1e155, r=0.5), "mean_x"),
+        ],
+    )
+    def test_overflowing_squares_rejected(self, moments, field):
+        with pytest.raises(InvalidInputError, match=f"{field} = .* too large"):
+            SummaryStats.from_moments(**moments)
+
+    def test_largest_squares_accepted(self):
+        stx = SummaryStats.from_moments(1e154, 1.0, 1e154, 1e154, 0.5)
+        assert stx.cv_x == 1e154
+
 
 class TestMakeDesign:
     def test_benchmark_design_constants(self):
@@ -243,6 +260,14 @@ class TestLoadCsv:
             load_population_csv(path)
         assert err.value.line == 4
         assert "bad" in str(err.value)
+
+    def test_digit_separator_rejected(self, tmp_path):
+        # The format is strict, so a cell float() would read as 1000 is not.
+        path = self._write(tmp_path, "y,x\n1,2\n1_000,3\n")
+        with pytest.raises(ParseError) as err:
+            load_population_csv(path)
+        assert err.value.line == 3
+        assert "1_000" in str(err.value)
 
     def test_non_finite_cell_rejected(self, tmp_path):
         path = self._write(tmp_path, "y,x\n1,2\ninf,3\n")

@@ -243,6 +243,10 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError):
             SimConfig(reps=10, n=3, seed=1, estimators=(Ratio(), Ratio()))
 
+    def test_rejects_reps_over_budget(self):
+        with pytest.raises(TooLargeError, match="budget"):
+            SimConfig(reps=10**15, n=3, seed=1)
+
     def test_distinct_parameterizations_allowed(self, tiny_pop):
         cfg = SimConfig(
             reps=5, n=3, seed=1,

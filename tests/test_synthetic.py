@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from rpratio.errors import InfeasibleTargetsError, InvalidInputError
+from rpratio.errors import InfeasibleTargetsError, InvalidInputError, TooLargeError
 from rpratio.population import summarize
 from rpratio.synthetic import MomentTargets, generate_population
 
@@ -84,6 +84,10 @@ class TestTargetsValidation:
     def test_rejects_bad_targets(self, kwargs):
         with pytest.raises(InvalidInputError):
             MomentTargets(**kwargs)
+
+    def test_rejects_size_over_budget(self):
+        with pytest.raises(TooLargeError, match="budget"):
+            MomentTargets(size=10**15, mean_y=1.0, mean_x=1.0, cv_y=0.5, cv_x=0.5, r=0.5)
 
 
 class TestFeasibility:

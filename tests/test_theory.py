@@ -45,6 +45,7 @@ from rpratio.theory import (
     mse1_grad,
     mse1_rpr,
     relative_efficiency,
+    _axis,
     surface_grid,
 )
 
@@ -475,12 +476,100 @@ class TestFamilyTheory:
         assert out.bias1 == pytest.approx(0.0, abs=1e-18)
 
 
+def reference_surface(kind, alpha_range, c_range, beta_range=None):
+    """The row-by-row grid surface_grid must equal bit for bit: one Python
+    loop per axis, one dominates/biasfree_betas call per row."""
+    alphas, cs = (
+        [s + t * i for i in range(n)]
+        for s, t, n in (_axis(alpha_range, "alpha"), _axis(c_range, "c"))
+    )
+    rows = []
+    if kind is SurfaceKind.BIAS_FREE:
+        for a in alphas:
+            for c in cs:
+                trivial, sheet = biasfree_betas(a, c)
+                rows.append((a, trivial, c))
+                rows.append((a, sheet, c))
+    elif kind is SurfaceKind.AOE:
+        for a in alphas:
+            u = 1.0 - 2.0 * a
+            if abs(u) < 1e-12:
+                continue
+            for c in cs:
+                rows.append((a, (1.0 - c / u) / 2.0, c))
+    else:
+        s, t, n = _axis(beta_range, "beta")
+        for a in alphas:
+            for b in [s + t * i for i in range(n)]:
+                for c in cs:
+                    flag = (
+                        dominates(Baseline.SAMPLE_MEAN, a, b, c)
+                        and dominates(Baseline.RATIO, a, b, c)
+                        and dominates(Baseline.PRODUCT, a, b, c)
+                    )
+                    rows.append((a, b, c, int(flag)))
+    width = 4 if kind is SurfaceKind.DOMINANCE else 3
+    return np.array(rows, dtype=float).reshape(-1, width)
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == np.float64
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@st.composite
+def grid_range(draw, max_count=6):
+    """An inclusive 'start:stop:step' range; the slack keeps the step from
+    dividing the span, and count 1 gives a single-point axis."""
+    start = draw(st.one_of(
+        st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5]),
+        st.floats(min_value=-3.0, max_value=3.0),
+    ))
+    step = draw(st.one_of(
+        st.sampled_from([0.05, 0.1, 0.25, 0.3, 1.0]),
+        st.floats(min_value=1e-3, max_value=2.0),
+    ))
+    count = draw(st.integers(min_value=1, max_value=max_count))
+    slack = draw(st.sampled_from([0.0, 0.4, 0.9]))
+    return start, start + step * (count - 1 + slack), step
+
+
 class TestSurfaceGrid:
+    @pytest.mark.parametrize(
+        "kind, alpha, c, beta",
+        [
+            # alpha = -1 + 0.05 * 30 misses 1/2 by an ulp: still a pole.
+            (SurfaceKind.AOE, (-1.0, 1.0, 0.05), (0.0, 2.0, 0.05), None),
+            (SurfaceKind.AOE, (0.0, 1.0, 0.25), (-1.0, 1.0, 0.3), None),
+            (SurfaceKind.AOE, (0.5, 0.5, 1.0), (0.0, 1.0, 0.5), None),
+            (SurfaceKind.BIAS_FREE, (-1.0, 1.0, 0.05), (-1.0, 1.0, 0.05), None),
+            (SurfaceKind.DOMINANCE, (-1.0, 1.0, 0.1), (0.0, 2.0, 0.15), (-1.0, 1.0, 0.1)),
+            (SurfaceKind.DOMINANCE, (-0.34, -0.34, 1.0), (0.6092, 0.6092, 1.0), (0.32, 0.32, 1.0)),
+        ],
+    )
+    def test_matches_reference(self, kind, alpha, c, beta):
+        assert_same_bits(
+            surface_grid(kind, alpha, c, beta), reference_surface(kind, alpha, c, beta)
+        )
+
+    @given(
+        kind=st.sampled_from(list(SurfaceKind)),
+        alpha=grid_range(),
+        c=grid_range(),
+        beta=grid_range(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_property(self, kind, alpha, c, beta):
+        assert_same_bits(
+            surface_grid(kind, alpha, c, beta), reference_surface(kind, alpha, c, beta)
+        )
+
     def test_biasfree_sheet_at_alpha_half(self):
         rows = surface_grid(
             SurfaceKind.BIAS_FREE, (0.5, 0.5, 1.0), (-1.0, 1.0, 0.25)
         )
-        assert rows
+        assert len(rows) > 0
         for alpha, beta, c in rows:
             assert alpha == 0.5
             assert beta == pytest.approx(0.5, abs=1e-12)
@@ -510,7 +599,7 @@ class TestSurfaceGrid:
             (0.0, 0.0, 1.0),
             (-1.0, 2.0, 0.25),
         )
-        assert rows
+        assert len(rows) > 0
         assert all(indicator == 0 for _, _, _, indicator in rows)
 
     def test_dominance_marks_benchmark_optimum(self):
