@@ -1,7 +1,8 @@
 """Golden digests: exact report, dump and surface bytes.
 
 The simulate digests were recorded with the scalar per-replication draw
-loop, the surface digests with the scalar row-by-row grid.  Any change to
+loop, the surface digests with the scalar row-by-row grid, the population
+digest with the row-by-row generate writer.  Any change to
 how replications are drawn, gathered or evaluated, or to how a surface is
 computed or written, must keep them; a change that alters output bytes on
 purpose has to record new ones.
@@ -20,6 +21,9 @@ PAPER_GENERATE = [
     "--cv-y", "0.7681", "--cv-x", "1.1504", "--r", "0.9125",
     "--seed", "20260823",
 ]
+PAPER_POPULATION_SHA256 = (
+    "382709165f6a5a932e5eeb85ded25900184dcdd4d908ef4a9d3a541ec8ef62e4"
+)
 ALL_ESTIMATORS = (
     "mean,ratio,product,rpr:-0.3349,0.3176,aoe:0.6092,"
     "srivastava:-0.6,reddy:0.6,sahai:0.6,singh:0.6"
@@ -58,6 +62,10 @@ def paper_pop(tmp_path_factory):
     path = tmp_path_factory.mktemp("golden") / "pop365.csv"
     assert main([*PAPER_GENERATE, "--out", str(path)]) == 0
     return path
+
+
+def test_paper_population_digest(paper_pop):
+    assert _sha256(paper_pop) == PAPER_POPULATION_SHA256
 
 
 def test_acceptance_report_digest(paper_pop, tmp_path, capsys):
