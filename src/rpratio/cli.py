@@ -400,9 +400,7 @@ def _cmd_generate(args) -> int:
     pop = generate_population(targets, args.seed)
     out = Path(args.out)
     with open(out, "w", newline="") as fh:
-        fh.write("y,x\n")
-        for yv, xv in zip(pop.y, pop.x):
-            fh.write(f"{float(yv)!r},{float(xv)!r}\n")
+        _write_csv_blocks(fh, "y,x", np.column_stack((pop.y, pop.x)), [repr, repr])
     _write_manifest(
         out, "generate", args.seed,
         inputs={

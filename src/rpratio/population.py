@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,13 +196,21 @@ def summarize(pop: Population) -> SummaryStats:
     )
 
 
+# A cell: ASCII digits with an optional sign, decimal point and exponent.
+# float() alone would also take surrounding whitespace, '_' separators,
+# non-ASCII digits and the words inf and nan.
+_CELL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
 def load_population_csv(path) -> Population:
     """Read a two-column population file.
 
     The format is strict: the header line must be exactly ``y,x``, every
-    following line must hold exactly two finite numeric cells (no ``_``
-    digit separators), and at least two data rows must be present.  Errors
-    carry 1-based line numbers.
+    following line must hold exactly two cells, each an ASCII decimal
+    number such as ``2``, ``-0.5``, ``.5`` or ``1e-05`` (no whitespace, no
+    ``_`` separators, no ``inf`` or ``nan``) that is finite as a double,
+    and at least two data rows must be present.  Errors carry 1-based line
+    numbers.
     """
     ys: list[float] = []
     xs: list[float] = []
@@ -222,17 +231,12 @@ def load_population_csv(path) -> Population:
                 )
             pair = []
             for cell in row:
-                # float() would also accept digit-group underscores (1_000).
-                if "_" in cell:
+                if not _CELL.fullmatch(cell):
                     raise ParseError(
-                        f"non-numeric cell {cell!r}: '_' is not allowed", line=lineno
+                        f"non-numeric cell {cell!r}: expected an ASCII decimal such as -1.5e3",
+                        line=lineno,
                     )
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"non-numeric cell {cell!r}", line=lineno
-                    ) from None
+                value = float(cell)
                 if not math.isfinite(value):
                     raise ParseError(
                         f"non-finite cell {cell!r}", line=lineno

@@ -5,7 +5,9 @@ Halley step against math.erfc) so nothing on the numeric path depends on a
 statistics library.  Index draws come from a small counter-style generator
 with explicit (seed, stream) keying: replication r of a simulation uses
 stream r, which makes every draw a pure function of its key and therefore
-reproducible bit for bit on any platform or thread schedule.
+reproducible bit for bit on any platform or thread schedule.  srswor keys
+the stream state directly and computes a draw's swap targets as one array
+against a cached, read-only per-(N, n) plan of length n.
 """
 from __future__ import annotations
 
@@ -188,63 +190,76 @@ _SHIFTS_U64 = (np.uint64(30), np.uint64(27), np.uint64(31))
 
 def _mix64_lanes(z: np.ndarray) -> np.ndarray:
     """_mix64 applied element-wise to a uint64 array, in place (arithmetic
-    wraps)."""
+    wraps).  The three shifted copies share one temporary."""
     s30, s27, s31 = _SHIFTS_U64
-    z ^= z >> s30
+    t = z >> s30
+    z ^= t
     z *= _MIX1_U64
-    z ^= z >> s27
+    z ^= np.right_shift(z, s27, out=t)
     z *= _MIX2_U64
-    z ^= z >> s31
+    z ^= np.right_shift(z, s31, out=t)
     return z
 
 
 @lru_cache(maxsize=8)
 def _swap_plan(pop_size: int, n: int):
-    """Read-only uint64 arrays for _below_run: the bounds pop_size - i for
-    i < n, the largest output accepted for each, and the counter steps
-    GOLDEN * (1, ..., n).
+    """Read-only uint64 arrays for _below_run, all of length n: the bounds
+    pop_size - i, the largest output accepted for each, the counter steps
+    GOLDEN * (1, ..., n) and the offsets i; and, as a uint64 scalar, the
+    smallest of those largest accepted outputs.
 
     Output u is accepted for bound b iff u < 2^64 - 2^64 % b, that is
     u <= ~(2^64 % b), and 2^64 % b is computed as (2^64 - b) % b.  For a
-    power of two b it is 0, so every output is accepted.
+    power of two b it is 0, so every output is accepted.  Only O(n) arrays
+    are held, never an object of size pop_size.
     """
-    bounds = np.uint64(pop_size) - np.arange(n, dtype=np.uint64)
+    offsets = np.arange(n, dtype=np.uint64)
+    bounds = np.uint64(pop_size) - offsets
     limits = ~((np.uint64(0) - bounds) % bounds)
-    steps = np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN_U64
-    for a in (bounds, limits, steps):
+    steps = (offsets + np.uint64(1)) * _GOLDEN_U64
+    for a in (bounds, limits, steps, offsets):
         a.flags.writeable = False
-    return bounds, limits, steps
+    return bounds, limits, steps, offsets, limits.min()
 
 
 def _below_run(state: int, pop_size: int, n: int) -> list[int]:
-    """SplitMix64.below(pop_size - i) for i = 0, ..., n - 1 in turn, from a
-    generator whose state is `state`.
+    """The Fisher-Yates swap targets i + SplitMix64.below(pop_size - i) for
+    i = 0, ..., n - 1 in turn, from a generator whose state is `state`.
 
     Output k of a stream is _mix64(state + k * GOLDEN), so a whole run of
-    draws is one array expression.  A rejected output shifts every later
-    draw by one counter: the draws before it are kept and the run resumes
-    just after it.
+    draws is one array expression.  One reduction checks acceptance: when
+    no output exceeds the smallest limit, every output is accepted.
+    Otherwise the first rejected output is found, the draws before it are
+    kept, and the run resumes just after it, shifting every later draw by
+    one counter.
     """
+    bounds, limits, steps, offsets, min_limit = _swap_plan(pop_size, n)
+    u = _mix64_lanes(steps + np.uint64(state))
+    if u.max() <= min_limit:
+        u %= bounds
+        u += offsets
+        return u.tolist()
     out: list[int] = []
+    done = 0
     while True:
-        bounds, limits, steps = _swap_plan(pop_size, n)
-        u = _mix64_lanes(steps + np.uint64(state))
-        rejected = np.flatnonzero(u > limits)
-        take = int(rejected[0]) if rejected.size else n
-        out += (u[:take] % bounds[:take]).tolist()
-        if take == n:
+        rejected = np.flatnonzero(u > limits[done:])
+        take = int(rejected[0]) if rejected.size else n - done
+        stop = done + take
+        out += (u[:take] % bounds[done:stop] + offsets[done:stop]).tolist()
+        if stop == n:
             return out
         state = (state + (take + 1) * _GOLDEN) & _MASK64
-        pop_size -= take
-        n -= take
+        done = stop
+        u = _mix64_lanes(steps[:n - done] + np.uint64(state))
 
 
 def srswor(pop_size: int, n: int, seed: int, stream: int = 0) -> np.ndarray:
     """Draw a simple random sample of n distinct indices from range(pop_size).
 
-    Partial Fisher-Yates over an index array: swap i exchanges position i
-    with i + SplitMix64(seed, stream).below(pop_size - i).  The n bounded
-    draws are computed as one array by _below_run; only the swaps run one
+    Partial Fisher-Yates over an index list: swap i exchanges position i
+    with i + SplitMix64(seed, stream).below(pop_size - i).  The stream's
+    state _mix64(_mix64(seed) + stream) is computed directly, and the n
+    swap targets come as one array from _below_run; only the swaps run one
     by one.  The result is returned sorted ascending.  Identical
     (pop_size, n, seed, stream) give identical draws.
     """
@@ -252,11 +267,11 @@ def srswor(pop_size: int, n: int, seed: int, stream: int = 0) -> np.ndarray:
     n = int(n)
     if not 1 <= n <= pop_size:
         raise InvalidDesignError(f"need 1 <= n <= pop_size, got n={n}, pop_size={pop_size}")
+    state = _mix64(_mix64(seed & _MASK64) + (stream & _MASK64))
     idx = list(range(pop_size))
-    for i, j in enumerate(_below_run(SplitMix64(seed, stream)._state, pop_size, n)):
-        j += i
+    for i, j in enumerate(_below_run(state, pop_size, n)):
         idx[i], idx[j] = idx[j], idx[i]
-    sample = np.array(idx[:n], dtype=np.int64)
+    sample = np.fromiter(idx[:n], dtype=np.int64, count=n)
     sample.sort()
     return sample
 

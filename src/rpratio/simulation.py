@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,13 +198,14 @@ def run_simulation(pop: Population, cfg: SimConfig, dump_path=None) -> SimResult
         ))
 
     clean = ok.all(axis=1)
-    counter: Counter = Counter()
-    devs_all = np.abs(est - true_mean)
-    order = np.argsort(devs_all, axis=1, kind="stable")
-    for rep in np.flatnonzero(clean):
-        counter[tuple(labels[j] for j in order[rep])] += 1
+    order = np.argsort(np.abs(est - true_mean), axis=1, kind="stable")
+    orders, counts = np.unique(order[clean], axis=0, return_counts=True)
     ranking = RankingTable(
-        counts=dict(counter), excluded_draws=reps - int(clean.sum())
+        counts={
+            tuple(labels[j] for j in row): count
+            for row, count in zip(orders.tolist(), counts.tolist())
+        },
+        excluded_draws=reps - int(clean.sum()),
     )
 
     meta = {

@@ -63,6 +63,23 @@ class TestGenerate:
         assert rc == 0
         assert "30 rows" in captured.out and "c=" in captured.out
 
+    def test_csv_equals_repr_of_every_row_across_blocks(self, tmp_path, monkeypatch, capsys):
+        from rpratio.synthetic import MomentTargets, generate_population
+
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 7)
+        out = tmp_path / "p.csv"
+        rc = main([
+            "generate", "--size", "53", "--mean-y", "1.0", "--mean-x", "2.0",
+            "--cv-y", "0.3", "--cv-x", "0.4", "--r", "0.5",
+            "--seed", "5", "--out", str(out),
+        ])
+        assert rc == 0
+        pop = generate_population(
+            MomentTargets(size=53, mean_y=1.0, mean_x=2.0, cv_y=0.3, cv_x=0.4, r=0.5), 5
+        )
+        rows = "".join(f"{float(y)!r},{float(x)!r}\n" for y, x in zip(pop.y, pop.x))
+        assert out.read_bytes() == ("y,x\n" + rows).encode()
+
     def test_infeasible_targets_exit_2(self, tmp_path, capsys):
         rc = main([
             "generate", "--size", "50", "--mean-y", "1.0", "--mean-x", "1.0",
@@ -126,6 +143,16 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert rc == 2
         assert "line 3" in err
+
+    @pytest.mark.parametrize("cell", [" 1 ", "\u0662"])
+    def test_cell_float_would_read_exit_2(self, tmp_path, capsys, cell):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"y,x\n1.0,2.0\n3.0,4.0\n{cell},5.0\n", encoding="utf-8")
+        rc = main(["analyze", str(bad)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "line 4" in captured.err
 
 
 class TestPlan:

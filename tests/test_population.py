@@ -269,11 +269,72 @@ class TestLoadCsv:
         assert err.value.line == 3
         assert "1_000" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            " 1 ",  # float() strips surrounding whitespace
+            "\u0662",  # Arabic-Indic two, which float() reads as 2.0
+            "\uff11",  # fullwidth one
+            "1 ",
+            "\t1",
+            "nan",
+            "-inf",
+            "infinity",
+            "1e",
+            "e5",
+            ".",
+            "+",
+            "",
+            "1.5.2",
+            "0x10",
+            "1,5",
+            "--1",
+        ],
+    )
+    def test_cell_outside_the_ascii_grammar_rejected(self, tmp_path, cell):
+        path = tmp_path / "pop.csv"
+        path.write_text(f'y,x\n1,2\n3,4\n"{cell}",5\n', encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_population_csv(path)
+        assert err.value.line == 4
+        assert repr(cell) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "cell, value",
+        [("2", 2.0), ("-0.5", -0.5), ("+.5", 0.5), ("7.", 7.0), ("1e-05", 1e-05),
+         ("-0.0", -0.0), ("1E+3", 1000.0), ("00012", 12.0)],
+    )
+    def test_ascii_decimal_forms_accepted(self, tmp_path, cell, value):
+        path = self._write(tmp_path, f"y,x\n{cell},1\n3,4\n")
+        y = load_population_csv(path).y[0]
+        assert y.tobytes() == np.float64(value).tobytes()
+
+    @given(
+        values=st.lists(
+            st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=40
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_finite_float_repr_round_trips(self, tmp_path_factory, values):
+        half = len(values) // 2
+        rows = "".join(f"{y!r},{x!r}\n" for y, x in zip(values[:half], values[half:]))
+        path = tmp_path_factory.mktemp("repr") / "pop.csv"
+        path.write_text("y,x\n" + rows)
+        pop = load_population_csv(path)
+        assert pop.y.tobytes() == np.array(values[:half]).tobytes()
+        assert pop.x.tobytes() == np.array(values[half:2 * half]).tobytes()
+
     def test_non_finite_cell_rejected(self, tmp_path):
         path = self._write(tmp_path, "y,x\n1,2\ninf,3\n")
         with pytest.raises(ParseError) as err:
             load_population_csv(path)
         assert err.value.line == 3
+
+    def test_overflowing_cell_rejected(self, tmp_path):
+        path = self._write(tmp_path, "y,x\n1,2\n3,4\n5,-1e400\n")
+        with pytest.raises(ParseError, match="non-finite") as err:
+            load_population_csv(path)
+        assert err.value.line == 4
 
     def test_header_only_is_too_short(self, tmp_path):
         path = self._write(tmp_path, "y,x\n")

@@ -323,7 +323,7 @@ class TestSrsworMatchesReference:
 
 
 class TestBelowRun:
-    """The array-wise run of bounded draws against SplitMix64.below."""
+    """The array-wise run of swap targets against SplitMix64.below."""
 
     @pytest.mark.parametrize(
         "pop_size, n",
@@ -340,14 +340,12 @@ class TestBelowRun:
     )
     def test_matches_scalar_below(self, pop_size, n):
         for stream in range(-20, 80):
-            rng = SplitMix64(2024, stream=stream)
-            start = rng._state
-            want = [rng.below(pop_size - i) for i in range(n)]
+            start, want = _reference_targets(2024, stream, pop_size, n)
             assert _below_run(start, pop_size, n) == want
 
     @pytest.mark.parametrize("pop_size, n", [(2**63 + 1, 3), (2**64 - 1, 2), (365, 112), (64, 64)])
     def test_largest_accepted_output(self, pop_size, n):
-        bounds, limits, _ = _swap_plan(pop_size, n)
+        bounds, limits = _swap_plan(pop_size, n)[:2]
         for b, limit in zip(bounds.tolist(), limits.tolist()):
             assert limit == 2**64 - 2**64 % b - 1
 
@@ -358,11 +356,75 @@ class TestBelowRun:
             rng = SplitMix64(1, stream=stream)
             start = rng._state
             assert _below_run(start, 2**63 + 40, 40) == [
-                rng.below(2**63 + 40 - i) for i in range(40)
+                i + rng.below(2**63 + 40 - i) for i in range(40)
             ]
             steps = ((rng._state - start) * pow(0x9E3779B97F4A7C15, -1, 2**64)) % 2**64
             extra += steps - 40
         assert extra > 1000
+
+    @given(
+        pop_size=st.integers(min_value=2**62, max_value=2**64 - 1),
+        n=st.integers(min_value=1, max_value=64),
+        seed=st.integers(min_value=-(2**64), max_value=2**64),
+        stream=st.integers(min_value=-(2**64), max_value=2**64),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_below_at_huge_bounds(self, pop_size, n, seed, stream):
+        start, want = _reference_targets(seed, stream, pop_size, n)
+        assert _below_run(start, pop_size, n) == want
+
+    def test_every_acceptance_path_is_taken(self):
+        # Bounds 2^63 + k reject about half of all outputs, the bounds below
+        # 2^63 almost none: the smallest limit sits near 2^63, far under the
+        # others.  Over these streams the runs take every path of
+        # _below_run, and each must match the scalar draws.
+        paths = set()
+        for pop_size, n in [(2**63 + 1, 2), (2**63 + 1, 24), (2**63 + 4, 24)]:
+            limits = _swap_plan(pop_size, n)[1].tolist()
+            for stream in range(300):
+                start, want = _reference_targets(99, stream, pop_size, n)
+                rng = SplitMix64(99, stream)
+                raw = [rng.next64() for _ in range(n)]
+                rejected = [k for k, (u, lim) in enumerate(zip(raw, limits)) if u > lim]
+                if rejected:
+                    paths.add("first lane rejected" if rejected[0] == 0 else "rejected mid-run")
+                elif max(raw) > min(limits):
+                    paths.add("above the smallest limit, none rejected")
+                else:
+                    paths.add("all below the smallest limit")
+                assert _below_run(start, pop_size, n) == want
+        assert paths == {
+            "first lane rejected",
+            "rejected mid-run",
+            "above the smallest limit, none rejected",
+            "all below the smallest limit",
+        }
+
+    def test_cached_plan_stays_read_only_and_unchanged(self):
+        for pop_size, n in [(365, 112), (2**63 + 60, 60)]:
+            plan = _swap_plan(pop_size, n)
+            arrays = plan[:4]
+            copies = [a.copy() for a in arrays]
+            min_limit = plan[4]
+            for stream in range(50):
+                _below_run(SplitMix64(5, stream)._state, pop_size, n)
+                srswor(365, 112, 5, stream)
+            assert _swap_plan(pop_size, n) is plan
+            for a, copy in zip(arrays, copies):
+                assert a.shape == (n,) and a.dtype == np.uint64
+                assert not a.flags.writeable
+                np.testing.assert_array_equal(a, copy)
+                with pytest.raises(ValueError):
+                    a[0] = 0
+            assert plan[4] == min_limit == copies[1].min()
+
+
+def _reference_targets(seed, stream, pop_size, n):
+    """The start state of stream (seed, stream) and its swap targets
+    i + below(pop_size - i), one SplitMix64.below call at a time."""
+    rng = SplitMix64(seed, stream)
+    start = rng._state
+    return start, [i + rng.below(pop_size - i) for i in range(n)]
 
 
 class TestQuartiles:

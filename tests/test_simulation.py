@@ -2,6 +2,7 @@
 import csv
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -232,6 +233,31 @@ class TestDump:
         for r in rows:
             if r["estimate"] != "nan":
                 float(r["estimate"])  # parses back cleanly
+
+    def test_ranking_equals_per_replication_count(self, tmp_path):
+        # Orders counted one replication at a time from the dumped
+        # estimates: stable by |estimate - Ybar|, ties in configured order,
+        # replications with a singular estimator left out.
+        pop = Population(
+            y=[1.0, 2.0, 3.0, 4.0, 5.0, 6.5, 7.0], x=[-1.0, -1.0, 1.0, 1.0, 1.0, 2.0, 0.5]
+        )
+        dump = tmp_path / "dump.csv"
+        specs = (SampleMean(), Ratio(), Product(), UnbiasedAOE(0.6092))
+        res = run_simulation(pop, SimConfig(reps=600, n=2, seed=8, estimators=specs), dump_path=dump)
+        with open(dump) as fh:
+            rows = list(csv.DictReader(fh))
+        true_mean = float(pop.y.mean())
+        want = Counter()
+        for rep in range(600):
+            cells = rows[rep * len(specs):(rep + 1) * len(specs)]
+            if any(c["estimate"] == "nan" for c in cells):
+                continue
+            ranked = sorted(cells, key=lambda c: abs(float(c["estimate"]) - true_mean))
+            want[tuple(c["estimator"] for c in ranked)] += 1
+        assert len(want) > 5
+        assert res.ranking.counts == dict(want)
+        assert all(type(count) is int for count in res.ranking.counts.values())
+        assert res.ranking.excluded_draws == 600 - sum(want.values()) > 0
 
 
 class TestConfigValidation:
