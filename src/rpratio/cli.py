@@ -30,6 +30,7 @@ from .estimators import (
 )
 from .population import (
     SummaryStats,
+    format_csv_rows,
     load_population_csv,
     make_design,
     summarize,
@@ -373,22 +374,12 @@ def _cmd_surface(args) -> int:
     return 0
 
 
-def _column_text(column: np.ndarray, fmt) -> list[str]:
-    """fmt applied to each distinct value of a float column once, keyed by
-    bit pattern so that -0.0 keeps its own text."""
-    distinct, index = np.unique(column.view(np.uint64), return_inverse=True)
-    text = np.array([fmt(float(v)) for v in distinct.view(np.float64)], dtype=object)
-    return text[index].tolist()
-
-
 def _write_csv_blocks(fh, header: str, table: np.ndarray, formats) -> None:
     """Write a header line and one CSV line per row of a float table, in
     blocks of _CSV_BLOCK_ROWS rows."""
     fh.write(header + "\n")
     for start in range(0, len(table), _CSV_BLOCK_ROWS):
-        block = table[start:start + _CSV_BLOCK_ROWS]
-        columns = [_column_text(block[:, j], fmt) for j, fmt in enumerate(formats)]
-        fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+        fh.write(format_csv_rows(table[start:start + _CSV_BLOCK_ROWS], formats))
 
 
 def _cmd_generate(args) -> int:

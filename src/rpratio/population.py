@@ -29,6 +29,7 @@ __all__ = [
     "SamplingDesign",
     "summarize",
     "load_population_csv",
+    "format_csv_rows",
     "make_design",
 ]
 
@@ -247,6 +248,23 @@ def load_population_csv(path) -> Population:
     if len(ys) < 2:
         raise ParseError(f"expected at least 2 data rows, got {len(ys)}")
     return Population(y=np.array(ys), x=np.array(xs))
+
+
+def _column_text(column: np.ndarray, fmt) -> list[str]:
+    """fmt applied to each distinct value of a float column once, keyed by
+    bit pattern so that -0.0 keeps its own text."""
+    distinct, index = np.unique(column.view(np.uint64), return_inverse=True)
+    text = np.array(list(map(fmt, distinct.view(np.float64).tolist())), dtype=object)
+    return text[index].tolist()
+
+
+def format_csv_rows(table: np.ndarray, formats) -> str:
+    """The CSV lines of a float table, each ending in a newline: cell (i, j)
+    is formats[j](table[i, j]).  With repr as the format, every finite
+    cell reads back under load_population_csv's grammar to the same value.
+    """
+    columns = [_column_text(table[:, j], fmt) for j, fmt in enumerate(formats)]
+    return "\n".join(map(",".join, zip(*columns))) + "\n"
 
 
 def make_design(n: int, N: int) -> SamplingDesign:

@@ -7,7 +7,9 @@ with explicit (seed, stream) keying: replication r of a simulation uses
 stream r, which makes every draw a pure function of its key and therefore
 reproducible bit for bit on any platform or thread schedule.  srswor keys
 the stream state directly and computes a draw's swap targets as one array
-against a cached, read-only per-(N, n) plan of length n.
+against a cached, read-only per-(N, n) plan of length n, which also holds
+the mixer's constants as arrays so that every ufunc call of the array
+mixer takes operands of one shape.
 """
 from __future__ import annotations
 
@@ -116,7 +118,14 @@ def plan_sample_size(
     if N < 2:
         raise InvalidInputError(f"population size must be at least 2, got {N}")
     z = z_quantile(confidence)
-    n0 = max(1, math.ceil(z * z * sigma2 / (margin * margin)))
+    try:
+        n0 = max(1, math.ceil(z * z * sigma2 / (margin * margin)))
+    except (ZeroDivisionError, OverflowError, ValueError):
+        # margin^2 underflowed to 0, or a square or the quotient overflowed.
+        raise InvalidInputError(
+            f"sigma2 = {sigma2!r} and margin = {margin!r}: z^2 * sigma2 / margin^2 "
+            "overflows or underflows double precision"
+        ) from None
     n = math.ceil(1.0 / (1.0 / n0 + 1.0 / N))
     return SamplePlan(n0=n0, n=n, d=margin, confidence=confidence, z=z)
 
@@ -183,21 +192,25 @@ class SplitMix64:
 
 
 _GOLDEN_U64 = np.uint64(_GOLDEN)
-_MIX1_U64 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2_U64 = np.uint64(0x94D049BB133111EB)
-_SHIFTS_U64 = (np.uint64(30), np.uint64(27), np.uint64(31))
+# The mixer's shifts and multipliers, in the order _mix64_lanes takes them.
+_MIX_CONSTANTS = (30, 27, 31, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
 
 
-def _mix64_lanes(z: np.ndarray) -> np.ndarray:
+def _mix64_lanes(z: np.ndarray, mix) -> np.ndarray:
     """_mix64 applied element-wise to a uint64 array, in place (arithmetic
-    wraps).  The three shifted copies share one temporary."""
-    s30, s27, s31 = _SHIFTS_U64
-    t = z >> s30
-    z ^= t
-    z *= _MIX1_U64
-    z ^= np.right_shift(z, s27, out=t)
-    z *= _MIX2_U64
-    z ^= np.right_shift(z, s31, out=t)
+    wraps).  mix holds the shifts 30, 27, 31 and the two multipliers as
+    uint64 arrays of z's shape: ufuncs over same-shape arrays skip the
+    scalar conversion that each call with a numpy scalar pays.  The three
+    shifted copies share one temporary."""
+    s30, s27, s31, m1, m2 = mix
+    t = np.right_shift(z, s30)
+    np.bitwise_xor(z, t, out=z)
+    np.multiply(z, m1, out=z)
+    np.right_shift(z, s27, out=t)
+    np.bitwise_xor(z, t, out=z)
+    np.multiply(z, m2, out=z)
+    np.right_shift(z, s31, out=t)
+    np.bitwise_xor(z, t, out=z)
     return z
 
 
@@ -205,8 +218,9 @@ def _mix64_lanes(z: np.ndarray) -> np.ndarray:
 def _swap_plan(pop_size: int, n: int):
     """Read-only uint64 arrays for _below_run, all of length n: the bounds
     pop_size - i, the largest output accepted for each, the counter steps
-    GOLDEN * (1, ..., n) and the offsets i; and, as a uint64 scalar, the
-    smallest of those largest accepted outputs.
+    GOLDEN * (1, ..., n) and the offsets i; as a uint64 scalar, the
+    smallest of those largest accepted outputs; and the mixer's constants
+    for _mix64_lanes, each repeated n times.
 
     Output u is accepted for bound b iff u < 2^64 - 2^64 % b, that is
     u <= ~(2^64 % b), and 2^64 % b is computed as (2^64 - b) % b.  For a
@@ -217,9 +231,10 @@ def _swap_plan(pop_size: int, n: int):
     bounds = np.uint64(pop_size) - offsets
     limits = ~((np.uint64(0) - bounds) % bounds)
     steps = (offsets + np.uint64(1)) * _GOLDEN_U64
-    for a in (bounds, limits, steps, offsets):
+    mix = tuple(np.full(n, c, dtype=np.uint64) for c in _MIX_CONSTANTS)
+    for a in (bounds, limits, steps, offsets, *mix):
         a.flags.writeable = False
-    return bounds, limits, steps, offsets, limits.min()
+    return bounds, limits, steps, offsets, limits.min(), mix
 
 
 def _below_run(state: int, pop_size: int, n: int) -> list[int]:
@@ -233,9 +248,9 @@ def _below_run(state: int, pop_size: int, n: int) -> list[int]:
     kept, and the run resumes just after it, shifting every later draw by
     one counter.
     """
-    bounds, limits, steps, offsets, min_limit = _swap_plan(pop_size, n)
-    u = _mix64_lanes(steps + np.uint64(state))
-    if u.max() <= min_limit:
+    bounds, limits, steps, offsets, min_limit, mix = _swap_plan(pop_size, n)
+    u = _mix64_lanes(np.add(steps, state), mix)
+    if np.maximum.reduce(u) <= min_limit:
         u %= bounds
         u += offsets
         return u.tolist()
@@ -250,7 +265,7 @@ def _below_run(state: int, pop_size: int, n: int) -> list[int]:
             return out
         state = (state + (take + 1) * _GOLDEN) & _MASK64
         done = stop
-        u = _mix64_lanes(steps[:n - done] + np.uint64(state))
+        u = _mix64_lanes(np.add(steps[:n - done], state), [c[:n - done] for c in mix])
 
 
 def srswor(pop_size: int, n: int, seed: int, stream: int = 0) -> np.ndarray:

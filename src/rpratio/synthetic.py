@@ -104,8 +104,14 @@ def generate_population(targets: MomentTargets, seed: int) -> Population:
         e_x, e_y = mix, e1
 
     root = math.sqrt(targets.size - 1)
-    x = targets.mean_x * (1.0 + targets.cv_x * root * e_x)
-    y = targets.mean_y * (1.0 + targets.cv_y * root * e_y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = targets.mean_x * (1.0 + targets.cv_x * root * e_x)
+        y = targets.mean_y * (1.0 + targets.cv_y * root * e_y)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise InvalidInputError(
+            f"targets overflow double precision: mean_y={targets.mean_y!r}, "
+            f"cv_y={targets.cv_y!r}, mean_x={targets.mean_x!r}, cv_x={targets.cv_x!r}"
+        )
     if (x <= 0.0).any() or (y <= 0.0).any():
         raise InfeasibleTargetsError(
             "CV targets too large to keep all values positive at "

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, JSON payloads, manifests."""
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,20 @@ class TestGenerate:
         ])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_overflowing_mean_exit_2_without_warnings(self, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([
+                "generate", "--size", "10", "--mean-y", "1.7e308", "--mean-x", "1",
+                "--cv-y", "0.1", "--cv-x", "0.1", "--r", "0.5",
+                "--seed", "1", "--out", str(tmp_path / "x.csv"),
+            ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert [str(w.message) for w in caught] == []
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "mean_y=1.7e+308" in err
 
     def test_over_budget_size_exit_2_at_once(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -189,6 +204,20 @@ class TestPlan:
     def test_needs_some_margin(self, capsys):
         rc = main(["plan", "--sigma2", "0.2", "--population-size", "365"])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "margin_args, margin",
+        [
+            (["--sigma2", "1", "--margin", "1e-300"], "1e-300"),
+            (["--sigma2", "1e300", "--margin", "1e-10"], "1e-10"),
+            (["--sigma2", "1", "--margin-percent", "1e-300", "--mean", "1"], "1e-302"),
+        ],
+    )
+    def test_n0_beyond_double_precision_exit_2(self, margin_args, margin, capsys):
+        rc = main(["plan", *margin_args, "--population-size", "100"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: sigma2 = ") and f"margin = {margin}" in err
 
     def test_nonpositive_margin_exit_2(self, capsys):
         rc = main([

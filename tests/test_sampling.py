@@ -23,7 +23,7 @@ from rpratio.sampling import (
     srswor,
     z_quantile,
 )
-from rpratio.sampling import _below_run, _norm_ppf, _swap_plan
+from rpratio.sampling import _below_run, _mix64, _mix64_lanes, _norm_ppf, _swap_plan
 
 
 class TestNormalQuantile:
@@ -103,6 +103,20 @@ class TestPlanSampleSize:
     def test_rejects_bad_confidence(self):
         with pytest.raises(OutOfRangeError):
             plan_sample_size(1.0, 0.1, 1.5, 50)
+
+    @pytest.mark.parametrize(
+        "sigma2, margin",
+        [
+            (1.0, 1e-300),  # margin^2 underflows to 0
+            (1.0, 1e-302),  # what --margin-percent 1e-300 --mean 1 gives
+            (1e300, 1e-10),  # sigma2 / margin^2 overflows
+        ],
+    )
+    def test_n0_beyond_double_precision_names_inputs(self, sigma2, margin):
+        with pytest.raises(InvalidInputError, match="double precision") as info:
+            plan_sample_size(sigma2, margin, 0.9, 100)
+        assert f"sigma2 = {sigma2!r}" in str(info.value)
+        assert f"margin = {margin!r}" in str(info.value)
 
     @given(
         sigma2=st.floats(min_value=1e-3, max_value=1e3),
@@ -401,9 +415,11 @@ class TestBelowRun:
         }
 
     def test_cached_plan_stays_read_only_and_unchanged(self):
+        # At 2^63 + 60 about half of all outputs are rejected, so these
+        # draws take the path that slices the plan, mixer constants included.
         for pop_size, n in [(365, 112), (2**63 + 60, 60)]:
             plan = _swap_plan(pop_size, n)
-            arrays = plan[:4]
+            arrays = (*plan[:4], *plan[5])
             copies = [a.copy() for a in arrays]
             min_limit = plan[4]
             for stream in range(50):
@@ -417,6 +433,29 @@ class TestBelowRun:
                 with pytest.raises(ValueError):
                     a[0] = 0
             assert plan[4] == min_limit == copies[1].min()
+            assert [a.tolist() for a in plan[5]] == [[c] * n for c in _MIX_CONSTANTS]
+
+
+_MIX_CONSTANTS = (30, 27, 31, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+class TestMix64Lanes:
+    """The array mixer against the scalar SplitMix64 finalizer."""
+
+    def test_matches_scalar_at_edge_values(self):
+        values = [0, 1, 2**63, 2**64 - 1] + [k * _GOLDEN % 2**64 for k in range(1, 60)]
+        mix = _swap_plan(2**64 - 1, len(values))[5]
+        got = _mix64_lanes(np.array(values, dtype=np.uint64), mix)
+        assert got.tolist() == [_mix64(v) for v in values]
+
+    @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_property(self, values):
+        z = np.array(values, dtype=np.uint64)
+        mix = _swap_plan(2**64 - 1, len(values))[5]
+        assert _mix64_lanes(z, mix) is z
+        assert z.tolist() == [_mix64(v) for v in values]
 
 
 def _reference_targets(seed, stream, pop_size, n):

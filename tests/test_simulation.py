@@ -2,6 +2,7 @@
 import csv
 import itertools
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -218,7 +219,46 @@ class TestReports:
         assert pair.reports[0].re_vs_sample_mean == pytest.approx(1.0, rel=1e-12)
 
 
+def reference_dump(path, labels, est, ok, true_mean, half_width) -> None:
+    """The per-row dump writer: one repr call per estimate."""
+    with open(path, "w", newline="") as fh:
+        fh.write("rep,estimator,estimate,covered\n")
+        for rep in range(est.shape[0]):
+            for j, label in enumerate(labels):
+                if ok[rep, j]:
+                    value = float(est[rep, j])
+                    covered = int(abs(value - true_mean) <= half_width)
+                    fh.write(f"{rep},{label},{value!r},{covered}\n")
+                else:
+                    fh.write(f"{rep},{label},nan,0\n")
+
+
 class TestDump:
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 8, 4096])
+    @pytest.mark.parametrize("true_mean", [0.25, -1e308])
+    def test_matches_reference_dump_byte_for_byte(self, tmp_path, monkeypatch, chunk_rows, true_mean):
+        # 7 replications of 3 estimators: chunks of 8 rows hold 2 of them
+        # and leave a partial chunk; chunks of 1 or 2 rows hold one.
+        labels = ["mean", "rpr:0.25,-0.5", "ratio"]
+        est = np.array([
+            [0.25, -0.0, 0.0],
+            [math.inf, -math.inf, 1.7e308],
+            [0.1 + 0.2, 5e-324, -1e-300],
+            [math.nan, 0.5, 0.75],
+            [0.3, 0.3, 0.3],
+            [123456.789, -2.5e-7, 1.5e308],  # minus -1e308 overflows to inf
+            [0.25, 0.2500000000000001, 1.0],
+        ])
+        ok = np.ones(est.shape, dtype=bool)
+        ok[1, 2] = ok[4, :] = ok[6, 0] = False
+        half_width = 0.5
+        monkeypatch.setattr(simulation, "_DUMP_CHUNK_ROWS", chunk_rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            simulation.write_estimates_csv(tmp_path / "a.csv", labels, est, ok, true_mean, half_width)
+        reference_dump(tmp_path / "b.csv", labels, est, ok, true_mean, half_width)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
     def test_row_count_and_singular_rows(self, tmp_path):
         pop = Population(y=[1.0, 2.0, 3.0, 4.0, 5.0], x=[-1.0, -1.0, 1.0, 1.0, 1.0])
         dump = tmp_path / "dump.csv"
