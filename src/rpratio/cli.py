@@ -36,7 +36,7 @@ from .population import (
     summarize,
 )
 from .sampling import plan_sample_size
-from .simulation import SimConfig, run_simulation
+from .simulation import SimConfig, run_simulation, write_estimates_csv
 from .synthetic import MomentTargets, generate_population
 from .theory import (
     Baseline,
@@ -317,12 +317,13 @@ def _cmd_simulate(args) -> int:
         reps=args.reps, n=args.n, seed=args.seed,
         confidence=args.confidence, estimators=specs,
     )
-    result = run_simulation(pop, cfg, dump_path=args.dump_estimates)
+    result = run_simulation(pop, cfg)
     out = Path(args.out)
-    out.write_text(_dump_json(_report_payload(result)))
     outputs = [str(out)]
     if args.dump_estimates:
+        write_estimates_csv(args.dump_estimates, result)
         outputs.append(str(args.dump_estimates))
+    out.write_text(_dump_json(_report_payload(result)))
     _write_manifest(
         out, "simulate", args.seed,
         inputs={
@@ -349,11 +350,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_surface(args) -> int:
-    kind = {
-        "biasfree": SurfaceKind.BIAS_FREE,
-        "aoe": SurfaceKind.AOE,
-        "region": SurfaceKind.DOMINANCE,
-    }[args.kind]
+    kind = SurfaceKind(args.kind)
     rows = surface_grid(
         kind,
         _parse_range(args.alpha),
@@ -458,7 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("surface", help="tabulate a parameter-space surface")
-    p.add_argument("--kind", choices=("biasfree", "aoe", "region"), required=True)
+    p.add_argument("--kind", choices=[k.value for k in SurfaceKind], required=True)
     p.add_argument("--alpha", required=True, help="grid as 'start:stop:step'")
     p.add_argument("--c", required=True, help="grid as 'start:stop:step'")
     p.add_argument("--beta", help="grid as 'start:stop:step' (region only)")

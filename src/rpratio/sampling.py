@@ -122,10 +122,16 @@ def plan_sample_size(
         n0 = max(1, math.ceil(z * z * sigma2 / (margin * margin)))
     except (ZeroDivisionError, OverflowError, ValueError):
         # margin^2 underflowed to 0, or a square or the quotient overflowed.
-        raise InvalidInputError(
-            f"sigma2 = {sigma2!r} and margin = {margin!r}: z^2 * sigma2 / margin^2 "
-            "overflows or underflows double precision"
-        ) from None
+        # The scaled form squares no input; it runs only here, so every n0
+        # the direct form yields is kept bit for bit.
+        k = z / margin
+        try:
+            n0 = max(1, math.ceil(k * (k * sigma2)))
+        except (OverflowError, ValueError):
+            raise InvalidInputError(
+                f"sigma2 = {sigma2!r} and margin = {margin!r}: z^2 * sigma2 / margin^2 "
+                "overflows double precision"
+            ) from None
     n = math.ceil(1.0 / (1.0 / n0 + 1.0 / N))
     return SamplePlan(n0=n0, n=n, d=margin, confidence=confidence, z=z)
 

@@ -1,7 +1,9 @@
 """Deterministic Monte Carlo comparison of estimators plus an exact oracle.
 
 run_simulation draws SRSWOR replications with one PRNG stream per
-replication, so the output is a pure function of (population, config).
+replication, so the output is a pure function of (population, config).  It
+opens no file: the result carries the per-replication estimate matrix, and
+write_estimates_csv turns a result into the per-replication CSV dump.
 exhaustive_oracle trades randomness for enumeration: it walks every one of
 the C(N, n) subsets and returns exact design moments, which is what the
 Monte Carlo results are tested against on small populations.
@@ -15,20 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    InvalidDesignError,
-    InvalidInputError,
-    TooLargeError,
-)
-from .estimators import (
-    EstimatorSpec,
-    Product,
-    Ratio,
-    SampleMean,
-    SampleSummary,
-    estimate,
-    estimator_token,
-)
+from .errors import InvalidInputError, SingularDenominatorError, TooLargeError
+from .estimators import EstimatorSpec, Product, Ratio, SampleMean, estimator_token
 from .population import Population, format_csv_rows, make_design
 from .sampling import confidence_interval, quartiles, srswor
 
@@ -120,6 +110,9 @@ class SimResult:
     # Volatile by nature, so kept out of meta: the serialized report must be
     # byte-identical across reruns.
     wall_time_s: float = 0.0
+    # (reps, k) estimates, nan where singular, and the singular mask.
+    estimates: np.ndarray | None = field(default=None, compare=False)
+    singular: np.ndarray | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -138,15 +131,14 @@ def _shape(devs: np.ndarray) -> tuple[float | None, float | None]:
     return m3 / m2**1.5, m4 / (m2 * m2)
 
 
-def run_simulation(pop: Population, cfg: SimConfig, dump_path=None) -> SimResult:
+def run_simulation(pop: Population, cfg: SimConfig) -> SimResult:
     """Compare the configured estimators over cfg.reps SRSWOR replications.
 
     Per replication r the indices come from stream r of the seeded
     generator; every estimator sees the same draw.  The sample means are
     gathered block by block, and each estimator is then evaluated once over
     the arrays of all replications.  The plain sample mean is always the
-    efficiency baseline, whether or not it appears in cfg.estimators.  With
-    dump_path given, one CSV row per (replication, estimator) is written.
+    efficiency baseline, whether or not it appears in cfg.estimators.
     """
     started = time.perf_counter()
     N = pop.size
@@ -178,18 +170,17 @@ def run_simulation(pop: Population, cfg: SimConfig, dump_path=None) -> SimResult
         xbars[rows.start:rows.stop] = pop.x[idx].mean(axis=1)
 
     est = np.empty((reps, len(specs)))
-    ok = np.empty((reps, len(specs)), dtype=bool)
+    singular = np.empty((reps, len(specs)), dtype=bool)
     for j, spec in enumerate(specs):
-        est[:, j], singular = spec.evaluate(base, xbars, mean_x)
-        ok[:, j] = ~singular
+        est[:, j], singular[:, j] = spec.evaluate(base, xbars, mean_x)
     base_mse = float(np.mean((base - true_mean) ** 2))
 
     reports = []
     for j, label in enumerate(labels):
-        vals = est[ok[:, j], j]
-        singular = reps - int(ok[:, j].sum())
+        vals = est[~singular[:, j], j]
+        n_singular = reps - vals.size
         if vals.size == 0:  # zero rates; every moment-shape field undefined
-            reports.append(EstimatorReport(label, 0.0, 0.0, 0.0, *[None] * 7, singular))
+            reports.append(EstimatorReport(label, 0.0, 0.0, 0.0, *[None] * 7, n_singular))
             continue
         devs = vals - true_mean
         coverage = float(np.mean(np.abs(devs) <= half_width))
@@ -200,10 +191,10 @@ def run_simulation(pop: Population, cfg: SimConfig, dump_path=None) -> SimResult
         re = base_mse / mse if mse > 0.0 else None
         skew, kurt = _shape(devs - devs.mean())
         reports.append(EstimatorReport(
-            label, coverage, neg, pos, q1, med, q3, mse, re, skew, kurt, singular
+            label, coverage, neg, pos, q1, med, q3, mse, re, skew, kurt, n_singular
         ))
 
-    clean = ok.all(axis=1)
+    clean = ~singular.any(axis=1)
     order = np.argsort(np.abs(est - true_mean), axis=1, kind="stable")
     orders, counts = np.unique(order[clean], axis=0, return_counts=True)
     ranking = RankingTable(
@@ -225,19 +216,21 @@ def run_simulation(pop: Population, cfg: SimConfig, dump_path=None) -> SimResult
         "true_mean_y": true_mean,
         "estimators": labels,
     }
-    if dump_path is not None:
-        write_estimates_csv(dump_path, labels, est, ok, true_mean, half_width)
     return SimResult(
-        tuple(reports), ranking, meta, wall_time_s=time.perf_counter() - started
+        tuple(reports), ranking, meta, time.perf_counter() - started, est, singular
     )
 
 
-def write_estimates_csv(path, labels, est, ok, true_mean, half_width) -> None:
-    """One row per (replication, estimator); singular draws carry nan.
+def write_estimates_csv(path, result: SimResult) -> None:
+    """One row per (replication, estimator) of a result; singular draws
+    carry nan.
 
     The rows are written a chunk of replications at a time, each chunk as a
     float table of rep, estimator index, estimate and covered that
     format_csv_rows turns into text."""
+    labels = result.meta["estimators"]
+    true_mean, half_width = result.meta["true_mean_y"], result.meta["half_width"]
+    est, singular = result.estimates, result.singular
     k = len(labels)
     formats = [_int_text, lambda j: labels[int(j)], repr, _int_text]
     chunk = max(1, _DUMP_CHUNK_ROWS // k)
@@ -248,7 +241,7 @@ def write_estimates_csv(path, labels, est, ok, true_mean, half_width) -> None:
             table = np.empty((stop - first, k, 4))
             table[:, :, 0] = np.arange(first, stop)[:, None]
             table[:, :, 1] = np.arange(k)
-            table[:, :, 2] = np.where(ok[first:stop], est[first:stop], np.nan)
+            table[:, :, 2] = np.where(singular[first:stop], np.nan, est[first:stop])
             with np.errstate(over="ignore"):
                 table[:, :, 3] = np.abs(table[:, :, 2] - true_mean) <= half_width
             fh.write(format_csv_rows(table.reshape(-1, 4), formats))
@@ -271,8 +264,7 @@ def exhaustive_oracle(pop: Population, n: int, spec: EstimatorSpec) -> ExactMome
     """Exact design expectation, bias and MSE by enumerating all C(N, n)
     subsets with equal weight.  Refuses budgets beyond 10^6 subsets."""
     N = pop.size
-    if not 1 <= n < N:
-        raise InvalidDesignError(f"need 1 <= n < N, got n={n}, N={N}")
+    make_design(n, N)
     total = math.comb(N, n)
     if total > _ENUMERATION_BUDGET:
         raise TooLargeError(
@@ -288,9 +280,10 @@ def exhaustive_oracle(pop: Population, n: int, spec: EstimatorSpec) -> ExactMome
         ybar, xbar = _subset_means(pop.y, idx), _subset_means(pop.x, idx)
         est, singular = spec.evaluate(ybar, xbar, Xbar)
         if singular.any():
-            first = int(np.argmax(singular))
-            # Raises the scalar estimator's error for that subset.
-            estimate(spec, SampleSummary(float(ybar[first]), float(xbar[first]), Xbar))
+            subset = block[int(np.argmax(singular))]
+            raise SingularDenominatorError(
+                f"{estimator_token(spec)} is singular on the subset of units {subset}"
+            )
         values += est.tolist()
     expectation = math.fsum(values) / total
     mse = math.fsum((v - Ybar) ** 2 for v in values) / total

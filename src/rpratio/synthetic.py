@@ -65,7 +65,16 @@ class MomentTargets:
 
 def _lognormal_sigma(cv: float) -> float:
     # Base CV of 1.8x the target leaves headroom for the mixing step.
-    return math.sqrt(math.log1p((1.8 * cv) ** 2))
+    try:
+        square = (1.8 * cv) ** 2
+    except OverflowError:
+        square = math.inf
+    if square == math.inf:
+        raise InvalidInputError(
+            f"coefficient of variation {cv!r} is too large: (1.8 * cv)^2 "
+            "overflows double precision"
+        )
+    return math.sqrt(math.log1p(square))
 
 
 def _unit_centered(column: np.ndarray) -> np.ndarray:
@@ -81,8 +90,10 @@ def generate_population(targets: MomentTargets, seed: int) -> Population:
 
     Sample means and CVs are exact to float rounding, the correlation
     likewise.  Raises InfeasibleTargetsError when the targets cannot be met
-    with strictly positive values.
+    with strictly positive values, and InvalidInputError for a negative seed.
     """
+    if seed < 0:
+        raise InvalidInputError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     hi_cv = max(targets.cv_x, targets.cv_y)
     lo_cv = min(targets.cv_x, targets.cv_y)

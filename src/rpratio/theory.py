@@ -16,7 +16,9 @@ only for c <= 0 or c > 1/2 and blows up at c = 1/2.
 Every other estimator in :mod:`rpratio.estimators` expands the same way
 with its own linear coefficient w in place of u*v and its own quadratic
 coefficient q, so a single pair (w, q) per estimator yields all the
-first-order comparisons used here.
+first-order comparisons used here.  family_theory holds the only copy of
+the expansion; bias1_rpr and mse1_rpr read it with the family's
+(w, q) = (u*v, v*(1 - alpha - beta)).
 """
 from __future__ import annotations
 
@@ -99,9 +101,7 @@ class FirstOrderResult:
 
 def bias1_rpr(alpha: float, beta: float, st: SummaryStats, d: SamplingDesign) -> float:
     """First-order bias of the family member at (alpha, beta)."""
-    u = 1.0 - 2.0 * alpha
-    v = 1.0 - 2.0 * beta
-    return d.fpc_rate * v * (1.0 - alpha - beta - u * st.c) * st.cv_x**2 * st.mean_y
+    return family_theory(RatioProductRatio(alpha, beta), st, d).bias1
 
 
 def mse1_rpr(alpha: float, beta: float, st: SummaryStats, d: SamplingDesign) -> float:

@@ -104,6 +104,31 @@ class TestGenerate:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "mean_y=1.7e+308" in err
 
+    @pytest.mark.parametrize("cv_x", ["1e300", "1e160"])
+    def test_cv_whose_base_square_overflows_exit_2(self, tmp_path, capsys, cv_x):
+        out = tmp_path / "x.csv"
+        rc = main([
+            "generate", "--size", "10", "--mean-y", "1", "--mean-x", "1.7e308",
+            "--cv-y", "0.1", "--cv-x", cv_x, "--r", "0.5",
+            "--seed", "1", "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"coefficient of variation {float(cv_x)!r}" in err
+        assert not out.exists()
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = main([
+            "generate", "--size", "10", "--mean-y", "1", "--mean-x", "1",
+            "--cv-y", "0.1", "--cv-x", "0.2", "--r", "0.5",
+            "--seed", "-1", "--out", str(out),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+        assert not out.exists()
+
     def test_over_budget_size_exit_2_at_once(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         rc = main([
@@ -218,6 +243,17 @@ class TestPlan:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("error: sigma2 = ") and f"margin = {margin}" in err
+
+    def test_squares_overflow_but_n0_is_one(self, capsys):
+        # z^2 * sigma2 and margin^2 both overflow, yet their quotient is
+        # about 3e-92.
+        rc = main([
+            "plan", "--sigma2", "1e308", "--margin", "1e200",
+            "--population-size", "100",
+        ])
+        payload = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert (payload["n0"], payload["n"]) == (1, 1)
 
     def test_nonpositive_margin_exit_2(self, capsys):
         rc = main([
@@ -474,6 +510,22 @@ class TestSimulate:
         lines = dump.read_text().splitlines()
         assert lines[0] == "rep,estimator,estimate,covered"
         assert len(lines) == 1 + 20 * 3
+        manifest = json.loads((tmp_path / "rep.manifest.json").read_text())
+        assert manifest["outputs"] == [str(out), str(dump)]
+
+    def test_unwritable_dump_exit_2_leaves_no_report(self, pop_csv, tmp_path, capsys):
+        # The dump is written before the report, so a dump path that cannot
+        # be opened leaves neither the report nor its manifest behind.
+        out = tmp_path / "r.json"
+        rc = main([
+            "simulate", "--population", str(pop_csv),
+            "--reps", "20", "--n", "5", "--seed", "3",
+            "--out", str(out), "--dump-estimates", str(tmp_path),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+        assert not (tmp_path / "r.manifest.json").exists()
 
     def test_power_overflow_is_a_singular_draw(self, tmp_path, capsys):
         # Any pair holding the x = 20 unit has xbar/Xbar > 3, and 3**5000

@@ -118,6 +118,30 @@ class TestPlanSampleSize:
         assert f"sigma2 = {sigma2!r}" in str(info.value)
         assert f"margin = {margin!r}" in str(info.value)
 
+    def test_squares_overflow_but_n0_is_one(self):
+        # Both z^2 * sigma2 and margin^2 overflow; the scaled form does not.
+        plan = plan_sample_size(1e308, 1e200, 0.9, 100)
+        assert (plan.n0, plan.n) == (1, 1)
+
+    def test_direct_form_kept_where_it_succeeds(self):
+        # The quotient lands on 6 up to rounding: the direct form rounds it
+        # to 6, the scaled form just above it, to 7.  The scaled form runs
+        # only where the direct form raises, so n0 stays 6.
+        sigma2, margin = 0.007537613180498119, 0.0583
+        plan = plan_sample_size(sigma2, margin, 0.9, 10**9)
+        k = plan.z / margin
+        assert math.ceil(k * (k * sigma2)) == 7
+        assert plan.n0 == math.ceil(plan.z * plan.z * sigma2 / (margin * margin)) == 6
+
+    def test_scaled_form_gives_huge_finite_n0(self):
+        # z^2 * sigma2 overflows while margin^2 does not; the true n0 is
+        # about 2.7e288, beyond the direct form but within double range.
+        plan = plan_sample_size(1e308, 1e10, 0.9, 100)
+        k = plan.z / 1e10
+        assert plan.n0 == math.ceil(k * (k * 1e308))
+        assert 2.7e288 < plan.n0 < 2.71e288
+        assert plan.n == 100
+
     @given(
         sigma2=st.floats(min_value=1e-3, max_value=1e3),
         margin=st.floats(min_value=1e-3, max_value=10.0),

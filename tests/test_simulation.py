@@ -1,5 +1,6 @@
 """Monte Carlo harness determinism and agreement with the exact oracle."""
 import csv
+import dataclasses
 import itertools
 import math
 import warnings
@@ -8,7 +9,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from rpratio.errors import InvalidInputError, SingularDenominatorError, TooLargeError
+from rpratio.errors import (
+    InvalidDesignError,
+    InvalidInputError,
+    SingularDenominatorError,
+    TooLargeError,
+)
 from rpratio.estimators import (
     Product,
     Ratio,
@@ -21,11 +27,14 @@ from rpratio.estimators import (
 )
 from rpratio import simulation
 from rpratio.population import Population, make_design, summarize
+from rpratio.sampling import srswor
 from rpratio.simulation import (
+    RankingTable,
     SimConfig,
     SimResult,
     exhaustive_oracle,
     run_simulation,
+    write_estimates_csv,
 )
 
 
@@ -106,6 +115,17 @@ class TestExhaustiveOracle:
         with pytest.raises(SingularDenominatorError):
             exhaustive_oracle(pop, 2, Ratio())
 
+    def test_singular_error_names_token_and_subset(self):
+        # In enumeration order, (0, 1) averages x to -1 and (0, 2) to 0.
+        pop = Population(y=[1.0, 2.0, 3.0, 4.0, 5.0], x=[-1.0, -1.0, 1.0, 1.0, 1.0])
+        with pytest.raises(SingularDenominatorError, match=r"^ratio is singular .*\(0, 2\)$"):
+            exhaustive_oracle(pop, 2, Ratio())
+
+    @pytest.mark.parametrize("n", [0, 6, -1])
+    def test_rejects_n_outside_design(self, tiny_pop, n):
+        with pytest.raises(InvalidDesignError, match=f"got n={n}, N=6"):
+            exhaustive_oracle(tiny_pop, n, SampleMean())
+
 
 class TestMonteCarloAgreement:
     def test_matches_oracle_on_enumerable_population(self, tiny_pop, tmp_path):
@@ -113,10 +133,9 @@ class TestMonteCarloAgreement:
         oracle = exhaustive_oracle(tiny_pop, 3, Ratio())
         dump = tmp_path / "estimates.csv"
         res = run_simulation(
-            tiny_pop,
-            SimConfig(reps=reps, n=3, seed=99, estimators=(Ratio(),)),
-            dump_path=dump,
+            tiny_pop, SimConfig(reps=reps, n=3, seed=99, estimators=(Ratio(),))
         )
+        write_estimates_csv(dump, res)
         vals = []
         with open(dump) as fh:
             for row in csv.DictReader(fh):
@@ -140,9 +159,11 @@ class TestDeterminism:
         # Gathers of 7 replications leave a partial block at the end; the
         # per-replication dump must not change by a byte.
         cfg = SimConfig(reps=401, n=3, seed=8)
-        whole = run_simulation(tiny_pop, cfg, dump_path=tmp_path / "a.csv")
+        whole = run_simulation(tiny_pop, cfg)
+        write_estimates_csv(tmp_path / "a.csv", whole)
         monkeypatch.setattr(simulation, "_GATHER_BYTES", 7 * 8 * cfg.n)
-        blocked = run_simulation(tiny_pop, cfg, dump_path=tmp_path / "b.csv")
+        blocked = run_simulation(tiny_pop, cfg)
+        write_estimates_csv(tmp_path / "b.csv", blocked)
         assert comparable(blocked) == comparable(whole)
         assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
 
@@ -252,10 +273,15 @@ class TestDump:
         ok = np.ones(est.shape, dtype=bool)
         ok[1, 2] = ok[4, :] = ok[6, 0] = False
         half_width = 0.5
+        result = SimResult(
+            (), RankingTable({}, 0),
+            meta={"estimators": labels, "true_mean_y": true_mean, "half_width": half_width},
+            estimates=est, singular=~ok,
+        )
         monkeypatch.setattr(simulation, "_DUMP_CHUNK_ROWS", chunk_rows)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            simulation.write_estimates_csv(tmp_path / "a.csv", labels, est, ok, true_mean, half_width)
+            write_estimates_csv(tmp_path / "a.csv", result)
         reference_dump(tmp_path / "b.csv", labels, est, ok, true_mean, half_width)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
@@ -263,7 +289,8 @@ class TestDump:
         pop = Population(y=[1.0, 2.0, 3.0, 4.0, 5.0], x=[-1.0, -1.0, 1.0, 1.0, 1.0])
         dump = tmp_path / "dump.csv"
         cfg = SimConfig(reps=50, n=2, seed=21, estimators=(SampleMean(), Ratio()))
-        res = run_simulation(pop, cfg, dump_path=dump)
+        res = run_simulation(pop, cfg)
+        write_estimates_csv(dump, res)
         with open(dump) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 50 * 2
@@ -283,7 +310,8 @@ class TestDump:
         )
         dump = tmp_path / "dump.csv"
         specs = (SampleMean(), Ratio(), Product(), UnbiasedAOE(0.6092))
-        res = run_simulation(pop, SimConfig(reps=600, n=2, seed=8, estimators=specs), dump_path=dump)
+        res = run_simulation(pop, SimConfig(reps=600, n=2, seed=8, estimators=specs))
+        write_estimates_csv(dump, res)
         with open(dump) as fh:
             rows = list(csv.DictReader(fh))
         true_mean = float(pop.y.mean())
@@ -298,6 +326,48 @@ class TestDump:
         assert res.ranking.counts == dict(want)
         assert all(type(count) is int for count in res.ranking.counts.values())
         assert res.ranking.excluded_draws == 600 - sum(want.values()) > 0
+
+
+class TestEstimateMatrix:
+    POP = Population(
+        y=[1.0, 2.0, 3.0, 4.0, 5.0, 6.5, 7.0], x=[-1.0, -1.0, 1.0, 1.0, 1.0, 2.0, 0.5]
+    )
+    SPECS = (SampleMean(), Ratio(), Product(), RatioProductRatio(0.25, -0.5))
+
+    def run(self):
+        return run_simulation(self.POP, SimConfig(reps=300, n=2, seed=8, estimators=self.SPECS))
+
+    def test_shape_and_nan_exactly_where_singular(self):
+        res = self.run()
+        assert res.estimates.shape == res.singular.shape == (300, len(self.SPECS))
+        assert res.estimates.dtype == float and res.singular.dtype == bool
+        assert res.singular.any()
+        assert (np.isnan(res.estimates) == res.singular).all()
+
+    def test_column_sums_are_singular_counts(self):
+        res = self.run()
+        counts = res.singular.sum(axis=0).tolist()
+        assert counts == [rep.singular_count for rep in res.reports]
+        assert counts[1] > 0
+
+    def test_rows_equal_scalar_estimates_of_recomputed_draws(self):
+        res = self.run()
+        N, Xbar = self.POP.size, float(self.POP.x.mean())
+        for r in range(3):
+            idx = srswor(N, 2, 8, stream=r)
+            s = SampleSummary(float(self.POP.y[idx].mean()), float(self.POP.x[idx].mean()), Xbar)
+            for j, spec in enumerate(self.SPECS):
+                try:
+                    want = estimate(spec, s)
+                except SingularDenominatorError:
+                    assert res.singular[r, j] and math.isnan(res.estimates[r, j])
+                    continue
+                assert not res.singular[r, j] and res.estimates[r, j] == want
+
+    def test_arrays_left_out_of_equality(self):
+        a, b = self.run(), self.run()
+        assert a.estimates is not b.estimates
+        assert a == dataclasses.replace(b, wall_time_s=a.wall_time_s)
 
 
 class TestConfigValidation:

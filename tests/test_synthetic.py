@@ -1,10 +1,13 @@
 """Synthetic population generation: exact moments, determinism, feasibility."""
+import math
+import re
+
 import numpy as np
 import pytest
 
 from rpratio.errors import InfeasibleTargetsError, InvalidInputError, TooLargeError
 from rpratio.population import summarize
-from rpratio.synthetic import MomentTargets, generate_population
+from rpratio.synthetic import MomentTargets, _lognormal_sigma, generate_population
 
 BENCH_TARGETS = MomentTargets(
     size=365, mean_y=0.5832, mean_x=0.6277, cv_y=0.7681, cv_x=1.1504, r=0.9125
@@ -107,3 +110,19 @@ class TestFeasibility:
         for seed in (2, 3):
             with pytest.raises(InfeasibleTargetsError):
                 generate_population(targets, seed=seed)
+
+
+class TestInputChecks:
+    def test_negative_seed_is_named(self):
+        with pytest.raises(InvalidInputError, match="seed must be non-negative, got -1"):
+            generate_population(BENCH_TARGETS, seed=-1)
+
+    @pytest.mark.parametrize("cv_x", [1e300, 1e160, 1e308])
+    def test_cv_whose_base_square_overflows_is_named(self, cv_x):
+        targets = MomentTargets(size=10, mean_y=1.0, mean_x=1.0, cv_y=0.1, cv_x=cv_x, r=0.5)
+        with pytest.raises(InvalidInputError, match=re.escape(f"coefficient of variation {cv_x!r} ")):
+            generate_population(targets, seed=1)
+
+    def test_largest_squarable_cv_passes_the_check(self):
+        # (1.8 * cv)^2 is about 1e308 here, still finite.
+        assert math.isfinite(_lognormal_sigma(1e154 / 1.8))
