@@ -164,7 +164,11 @@ def _load_stats(path_text: str) -> SummaryStats:
     if path.suffix.lower() == ".csv":
         return summarize(load_population_csv(path))
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise EstimationError(
+            f"stats file {path}: byte {exc.start} is not valid UTF-8"
+        ) from None
     except json.JSONDecodeError as exc:
         raise EstimationError(f"stats file {path}: {exc}") from None
     if not isinstance(raw, dict):

@@ -201,6 +201,15 @@ def summarize(pop: Population) -> SummaryStats:
 # float() alone would also take surrounding whitespace, '_' separators,
 # non-ASCII digits and the words inf and nan.
 _CELL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+# What the surrogateescape error handler makes of bytes that are not UTF-8.
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+
+
+def _reject_undecodable(row: list[str], lineno: int) -> None:
+    """Raise for a rejected line that holds bytes that are not UTF-8, so
+    that the error names the cause rather than a cell or the header."""
+    if any(_UNDECODABLE.search(cell) for cell in row):
+        raise ParseError("bytes that are not valid UTF-8", line=lineno)
 
 
 def load_population_csv(path) -> Population:
@@ -210,29 +219,32 @@ def load_population_csv(path) -> Population:
     following line must hold exactly two cells, each an ASCII decimal
     number such as ``2``, ``-0.5``, ``.5`` or ``1e-05`` (no whitespace, no
     ``_`` separators, no ``inf`` or ``nan``) that is finite as a double,
-    and at least two data rows must be present.  Errors carry 1-based line
-    numbers.
+    and at least two data rows must be present.  The file is read as
+    UTF-8.  Errors carry 1-based line numbers.
     """
     ys: list[float] = []
     xs: list[float] = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ParseError("empty file: expected header 'y,x'", line=1)
         if header != ["y", "x"]:
+            _reject_undecodable(header, 1)
             raise ParseError(
                 f"expected header 'y,x', got {','.join(header)!r}", line=1
             )
         for row in reader:
             lineno = reader.line_num
             if len(row) != 2:
+                _reject_undecodable(row, lineno)
                 raise ParseError(
                     f"expected 2 cells, got {len(row)}", line=lineno
                 )
             pair = []
             for cell in row:
                 if not _CELL.fullmatch(cell):
+                    _reject_undecodable(row, lineno)
                     raise ParseError(
                         f"non-numeric cell {cell!r}: expected an ASCII decimal such as -1.5e3",
                         line=lineno,

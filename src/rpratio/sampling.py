@@ -9,7 +9,8 @@ reproducible bit for bit on any platform or thread schedule.  srswor keys
 the stream state directly and computes a draw's swap targets as one array
 against a cached, read-only per-(N, n) plan of length n, which also holds
 the mixer's constants as arrays so that every ufunc call of the array
-mixer takes operands of one shape.
+mixer takes operands of one shape.  A run in which some output may be
+rejected is drawn by SplitMix64.below itself.
 """
 from __future__ import annotations
 
@@ -223,10 +224,9 @@ def _mix64_lanes(z: np.ndarray, mix) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _swap_plan(pop_size: int, n: int):
     """Read-only uint64 arrays for _below_run, all of length n: the bounds
-    pop_size - i, the largest output accepted for each, the counter steps
-    GOLDEN * (1, ..., n) and the offsets i; as a uint64 scalar, the
-    smallest of those largest accepted outputs; and the mixer's constants
-    for _mix64_lanes, each repeated n times.
+    pop_size - i, the counter steps GOLDEN * (1, ..., n) and the offsets i;
+    as a uint64 scalar, the largest output that every bound accepts; and
+    the mixer's constants for _mix64_lanes, each repeated n times.
 
     Output u is accepted for bound b iff u < 2^64 - 2^64 % b, that is
     u <= ~(2^64 % b), and 2^64 % b is computed as (2^64 - b) % b.  For a
@@ -235,43 +235,35 @@ def _swap_plan(pop_size: int, n: int):
     """
     offsets = np.arange(n, dtype=np.uint64)
     bounds = np.uint64(pop_size) - offsets
-    limits = ~((np.uint64(0) - bounds) % bounds)
+    min_limit = (~((np.uint64(0) - bounds) % bounds)).min()
     steps = (offsets + np.uint64(1)) * _GOLDEN_U64
     mix = tuple(np.full(n, c, dtype=np.uint64) for c in _MIX_CONSTANTS)
-    for a in (bounds, limits, steps, offsets, *mix):
+    for a in (bounds, steps, offsets, *mix):
         a.flags.writeable = False
-    return bounds, limits, steps, offsets, limits.min(), mix
+    return bounds, steps, offsets, min_limit, mix
 
 
 def _below_run(state: int, pop_size: int, n: int) -> list[int]:
     """The Fisher-Yates swap targets i + SplitMix64.below(pop_size - i) for
     i = 0, ..., n - 1 in turn, from a generator whose state is `state`.
 
-    Output k of a stream is _mix64(state + k * GOLDEN), so a whole run of
-    draws is one array expression.  One reduction checks acceptance: when
-    no output exceeds the smallest limit, every output is accepted.
-    Otherwise the first rejected output is found, the draws before it are
-    kept, and the run resumes just after it, shifting every later draw by
-    one counter.
+    Output k of a stream is _mix64(state + k * GOLDEN), so a run of draws
+    that rejects nothing is one array expression.  One reduction checks
+    acceptance: when no output exceeds the largest output that every bound
+    accepts, every output is accepted.  Otherwise (srswor meets this with
+    probability below n * pop_size / 2^64) the whole run is drawn again,
+    one SplitMix64.below call at a time, from a generator placed at
+    `state`.
     """
-    bounds, limits, steps, offsets, min_limit, mix = _swap_plan(pop_size, n)
+    bounds, steps, offsets, min_limit, mix = _swap_plan(pop_size, n)
     u = _mix64_lanes(np.add(steps, state), mix)
     if np.maximum.reduce(u) <= min_limit:
         u %= bounds
         u += offsets
         return u.tolist()
-    out: list[int] = []
-    done = 0
-    while True:
-        rejected = np.flatnonzero(u > limits[done:])
-        take = int(rejected[0]) if rejected.size else n - done
-        stop = done + take
-        out += (u[:take] % bounds[done:stop] + offsets[done:stop]).tolist()
-        if stop == n:
-            return out
-        state = (state + (take + 1) * _GOLDEN) & _MASK64
-        done = stop
-        u = _mix64_lanes(np.add(steps[:n - done], state), [c[:n - done] for c in mix])
+    rng = SplitMix64(0)
+    rng._state = state
+    return [i + rng.below(pop_size - i) for i in range(n)]
 
 
 def srswor(pop_size: int, n: int, seed: int, stream: int = 0) -> np.ndarray:

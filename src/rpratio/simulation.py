@@ -128,7 +128,10 @@ def _shape(devs: np.ndarray) -> tuple[float | None, float | None]:
         return None, None
     m3 = float(np.mean(devs**3))
     m4 = float(np.mean(devs**4))
-    return m3 / m2**1.5, m4 / (m2 * m2)
+    try:
+        return m3 / m2**1.5, m4 / (m2 * m2)
+    except OverflowError:  # m2**1.5 beyond double range
+        return math.nan, math.nan
 
 
 def run_simulation(pop: Population, cfg: SimConfig) -> SimResult:
@@ -139,6 +142,8 @@ def run_simulation(pop: Population, cfg: SimConfig) -> SimResult:
     gathered block by block, and each estimator is then evaluated once over
     the arrays of all replications.  The plain sample mean is always the
     efficiency baseline, whether or not it appears in cfg.estimators.
+    Raises InvalidInputError naming an estimator whose non-singular
+    estimates, or the moments of their deviations, overflow a double.
     """
     started = time.perf_counter()
     N = pop.size
@@ -182,14 +187,19 @@ def run_simulation(pop: Population, cfg: SimConfig) -> SimResult:
         if vals.size == 0:  # zero rates; every moment-shape field undefined
             reports.append(EstimatorReport(label, 0.0, 0.0, 0.0, *[None] * 7, n_singular))
             continue
-        devs = vals - true_mean
+        with np.errstate(over="ignore", invalid="ignore"):
+            devs = vals - true_mean
+            mse = float(np.mean(devs * devs))
+            skew, kurt = _shape(devs - devs.mean())
+        re = base_mse / mse if mse > 0.0 else None
+        if not all(math.isfinite(v) for v in (mse, re, skew, kurt) if v is not None):
+            raise InvalidInputError(
+                f"estimator {label}: its estimates or their moments overflow double precision"
+            )
         coverage = float(np.mean(np.abs(devs) <= half_width))
         neg = float(np.mean(vals < true_mean - half_width))
         pos = float(np.mean(vals > true_mean + half_width))
         q1, med, q3 = quartiles(vals)
-        mse = float(np.mean(devs * devs))
-        re = base_mse / mse if mse > 0.0 else None
-        skew, kurt = _shape(devs - devs.mean())
         reports.append(EstimatorReport(
             label, coverage, neg, pos, q1, med, q3, mse, re, skew, kurt, n_singular
         ))

@@ -1,4 +1,5 @@
 """End-to-end CLI behavior: exit codes, JSON payloads, manifests."""
+import hashlib
 import io
 import json
 import warnings
@@ -8,6 +9,7 @@ import pytest
 
 from rpratio import cli
 from rpratio.cli import main
+from rpratio.errors import EstimationError
 
 BENCH_STATS = {
     "mean_y": 0.5832,
@@ -25,6 +27,18 @@ def pop_csv(tmp_path_factory):
         "generate", "--size", "40", "--mean-y", "2.0", "--mean-x", "3.0",
         "--cv-y", "0.4", "--cv-x", "0.5", "--r", "0.8",
         "--seed", "77", "--out", str(out),
+    ])
+    assert rc == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def small_pop_csv(tmp_path_factory):
+    out = tmp_path_factory.mktemp("small") / "pop.csv"
+    rc = main([
+        "generate", "--size", "30", "--mean-y", "1", "--mean-x", "1",
+        "--cv-y", "0.3", "--cv-x", "0.3", "--r", "0.5",
+        "--seed", "3", "--out", str(out),
     ])
     assert rc == 0
     return out
@@ -556,6 +570,44 @@ class TestSimulate:
         assert rc == 2
         assert "rpr:<alpha>,<beta>" in err
 
+    @pytest.mark.parametrize(
+        "estimators, token",
+        [
+            ("mean,aoe:1e200", "aoe:1e+200"),
+            ("singh:1e308", "singh:1e+308"),
+            ("rpr:1e120,0", "rpr:1e+120,0.0"),
+        ],
+    )
+    def test_overflowing_estimator_exit_2_naming_it(
+        self, small_pop_csv, tmp_path, capsys, estimators, token
+    ):
+        out = tmp_path / "r.json"
+        rc = main([
+            "simulate", "--population", str(small_pop_csv),
+            "--reps", "50", "--n", "5", "--seed", "1",
+            "--estimators", estimators, "--out", str(out),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: estimator {token}: ")
+        assert len(captured.err.splitlines()) == 1
+        assert not out.exists()
+        assert not (tmp_path / "r.manifest.json").exists()
+
+    def test_huge_but_finite_moments_keep_their_report(self, small_pop_csv, tmp_path, capsys):
+        # The sha256 of this report before overflow was checked for.
+        out = tmp_path / "r.json"
+        rc = main([
+            "simulate", "--population", str(small_pop_csv),
+            "--reps", "50", "--n", "5", "--seed", "1",
+            "--estimators", "rpr:1e60,0", "--out", str(out),
+        ])
+        assert rc == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "edb9061b8af5ad296a82213c3d43114d4253525a8bc0c6e3fdc1a26b66441e78"
+        )
+
     def test_internal_error_exit_3(self, pop_csv, tmp_path, capsys, monkeypatch):
         import rpratio.cli as cli_mod
 
@@ -570,6 +622,55 @@ class TestSimulate:
         ])
         assert rc == 3
         assert "internal error" in capsys.readouterr().err
+
+
+class TestUndecodableInput:
+    """Input files are read as UTF-8; other bytes exit 2 naming the place."""
+
+    @pytest.fixture()
+    def bad_csv(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"y,x\n1,\xff\n2,3\n")
+        return path
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["analyze", "{}"],
+            ["theory", "--stats", "{}", "--c", "0.6"],
+            ["simulate", "--population", "{}", "--reps", "5", "--n", "2", "--seed", "1"],
+        ],
+    )
+    def test_population_csv_exit_2_naming_line(self, bad_csv, tmp_path, capsys, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        rc = main([a.format(bad_csv) for a in args])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "error: line 2: bytes that are not valid UTF-8\n"
+        assert not (tmp_path / "report.json").exists()
+
+    def test_stats_json_exit_2_naming_file(self, tmp_path, capsys):
+        path = tmp_path / "stats.json"
+        path.write_bytes(json.dumps(BENCH_STATS).encode()[:-1] + b', "note": "\xff"}')
+        with pytest.raises(EstimationError, match="not valid UTF-8"):
+            cli._load_stats(str(path))
+        rc = main(["theory", "--stats", str(path), "--c", "0.6"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: stats file {path}: ")
+        assert "not valid UTF-8" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+    def test_bom_header_message_unchanged(self, tmp_path, capsys):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfy,x\n1,2\n2,3\n")
+        rc = main(["analyze", str(path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: line 1: expected header 'y,x', got '\\ufeffy,x'\n"
+        )
 
 
 class TestEstimatorListSplitting:

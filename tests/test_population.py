@@ -248,6 +248,23 @@ class TestLoadCsv:
             load_population_csv(path)
         assert err.value.line == 1
 
+    @pytest.mark.parametrize(
+        "raw, line",
+        [
+            (b"y,x\n1,\xff\n2,3\n", 2),
+            (b"y,\xff\n1,2\n2,3\n", 1),  # in the header
+            (b"y,x\n1,2\n2,3,\xc3\n", 3),  # in a row with a third cell
+            (b"y,x\n1,2\n2,3\n\xed\xa0\x80,4\n", 4),  # an encoded surrogate
+        ],
+    )
+    def test_bytes_that_are_not_utf8_name_the_line(self, tmp_path, raw, line):
+        path = tmp_path / "pop.csv"
+        path.write_bytes(raw)
+        with pytest.raises(ParseError) as err:
+            load_population_csv(path)
+        assert err.value.line == line
+        assert "not valid UTF-8" in str(err.value)
+
     def test_extra_columns_rejected(self, tmp_path):
         path = self._write(tmp_path, "y,x\n1,2,9\n2,3\n")
         with pytest.raises(ParseError) as err:

@@ -383,9 +383,10 @@ class TestBelowRun:
 
     @pytest.mark.parametrize("pop_size, n", [(2**63 + 1, 3), (2**64 - 1, 2), (365, 112), (64, 64)])
     def test_largest_accepted_output(self, pop_size, n):
-        bounds, limits = _swap_plan(pop_size, n)[:2]
-        for b, limit in zip(bounds.tolist(), limits.tolist()):
-            assert limit == 2**64 - 2**64 % b - 1
+        plan = _swap_plan(pop_size, n)
+        bounds, min_limit = plan[0], plan[3]
+        assert bounds.tolist() == [pop_size - i for i in range(n)]
+        assert min_limit == min(2**64 - 2**64 % b - 1 for b in bounds.tolist())
 
     def test_rejections_happen_at_huge_bound(self):
         # A draw that was rejected advanced the generator more than once.
@@ -411,41 +412,54 @@ class TestBelowRun:
         start, want = _reference_targets(seed, stream, pop_size, n)
         assert _below_run(start, pop_size, n) == want
 
-    def test_every_acceptance_path_is_taken(self):
+    def test_every_acceptance_path_is_taken(self, monkeypatch):
         # Bounds 2^63 + k reject about half of all outputs, the bounds below
         # 2^63 almost none: the smallest limit sits near 2^63, far under the
-        # others.  Over these streams the runs take every path of
-        # _below_run, and each must match the scalar draws.
+        # others.  A run whose outputs all lie at or below it is one array
+        # expression; any other run is drawn by SplitMix64.below, which is
+        # counted here to see which path _below_run took.  Every run must
+        # match the scalar draws.
+        calls = []
+        below = SplitMix64.below
+
+        def counted_below(rng, bound):
+            calls.append(bound)
+            return below(rng, bound)
+
+        monkeypatch.setattr(SplitMix64, "below", counted_below)
         paths = set()
         for pop_size, n in [(2**63 + 1, 2), (2**63 + 1, 24), (2**63 + 4, 24)]:
-            limits = _swap_plan(pop_size, n)[1].tolist()
+            limits = [2**64 - 2**64 % (pop_size - i) - 1 for i in range(n)]
             for stream in range(300):
                 start, want = _reference_targets(99, stream, pop_size, n)
                 rng = SplitMix64(99, stream)
                 raw = [rng.next64() for _ in range(n)]
                 rejected = [k for k, (u, lim) in enumerate(zip(raw, limits)) if u > lim]
                 if rejected:
-                    paths.add("first lane rejected" if rejected[0] == 0 else "rejected mid-run")
+                    path = "first lane rejected" if rejected[0] == 0 else "rejected mid-run"
                 elif max(raw) > min(limits):
-                    paths.add("above the smallest limit, none rejected")
+                    path = "above the smallest limit, none rejected"
                 else:
-                    paths.add("all below the smallest limit")
+                    path = "array"
+                calls.clear()
                 assert _below_run(start, pop_size, n) == want
+                assert calls == ([] if path == "array" else [pop_size - i for i in range(n)])
+                paths.add(path)
         assert paths == {
+            "array",
             "first lane rejected",
             "rejected mid-run",
             "above the smallest limit, none rejected",
-            "all below the smallest limit",
         }
 
     def test_cached_plan_stays_read_only_and_unchanged(self):
         # At 2^63 + 60 about half of all outputs are rejected, so these
-        # draws take the path that slices the plan, mixer constants included.
+        # draws also take the path that draws one SplitMix64.below at a time.
         for pop_size, n in [(365, 112), (2**63 + 60, 60)]:
             plan = _swap_plan(pop_size, n)
-            arrays = (*plan[:4], *plan[5])
+            arrays = (*plan[:3], *plan[4])
             copies = [a.copy() for a in arrays]
-            min_limit = plan[4]
+            min_limit = plan[3]
             for stream in range(50):
                 _below_run(SplitMix64(5, stream)._state, pop_size, n)
                 srswor(365, 112, 5, stream)
@@ -456,8 +470,10 @@ class TestBelowRun:
                 np.testing.assert_array_equal(a, copy)
                 with pytest.raises(ValueError):
                     a[0] = 0
-            assert plan[4] == min_limit == copies[1].min()
-            assert [a.tolist() for a in plan[5]] == [[c] * n for c in _MIX_CONSTANTS]
+            assert plan[3] == min_limit == min(
+                2**64 - 2**64 % b - 1 for b in copies[0].tolist()
+            )
+            assert [a.tolist() for a in plan[4]] == [[c] * n for c in _MIX_CONSTANTS]
 
 
 _MIX_CONSTANTS = (30, 27, 31, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
@@ -469,7 +485,7 @@ class TestMix64Lanes:
 
     def test_matches_scalar_at_edge_values(self):
         values = [0, 1, 2**63, 2**64 - 1] + [k * _GOLDEN % 2**64 for k in range(1, 60)]
-        mix = _swap_plan(2**64 - 1, len(values))[5]
+        mix = _swap_plan(2**64 - 1, len(values))[4]
         got = _mix64_lanes(np.array(values, dtype=np.uint64), mix)
         assert got.tolist() == [_mix64(v) for v in values]
 
@@ -477,7 +493,7 @@ class TestMix64Lanes:
     @settings(max_examples=200, deadline=None)
     def test_matches_scalar_property(self, values):
         z = np.array(values, dtype=np.uint64)
-        mix = _swap_plan(2**64 - 1, len(values))[5]
+        mix = _swap_plan(2**64 - 1, len(values))[4]
         assert _mix64_lanes(z, mix) is z
         assert z.tolist() == [_mix64(v) for v in values]
 

@@ -21,6 +21,7 @@ from rpratio.estimators import (
     RatioProductRatio,
     SampleMean,
     SampleSummary,
+    SinghRatioProduct,
     UnbiasedAOE,
     estimate,
     estimator_token,
@@ -28,6 +29,7 @@ from rpratio.estimators import (
 from rpratio import simulation
 from rpratio.population import Population, make_design, summarize
 from rpratio.sampling import srswor
+from rpratio.synthetic import MomentTargets, generate_population
 from rpratio.simulation import (
     RankingTable,
     SimConfig,
@@ -221,6 +223,24 @@ class TestReports:
         total = sum(res.ranking.counts.values())
         assert total + res.ranking.excluded_draws == 2000
         assert res.ranking.excluded_draws == ratio_rep.singular_count
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            UnbiasedAOE(1e200),  # estimates of +-inf and nan
+            SinghRatioProduct(1e308),  # finite estimates whose squares overflow
+            RatioProductRatio(1e120, 0.0),  # m2 finite, m2**1.5 and m4 not
+        ],
+    )
+    def test_overflowing_estimator_raises_naming_it(self, spec):
+        pop = generate_population(MomentTargets(30, 1.0, 1.0, 0.3, 0.3, 0.5), 3)
+        cfg = SimConfig(reps=50, n=5, seed=1, estimators=(SampleMean(), spec))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError) as err:
+                run_simulation(pop, cfg)
+        assert str(err.value).startswith(f"estimator {estimator_token(spec)}: ")
+        assert "overflow" in str(err.value)
 
     def test_single_replication(self, tiny_pop):
         res = run_simulation(tiny_pop, SimConfig(reps=1, n=2, seed=0))
