@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -123,15 +124,43 @@ class ExactMoments:
 
 
 def _shape(devs: np.ndarray) -> tuple[float | None, float | None]:
-    m2 = float(np.mean(devs * devs))
-    if m2 == 0.0:
+    """Skewness and kurtosis of centred deviations: None when every
+    deviation is 0, nan when their fourth moment overflows a double.
+
+    Both are scale-free, so they are computed on the deviations scaled by
+    the power of two 2^-e that brings the largest into [0.5, 1): tiny
+    deviations then lose no precision, and where no moment under- or
+    overflowed unscaled the scaling is exact and changes no bit."""
+    peak = float(np.max(np.abs(devs)))
+    if peak == 0.0:
         return None, None
+    e = math.frexp(peak)[1]
+    devs = np.ldexp(devs, -e)
+    m2 = float(np.mean(devs * devs))
     m3 = float(np.mean(devs**3))
     m4 = float(np.mean(devs**4))
     try:
-        return m3 / m2**1.5, m4 / (m2 * m2)
-    except OverflowError:  # m2**1.5 beyond double range
+        math.ldexp(m4, 4 * e)
+    except OverflowError:
         return math.nan, math.nan
+    return m3 / m2**1.5, m4 / (m2 * m2)
+
+
+def _require_double(label: str, *values: float | None) -> None:
+    """Raise InvalidInputError naming estimator label when one of the values
+    (None skipped) is beyond double precision: not finite, or nonzero but
+    below the smallest normal double, where fewer than 53 bits remain."""
+    for v in values:
+        if v is None:
+            continue
+        if not math.isfinite(v):
+            raise InvalidInputError(
+                f"estimator {label}: its estimates or their moments overflow double precision"
+            )
+        if 0.0 < abs(v) < sys.float_info.min:
+            raise InvalidInputError(
+                f"estimator {label}: the moments of its deviations underflow double precision"
+            )
 
 
 def run_simulation(pop: Population, cfg: SimConfig) -> SimResult:
@@ -143,7 +172,8 @@ def run_simulation(pop: Population, cfg: SimConfig) -> SimResult:
     the arrays of all replications.  The plain sample mean is always the
     efficiency baseline, whether or not it appears in cfg.estimators.
     Raises InvalidInputError naming an estimator whose non-singular
-    estimates, or the moments of their deviations, overflow a double.
+    estimates, or the moments of their deviations, overflow a double, or
+    whose moments underflow one.
     """
     started = time.perf_counter()
     N = pop.size
@@ -192,10 +222,7 @@ def run_simulation(pop: Population, cfg: SimConfig) -> SimResult:
             mse = float(np.mean(devs * devs))
             skew, kurt = _shape(devs - devs.mean())
         re = base_mse / mse if mse > 0.0 else None
-        if not all(math.isfinite(v) for v in (mse, re, skew, kurt) if v is not None):
-            raise InvalidInputError(
-                f"estimator {label}: its estimates or their moments overflow double precision"
-            )
+        _require_double(label, mse, re, skew, kurt)
         coverage = float(np.mean(np.abs(devs) <= half_width))
         neg = float(np.mean(vals < true_mean - half_width))
         pos = float(np.mean(vals > true_mean + half_width))
@@ -272,7 +299,9 @@ def _subset_means(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 def exhaustive_oracle(pop: Population, n: int, spec: EstimatorSpec) -> ExactMoments:
     """Exact design expectation, bias and MSE by enumerating all C(N, n)
-    subsets with equal weight.  Refuses budgets beyond 10^6 subsets."""
+    subsets with equal weight.  Refuses budgets beyond 10^6 subsets, and
+    raises InvalidInputError naming the estimator when a moment is beyond
+    double precision, as run_simulation does."""
     N = pop.size
     make_design(n, N)
     total = math.comb(N, n)
@@ -295,6 +324,11 @@ def exhaustive_oracle(pop: Population, n: int, spec: EstimatorSpec) -> ExactMome
                 f"{estimator_token(spec)} is singular on the subset of units {subset}"
             )
         values += est.tolist()
-    expectation = math.fsum(values) / total
-    mse = math.fsum((v - Ybar) ** 2 for v in values) / total
-    return ExactMoments(expectation=expectation, bias=expectation - Ybar, mse=mse)
+    try:
+        expectation = math.fsum(values) / total
+        mse = math.fsum((v - Ybar) ** 2 for v in values) / total
+    except (OverflowError, ValueError):  # a sum or square overflowed, or inf - inf
+        expectation = mse = math.nan
+    bias = expectation - Ybar
+    _require_double(estimator_token(spec), expectation, bias, mse)
+    return ExactMoments(expectation=expectation, bias=bias, mse=mse)

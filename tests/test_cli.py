@@ -608,6 +608,42 @@ class TestSimulate:
             "edb9061b8af5ad296a82213c3d43114d4253525a8bc0c6e3fdc1a26b66441e78"
         )
 
+    def test_underflowing_moments_exit_2_naming_the_estimator(self, tmp_path, capsys):
+        pop = tmp_path / "tiny.csv"
+        pop.write_text("y,x\n" + "".join(f"{k * 1e-160!r},{k}\n" for k in range(1, 11)))
+        out = tmp_path / "r.json"
+        rc = main([
+            "simulate", "--population", str(pop), "--reps", "20", "--n", "3",
+            "--seed", "1", "--out", str(out),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: estimator mean: ")
+        assert "underflow" in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_tiny_deviations_simulate(self, small_pop_csv, tmp_path, capsys):
+        # The population's y scaled by 2^-332: the fourth powers of the
+        # deviations underflow, the reported moments do not.
+        lines = small_pop_csv.read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        pop = tmp_path / "scaled.csv"
+        pop.write_text(lines[0] + "\n" + "".join(
+            f"{float(y) * 2.0**-332!r},{x}\n" for y, x in rows
+        ))
+        reports = []
+        for path in (small_pop_csv, pop):
+            out = tmp_path / f"{path.stem}.json"
+            rc = main([
+                "simulate", "--population", str(path), "--reps", "50", "--n", "5",
+                "--seed", "1", "--out", str(out),
+            ])
+            assert rc == 0
+            reports.append(json.loads(out.read_text())["estimators"])
+        for plain, scaled in zip(*reports):
+            assert (scaled["skewness"], scaled["kurtosis"]) == (plain["skewness"], plain["kurtosis"])
+
     def test_internal_error_exit_3(self, pop_csv, tmp_path, capsys, monkeypatch):
         import rpratio.cli as cli_mod
 

@@ -23,6 +23,7 @@ from rpratio.sampling import (
     srswor,
     z_quantile,
 )
+from rpratio import sampling
 from rpratio.sampling import _below_run, _mix64, _mix64_lanes, _norm_ppf, _swap_plan
 
 
@@ -360,6 +361,95 @@ class TestSrsworMatchesReference:
             assert means[r].tobytes() == np.float64(one).tobytes()
 
 
+@pytest.fixture
+def draws(monkeypatch):
+    """Empties srswor's read-ahead memo and counts the streams it draws
+    one at a time ("cold") and the blocks it draws in lockstep."""
+    counts = {"cold": 0, "blocks": 0}
+    draw_one, draw_block = sampling._draw_one, sampling._draw_block
+
+    def counted_one(*args):
+        counts["cold"] += 1
+        return draw_one(*args)
+
+    def counted_block(*args):
+        counts["blocks"] += 1
+        return draw_block(*args)
+
+    monkeypatch.setattr(sampling, "_read_ahead", None)
+    monkeypatch.setattr(sampling, "_draw_one", counted_one)
+    monkeypatch.setattr(sampling, "_draw_block", counted_block)
+    return counts
+
+
+def _block_size(pop_size):
+    return sampling._BLOCK_BYTES // (8 * pop_size)
+
+
+class TestReadAhead:
+    """srswor draws the streams after a run in blocks; every access order
+    must give the reference draws, and only continuing a run draws a block."""
+
+    @staticmethod
+    def _check(pop_size, n, keys):
+        for seed, stream in keys:
+            np.testing.assert_array_equal(
+                srswor(pop_size, n, seed, stream), _reference_srswor(pop_size, n, seed, stream)
+            )
+
+    @pytest.mark.parametrize("first", [0, 5, 2**64 - 100, 2**65 - 50, -300, -40])
+    def test_consecutive_runs_cross_block_edges(self, draws, first):
+        # Offsets past 2^64 wrap modulo 2^64; negative streams cross zero.
+        count = 3 * _block_size(365) + 7
+        self._check(365, 112, [(1234, first + r) for r in range(count)])
+        assert draws == {"cold": 1, "blocks": 4}
+
+    def test_descending_order_draws_no_block(self, draws):
+        self._check(365, 8, [(7, s) for s in range(150, -50, -1)])
+        assert draws == {"cold": 200, "blocks": 0}
+
+    def test_random_order_draws_no_block(self, draws):
+        # Also the guard that 200 calls in random order draw no block.
+        streams = np.random.default_rng(3).integers(-(2**62), 2**62, size=200).tolist()
+        assert all(b != a + 1 for a, b in zip(streams, streams[1:]))
+        self._check(365, 8, [(7, s) for s in streams])
+        assert draws == {"cold": 200, "blocks": 0}
+
+    def test_two_seeds_interleaved(self, draws):
+        keys = [(seed, r) for r in range(100) for seed in (1, 2)]
+        keys += [(2, r) for r in range(100, 300)] + [(1, r) for r in range(100, 300)]
+        self._check(365, 112, keys)
+        # Switching seeds makes every interleaved call cold.  The last one
+        # drew seed 2's stream 99, so its run continues at once; seed 1's
+        # run starts cold.  200 and 199 streams then take 3 blocks each.
+        assert draws == {"cold": 201, "blocks": 6}
+
+    @pytest.mark.parametrize("pop_size, blocks", [(16384, 2), (16385, 0)])
+    def test_block_cap(self, draws, pop_size, blocks):
+        # 256 KiB of index matrix holds two streams at N = 16384 and one at
+        # N = 16385, where no block is drawn.
+        assert _block_size(pop_size) == (2 if blocks else 1)
+        self._check(pop_size, 3, [(9, s) for s in range(5)])
+        assert draws == {"cold": 5 - 2 * blocks, "blocks": blocks}
+
+    @pytest.mark.parametrize("pop_size, n", [(50, 50), (365, 365), (365, 1), (2, 1), (2, 2)])
+    def test_edge_sizes(self, draws, pop_size, n):
+        self._check(pop_size, n, [(11, s) for s in range(-3, _block_size(pop_size) + 2)])
+        assert draws == {"cold": 1, "blocks": 2}
+
+    def test_returned_samples_are_copies(self, draws):
+        for stream in (0, 1, 2, 1, 0):
+            sample = srswor(365, 112, 4, stream)
+            assert sample.flags.writeable
+            sample[:] = -1
+        self._check(365, 112, [(4, s) for s in (0, 1, 2, 1, 0)])
+
+    def test_consecutive_calls_draw_in_blocks(self, draws):
+        for stream in range(10_000):
+            srswor(365, 112, 1234, stream)
+        assert draws == {"cold": 1, "blocks": math.ceil(9_999 / 89)}
+
+
 class TestBelowRun:
     """The array-wise run of swap targets against SplitMix64.below."""
 
@@ -379,7 +469,7 @@ class TestBelowRun:
     def test_matches_scalar_below(self, pop_size, n):
         for stream in range(-20, 80):
             start, want = _reference_targets(2024, stream, pop_size, n)
-            assert _below_run(start, pop_size, n) == want
+            assert _one_run(start, pop_size, n) == want
 
     @pytest.mark.parametrize("pop_size, n", [(2**63 + 1, 3), (2**64 - 1, 2), (365, 112), (64, 64)])
     def test_largest_accepted_output(self, pop_size, n):
@@ -394,7 +484,7 @@ class TestBelowRun:
         for stream in range(100):
             rng = SplitMix64(1, stream=stream)
             start = rng._state
-            assert _below_run(start, 2**63 + 40, 40) == [
+            assert _one_run(start, 2**63 + 40, 40) == [
                 i + rng.below(2**63 + 40 - i) for i in range(40)
             ]
             steps = ((rng._state - start) * pow(0x9E3779B97F4A7C15, -1, 2**64)) % 2**64
@@ -410,7 +500,7 @@ class TestBelowRun:
     @settings(max_examples=300, deadline=None)
     def test_matches_scalar_below_at_huge_bounds(self, pop_size, n, seed, stream):
         start, want = _reference_targets(seed, stream, pop_size, n)
-        assert _below_run(start, pop_size, n) == want
+        assert _one_run(start, pop_size, n) == want
 
     def test_every_acceptance_path_is_taken(self, monkeypatch):
         # Bounds 2^63 + k reject about half of all outputs, the bounds below
@@ -442,7 +532,7 @@ class TestBelowRun:
                 else:
                     path = "array"
                 calls.clear()
-                assert _below_run(start, pop_size, n) == want
+                assert _one_run(start, pop_size, n) == want
                 assert calls == ([] if path == "array" else [pop_size - i for i in range(n)])
                 paths.add(path)
         assert paths == {
@@ -452,16 +542,35 @@ class TestBelowRun:
             "above the smallest limit, none rejected",
         }
 
+    @pytest.mark.parametrize("pop_size, n", [(2**63 + 1, 2), (2**63 + 4, 3)])
+    def test_block_mixes_accepted_and_fallback_rows(self, pop_size, n):
+        # One call over the states of 300 streams: the rows above the
+        # smallest limit are drawn by SplitMix64.below, each from its own
+        # state, and the others stay array rows.
+        starts, wants, above = [], [], []
+        limit = min(2**64 - 2**64 % (pop_size - i) - 1 for i in range(n))
+        for stream in range(300):
+            start, want = _reference_targets(99, stream, pop_size, n)
+            rng = SplitMix64(99, stream)
+            above.append(max(rng.next64() for _ in range(n)) > limit)
+            starts.append(start)
+            wants.append(want)
+        assert 0 < sum(above) < len(above)
+        got = _below_run(np.array(starts, dtype=np.uint64), pop_size, n)
+        assert got.shape == (300, n) and got.dtype == np.uint64
+        assert got.tolist() == wants
+
     def test_cached_plan_stays_read_only_and_unchanged(self):
         # At 2^63 + 60 about half of all outputs are rejected, so these
         # draws also take the path that draws one SplitMix64.below at a time.
         for pop_size, n in [(365, 112), (2**63 + 60, 60)]:
             plan = _swap_plan(pop_size, n)
-            arrays = (*plan[:3], *plan[4])
+            assert len(plan) == 4  # no mixer arrays
+            arrays = plan[:3]
             copies = [a.copy() for a in arrays]
             min_limit = plan[3]
             for stream in range(50):
-                _below_run(SplitMix64(5, stream)._state, pop_size, n)
+                _one_run(SplitMix64(5, stream)._state, pop_size, n)
                 srswor(365, 112, 5, stream)
             assert _swap_plan(pop_size, n) is plan
             for a, copy in zip(arrays, copies):
@@ -473,10 +582,8 @@ class TestBelowRun:
             assert plan[3] == min_limit == min(
                 2**64 - 2**64 % b - 1 for b in copies[0].tolist()
             )
-            assert [a.tolist() for a in plan[4]] == [[c] * n for c in _MIX_CONSTANTS]
 
 
-_MIX_CONSTANTS = (30, 27, 31, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
@@ -485,17 +592,20 @@ class TestMix64Lanes:
 
     def test_matches_scalar_at_edge_values(self):
         values = [0, 1, 2**63, 2**64 - 1] + [k * _GOLDEN % 2**64 for k in range(1, 60)]
-        mix = _swap_plan(2**64 - 1, len(values))[4]
-        got = _mix64_lanes(np.array(values, dtype=np.uint64), mix)
+        got = _mix64_lanes(np.array(values, dtype=np.uint64))
         assert got.tolist() == [_mix64(v) for v in values]
 
     @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=40))
     @settings(max_examples=200, deadline=None)
     def test_matches_scalar_property(self, values):
         z = np.array(values, dtype=np.uint64)
-        mix = _swap_plan(2**64 - 1, len(values))[4]
-        assert _mix64_lanes(z, mix) is z
+        assert _mix64_lanes(z) is z
         assert z.tolist() == [_mix64(v) for v in values]
+
+
+def _one_run(start, pop_size, n):
+    """_below_run's targets for the one generator whose state is start."""
+    return _below_run(np.array([start], dtype=np.uint64), pop_size, n)[0].tolist()
 
 
 def _reference_targets(seed, stream, pop_size, n):

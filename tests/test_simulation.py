@@ -112,6 +112,22 @@ class TestExhaustiveOracle:
         out = exhaustive_oracle(tiny_pop, n, spec)
         assert (out.expectation, out.bias, out.mse) == (expectation, expectation - Ybar, mse)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            UnbiasedAOE(1e200),  # estimates of nan
+            SinghRatioProduct(1e308),  # finite estimates whose squares overflow
+        ],
+    )
+    def test_overflowing_estimator_raises_naming_it(self, spec):
+        pop = generate_population(MomentTargets(12, 1.0, 1.0, 0.3, 0.3, 0.5), 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError) as err:
+                exhaustive_oracle(pop, 3, spec)
+        assert str(err.value).startswith(f"estimator {estimator_token(spec)}: ")
+        assert "overflow" in str(err.value)
+
     def test_singular_subset_raises(self):
         pop = Population(y=[1.0, 2.0, 3.0, 4.0, 5.0], x=[-1.0, -1.0, 1.0, 1.0, 1.0])
         with pytest.raises(SingularDenominatorError):
@@ -241,6 +257,32 @@ class TestReports:
                 run_simulation(pop, cfg)
         assert str(err.value).startswith(f"estimator {estimator_token(spec)}: ")
         assert "overflow" in str(err.value)
+
+    def test_tiny_deviations_keep_their_shape(self):
+        # y scaled by 2^-332: every estimate and deviation scales exactly,
+        # the MSE (about 1e-201) is still a normal double, but the fourth
+        # powers underflow, so skewness and kurtosis once divided by zero.
+        pop = generate_population(MomentTargets(30, 1.0, 1.0, 0.3, 0.3, 0.5), 3)
+        tiny = Population(y=np.ldexp(pop.y, -332), x=pop.x)
+        cfg = SimConfig(reps=200, n=5, seed=1, estimators=(SampleMean(), Ratio(), Product()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = run_simulation(tiny, cfg)
+        want = run_simulation(pop, cfg)
+        for g, w in zip(got.reports, want.reports):
+            assert (g.skewness, g.kurtosis) == (w.skewness, w.kurtosis)
+            assert g.mse_empirical == math.ldexp(w.mse_empirical, -664)
+            assert g.re_vs_sample_mean == w.re_vs_sample_mean
+
+    def test_underflowing_moments_raise_naming_the_estimator(self):
+        # Deviations near 1e-160 square to below the smallest normal double.
+        k = np.arange(1.0, 11.0)
+        pop = Population(y=k * 1e-160, x=k)
+        cfg = SimConfig(reps=20, n=3, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="^estimator mean: .*underflow"):
+                run_simulation(pop, cfg)
 
     def test_single_replication(self, tiny_pop):
         res = run_simulation(tiny_pop, SimConfig(reps=1, n=2, seed=0))
