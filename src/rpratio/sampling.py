@@ -10,8 +10,9 @@ the stream states directly and computes the swap targets of one stream, or
 of a block of streams, as one array against a cached, read-only per-(N, n)
 plan of length n.  A stream in which some output may be rejected is drawn
 by SplitMix64.below itself.  A call that continues the last run of
-streams reads ahead: it draws the next block of streams in lockstep and
-keeps it for the calls that follow, so consecutive streams cost a
+streams reads ahead: it draws the next block of streams in lockstep, on a
+narrow index matrix with one column per stream, and keeps the samples
+for the calls that follow, so consecutive streams cost a
 fraction of a lone one, and each call still returns one stream's draw.
 """
 from __future__ import annotations
@@ -203,11 +204,14 @@ class SplitMix64:
 _GOLDEN_U64 = np.uint64(_GOLDEN)
 _S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 _M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
-# Most bytes of the (count, pop_size) int64 index matrix of one read-ahead
-# block: 89 streams at N = 365.  On the acceptance config (N = 365,
-# n = 112, 10 000 reps), against 41.1 MB of peak RSS without read-ahead,
-# 256 KiB blocks peaked at 41.7 MB and 2 MiB blocks at 45.5 MB, for 8%
-# less time a call.
+# Most bytes of either large array of one read-ahead block: the
+# (pop_size, count) uint16 index matrix and the (count, n) uint64 swap
+# targets, so count = _BLOCK_BYTES // max(2 * pop_size, 8 * n): 292
+# streams at N = 365, n = 112 and 359 at n = 8.  No block is drawn below 2
+# streams, which also keeps N <= 65 536, so every index fits in uint16.
+# Peak RSS of one 10 000-rep simulate process: 40.2 MB at N = 365,
+# n = 112, and 40.3 MB at N = 256, n = 250, where sizing by the index
+# matrix alone (512 streams) peaked at 41.6 MB.
 _BLOCK_BYTES = 256 * 1024
 # The streams srswor drew last: ((pop_size, n, seed mod 2^64), first stream
 # mod 2^64, read-only (count, n) sorted samples), or None.  Every row is a
@@ -292,20 +296,29 @@ def _draw_one(pop_size: int, n: int, start: int) -> np.ndarray:
 
 def _draw_block(pop_size: int, n: int, start: int, count: int) -> np.ndarray:
     """The sorted samples of the streams whose states are _mix64(start + r)
-    for r = 0, ..., count - 1 (mod 2^64), one per row of a (count, n)
-    array, drawn in lockstep: swap i exchanges column i of a
-    (count, pop_size) index matrix with each row's target."""
+    for r = 0, ..., count - 1 (mod 2^64), one per row of a (count, n) int64
+    array, drawn in lockstep on a (pop_size, count) uint16 index matrix
+    whose column r is stream r's index list: swap i exchanges row i, a
+    contiguous view, with the element at each stream's target, addressed
+    by its flat offset target * count + r.  Row i is final after swap i,
+    so rows 0, ..., n - 1, transposed and sorted per stream, are the
+    samples.  srswor's block size keeps pop_size <= 2^16."""
     states = _mix64_lanes(np.arange(count, dtype=np.uint64) + np.uint64(start & _MASK64))
-    row_starts = np.arange(0, count * pop_size, pop_size)
-    targets = _below_run(states, pop_size, n).astype(np.int64)
-    targets += row_starts[:, None]
-    flat = np.tile(np.arange(pop_size, dtype=np.int64), count)
-    for i, at_j in enumerate(targets.T.copy()):
-        at_i = row_starts + i
+    # Targets are below 2^16, so their uint64 bits read as int64 offsets.
+    at = np.ascontiguousarray(_below_run(states, pop_size, n).T).view(np.int64)
+    at *= count
+    at += np.arange(count)
+    idx = np.empty((pop_size, count), dtype=np.uint16)
+    idx[:] = np.arange(pop_size, dtype=np.uint16)[:, None]
+    flat = idx.reshape(-1)
+    for i, at_j in enumerate(at):
+        row = idx[i]
         held = flat[at_j]
-        flat[at_j] = flat[at_i]
-        flat[at_i] = held
-    return np.sort(flat.reshape(count, pop_size)[:, :n], axis=1)
+        flat[at_j] = row
+        row[:] = held
+    rows = np.ascontiguousarray(idx[:n].T)
+    rows.sort(axis=1)
+    return rows.astype(np.int64)
 
 
 def srswor(pop_size: int, n: int, seed: int, stream: int = 0) -> np.ndarray:
@@ -320,7 +333,8 @@ def srswor(pop_size: int, n: int, seed: int, stream: int = 0) -> np.ndarray:
     and its n swap targets come as one array from _below_run.  A call for
     the stream right after the last run of streams drawn for the same
     (pop_size, n, seed) reads ahead: it draws the next block of streams at
-    once, as many as fill _BLOCK_BYTES of index matrix (at least 2), and
+    once, as many as keep both the uint16 index matrix and the uint64 swap
+    targets within _BLOCK_BYTES (at least 2, so pop_size <= 65 536), and
     the following calls return copies of its rows.  Any other call draws
     its one stream with the swaps run on an index list.  A simulation,
     which asks for streams 0, 1, 2, ... in turn, thus draws nearly all of
@@ -341,7 +355,7 @@ def srswor(pop_size: int, n: int, seed: int, stream: int = 0) -> np.ndarray:
         if k < len(rows):
             return rows[k].copy()
         if k == len(rows):
-            count = _BLOCK_BYTES // (8 * pop_size)
+            count = _BLOCK_BYTES // max(2 * pop_size, 8 * n)
     start = _mix64(seed & _MASK64) + stream
     rows = _draw_block(pop_size, n, start, count) if count > 1 else _draw_one(pop_size, n, start)
     rows.flags.writeable = False

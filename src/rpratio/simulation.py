@@ -96,8 +96,10 @@ class RankingTable:
     """How often each closeness ordering (best first) occurred.
 
     Orders are tuples of estimator labels; ties in |estimate - Ybar| keep
-    the configured estimator order.  Replications where any estimator was
-    singular are excluded and counted instead."""
+    the configured estimator order.  The keys come in lexicographic order
+    of the orders read as estimator positions in the configuration.
+    Replications where any estimator was singular are excluded and
+    counted instead."""
 
     counts: dict[tuple[str, ...], int]
     excluded_draws: int
@@ -146,10 +148,12 @@ def _shape(devs: np.ndarray) -> tuple[float | None, float | None]:
     return m3 / m2**1.5, m4 / (m2 * m2)
 
 
-def _require_double(label: str, *values: float | None) -> None:
+def _require_double(label: str, *values: float | None, zero_mse: bool = False) -> None:
     """Raise InvalidInputError naming estimator label when one of the values
     (None skipped) is beyond double precision: not finite, or nonzero but
-    below the smallest normal double, where fewer than 53 bits remain."""
+    below the smallest normal double, where fewer than 53 bits remain.
+    zero_mse says that an MSE of 0.0 came from nonzero deviations, whose
+    squares all underflowed, and raises the same underflow error."""
     for v in values:
         if v is None:
             continue
@@ -158,9 +162,12 @@ def _require_double(label: str, *values: float | None) -> None:
                 f"estimator {label}: its estimates or their moments overflow double precision"
             )
         if 0.0 < abs(v) < sys.float_info.min:
-            raise InvalidInputError(
-                f"estimator {label}: the moments of its deviations underflow double precision"
-            )
+            zero_mse = True
+            break
+    if zero_mse:
+        raise InvalidInputError(
+            f"estimator {label}: the moments of its deviations underflow double precision"
+        )
 
 
 def run_simulation(pop: Population, cfg: SimConfig) -> SimResult:
@@ -173,7 +180,8 @@ def run_simulation(pop: Population, cfg: SimConfig) -> SimResult:
     efficiency baseline, whether or not it appears in cfg.estimators.
     Raises InvalidInputError naming an estimator whose non-singular
     estimates, or the moments of their deviations, overflow a double, or
-    whose moments underflow one.
+    whose moments underflow one, an MSE of 0.0 from nonzero deviations
+    included.
     """
     started = time.perf_counter()
     N = pop.size
@@ -222,7 +230,7 @@ def run_simulation(pop: Population, cfg: SimConfig) -> SimResult:
             mse = float(np.mean(devs * devs))
             skew, kurt = _shape(devs - devs.mean())
         re = base_mse / mse if mse > 0.0 else None
-        _require_double(label, mse, re, skew, kurt)
+        _require_double(label, mse, re, skew, kurt, zero_mse=mse == 0.0 and devs.any())
         coverage = float(np.mean(np.abs(devs) <= half_width))
         neg = float(np.mean(vals < true_mean - half_width))
         pos = float(np.mean(vals > true_mean + half_width))
@@ -233,11 +241,10 @@ def run_simulation(pop: Population, cfg: SimConfig) -> SimResult:
 
     clean = ~singular.any(axis=1)
     order = np.argsort(np.abs(est - true_mean), axis=1, kind="stable")
-    orders, counts = np.unique(order[clean], axis=0, return_counts=True)
     ranking = RankingTable(
         counts={
             tuple(labels[j] for j in row): count
-            for row, count in zip(orders.tolist(), counts.tolist())
+            for row, count in _count_rows(order[clean]).items()
         },
         excluded_draws=reps - int(clean.sum()),
     )
@@ -256,6 +263,20 @@ def run_simulation(pop: Population, cfg: SimConfig) -> SimResult:
     return SimResult(
         tuple(reports), ranking, meta, time.perf_counter() - started, est, singular
     )
+
+
+def _count_rows(rows: np.ndarray) -> dict[tuple[int, ...], int]:
+    """How often each distinct row of a 2-D int array occurs, keyed by the
+    row as a tuple and in lexicographic order of the rows, as
+    np.unique(rows, axis=0, return_counts=True) gives them: the rows are
+    sorted by one lexsort, and each run of equal rows starts where a
+    sorted row differs from the one before it."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    starts = np.ones(len(rows), dtype=bool)
+    np.any(rows[1:] != rows[:-1], axis=1, out=starts[1:])
+    starts = np.flatnonzero(starts)
+    counts = np.diff(starts, append=len(rows))
+    return dict(zip(map(tuple, rows[starts].tolist()), counts.tolist()))
 
 
 def write_estimates_csv(path, result: SimResult) -> None:
@@ -330,5 +351,8 @@ def exhaustive_oracle(pop: Population, n: int, spec: EstimatorSpec) -> ExactMome
     except (OverflowError, ValueError):  # a sum or square overflowed, or inf - inf
         expectation = mse = math.nan
     bias = expectation - Ybar
-    _require_double(estimator_token(spec), expectation, bias, mse)
+    _require_double(
+        estimator_token(spec), expectation, bias, mse,
+        zero_mse=mse == 0.0 and any(v != Ybar for v in values),
+    )
     return ExactMoments(expectation=expectation, bias=bias, mse=mse)

@@ -623,6 +623,22 @@ class TestSimulate:
         assert len(captured.err.splitlines()) == 1
         assert not out.exists()
 
+    def test_mse_underflowing_to_zero_exits_2_naming_the_estimator(self, tmp_path, capsys):
+        # The ratio estimator's deviations square to exactly 0.0.
+        pop = tmp_path / "tiny.csv"
+        pop.write_text("y,x\n" + "".join(f"{k * 1e-160!r},{k}\n" for k in range(1, 11)))
+        out = tmp_path / "r.json"
+        rc = main([
+            "simulate", "--population", str(pop), "--reps", "20", "--n", "3",
+            "--seed", "1", "--estimators", "ratio", "--out", str(out),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: estimator ratio: ")
+        assert "underflow" in captured.err
+        assert len(captured.err.splitlines()) == 1
+        assert not out.exists()
+
     def test_tiny_deviations_simulate(self, small_pop_csv, tmp_path, capsys):
         # The population's y scaled by 2^-332: the fourth powers of the
         # deviations underflow, the reported moments do not.

@@ -1,5 +1,6 @@
 """Normal quantile, sample-size planning, intervals, and the index PRNG."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -382,8 +383,10 @@ def draws(monkeypatch):
     return counts
 
 
-def _block_size(pop_size):
-    return sampling._BLOCK_BYTES // (8 * pop_size)
+def _block_size(pop_size, n):
+    # The larger of the uint16 index matrix and the uint64 swap targets
+    # fills 256 KiB.
+    return sampling._BLOCK_BYTES // max(2 * pop_size, 8 * n)
 
 
 class TestReadAhead:
@@ -392,17 +395,17 @@ class TestReadAhead:
 
     @staticmethod
     def _check(pop_size, n, keys):
-        for seed, stream in keys:
-            np.testing.assert_array_equal(
-                srswor(pop_size, n, seed, stream), _reference_srswor(pop_size, n, seed, stream)
-            )
+        # srswor is called in the order of keys; all rows are compared at once.
+        got = [srswor(pop_size, n, seed, stream) for seed, stream in keys]
+        want = [_reference_srswor(pop_size, n, seed, stream) for seed, stream in keys]
+        np.testing.assert_array_equal(np.array(got), np.array(want))
 
     @pytest.mark.parametrize("first", [0, 5, 2**64 - 100, 2**65 - 50, -300, -40])
     def test_consecutive_runs_cross_block_edges(self, draws, first):
         # Offsets past 2^64 wrap modulo 2^64; negative streams cross zero.
-        count = 3 * _block_size(365) + 7
+        count = 2 * _block_size(365, 112) + 7
         self._check(365, 112, [(1234, first + r) for r in range(count)])
-        assert draws == {"cold": 1, "blocks": 4}
+        assert draws == {"cold": 1, "blocks": 3}
 
     def test_descending_order_draws_no_block(self, draws):
         self._check(365, 8, [(7, s) for s in range(150, -50, -1)])
@@ -417,24 +420,25 @@ class TestReadAhead:
 
     def test_two_seeds_interleaved(self, draws):
         keys = [(seed, r) for r in range(100) for seed in (1, 2)]
-        keys += [(2, r) for r in range(100, 300)] + [(1, r) for r in range(100, 300)]
+        keys += [(2, r) for r in range(100, 500)] + [(1, r) for r in range(100, 500)]
         self._check(365, 112, keys)
         # Switching seeds makes every interleaved call cold.  The last one
         # drew seed 2's stream 99, so its run continues at once; seed 1's
-        # run starts cold.  200 and 199 streams then take 3 blocks each.
-        assert draws == {"cold": 201, "blocks": 6}
+        # run starts cold.  400 and 399 streams then take 2 blocks each.
+        assert draws == {"cold": 201, "blocks": 4}
 
-    @pytest.mark.parametrize("pop_size, blocks", [(16384, 2), (16385, 0)])
+    @pytest.mark.parametrize("pop_size, blocks", [(65536, 2), (65537, 0)])
     def test_block_cap(self, draws, pop_size, blocks):
-        # 256 KiB of index matrix holds two streams at N = 16384 and one at
-        # N = 16385, where no block is drawn.
-        assert _block_size(pop_size) == (2 if blocks else 1)
+        # 256 KiB of uint16 index matrix holds two streams at N = 65536,
+        # whose largest index is the largest uint16, and one at N = 65537,
+        # where no block is drawn.
+        assert _block_size(pop_size, 3) == (2 if blocks else 1)
         self._check(pop_size, 3, [(9, s) for s in range(5)])
         assert draws == {"cold": 5 - 2 * blocks, "blocks": blocks}
 
     @pytest.mark.parametrize("pop_size, n", [(50, 50), (365, 365), (365, 1), (2, 1), (2, 2)])
     def test_edge_sizes(self, draws, pop_size, n):
-        self._check(pop_size, n, [(11, s) for s in range(-3, _block_size(pop_size) + 2)])
+        self._check(pop_size, n, [(11, s) for s in range(-3, _block_size(pop_size, n) + 2)])
         assert draws == {"cold": 1, "blocks": 2}
 
     def test_returned_samples_are_copies(self, draws):
@@ -447,7 +451,51 @@ class TestReadAhead:
     def test_consecutive_calls_draw_in_blocks(self, draws):
         for stream in range(10_000):
             srswor(365, 112, 1234, stream)
-        assert draws == {"cold": 1, "blocks": math.ceil(9_999 / 89)}
+        assert _block_size(365, 112) == 292
+        assert draws == {"cold": 1, "blocks": math.ceil(9_999 / 292)}
+
+    def test_near_census_crosses_block_edges(self, draws):
+        # At n close to N the swap targets, not the index matrix, size the
+        # block: 131 streams at N = 256, n = 250.
+        assert _block_size(256, 250) == 131
+        self._check(256, 250, [(5, s) for s in range(-2, 2 * 131 + 3)])
+        assert draws == {"cold": 1, "blocks": 3}
+
+    @pytest.mark.parametrize(
+        "pop_size, n",
+        [(365, 112), (365, 8), (256, 250), (365, 365), (2, 1), (65536, 3), (4096, 4096)],
+    )
+    def test_block_arrays_fit_the_budget(self, draws, monkeypatch, pop_size, n):
+        # The index matrix holds count * pop_size uint16 and the swap
+        # targets count * n uint64; each fits in _BLOCK_BYTES, and the whole
+        # draw, temporaries included, stays within four times that.
+        count = _block_size(pop_size, n)
+        assert count >= 2
+        assert count * pop_size * np.dtype(np.uint16).itemsize <= sampling._BLOCK_BYTES
+        _swap_plan(pop_size, n)  # cached O(n) state, not part of a block
+        tracemalloc.start()
+        try:
+            rows = sampling._draw_block(pop_size, n, 77, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * sampling._BLOCK_BYTES
+        assert rows.shape == (count, n) and rows.dtype == np.int64
+        below_run, targets = sampling._below_run, []
+
+        def spy(*args):
+            out = below_run(*args)
+            targets.append((out.shape, out.nbytes))
+            return out
+
+        monkeypatch.setattr(sampling, "_below_run", spy)
+        sampling._draw_block(pop_size, n, 77, count)
+        ((shape, nbytes),) = targets
+        assert shape == (count, n) and nbytes <= sampling._BLOCK_BYTES
+        # srswor's samples are int64 from a cold draw and from a block.
+        before = dict(draws)
+        assert [srswor(pop_size, n, 77, s).dtype for s in (0, 1)] == [np.int64] * 2
+        assert draws == {"cold": before["cold"] + 1, "blocks": before["blocks"] + 1}
 
 
 class TestBelowRun:

@@ -284,6 +284,27 @@ class TestReports:
             with pytest.raises(InvalidInputError, match="^estimator mean: .*underflow"):
                 run_simulation(pop, cfg)
 
+    def test_mse_underflowing_to_zero_raises_naming_the_estimator(self):
+        # The ratio estimates deviate from Ybar by about 1e-176; their
+        # squares underflow to exactly 0.0, so the MSE reads 0.0.
+        k = np.arange(1.0, 11.0)
+        pop = Population(y=k * 1e-160, x=k)
+        cfg = SimConfig(reps=20, n=3, seed=1, estimators=(Ratio(),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="^estimator ratio: .*underflow"):
+                run_simulation(pop, cfg)
+            with pytest.raises(InvalidInputError, match="^estimator ratio: .*underflow"):
+                exhaustive_oracle(pop, 3, Ratio())
+
+    def test_zero_deviations_keep_a_zero_mse(self):
+        # A constant y: every sample mean is Ybar exactly, so an MSE of 0.0
+        # is exact and no error is raised.
+        pop = Population(y=np.full(10, 0.5), x=np.arange(1.0, 11.0))
+        res = run_simulation(pop, SimConfig(reps=20, n=3, seed=1, estimators=(SampleMean(),)))
+        assert res.reports[0].mse_empirical == 0.0
+        assert exhaustive_oracle(pop, 3, SampleMean()).mse == 0.0
+
     def test_single_replication(self, tiny_pop):
         res = run_simulation(tiny_pop, SimConfig(reps=1, n=2, seed=0))
         assert sum(res.ranking.counts.values()) == 1
@@ -388,6 +409,36 @@ class TestDump:
         assert res.ranking.counts == dict(want)
         assert all(type(count) is int for count in res.ranking.counts.values())
         assert res.ranking.excluded_draws == 600 - sum(want.values()) > 0
+
+
+class TestCountRows:
+    """The ranking tally against np.unique(rows, axis=0, return_counts=True)
+    as the reference."""
+
+    @staticmethod
+    def _unique_table(rows):
+        keys, counts = np.unique(rows, axis=0, return_counts=True)
+        return dict(zip(map(tuple, keys.tolist()), counts.tolist()))
+
+    @pytest.mark.parametrize("k", [1, 2, 9, 12])
+    @pytest.mark.parametrize("reps", [0, 1, 500])
+    def test_matches_unique(self, k, reps):
+        # Rounded scores tie often, and a stable argsort breaks ties by
+        # column; resampling the orders with replacement repeats some.
+        # reps = 0 is a run in which every replication was excluded.
+        rng = np.random.default_rng(k * 1000 + reps)
+        scores = np.round(rng.normal(size=(reps, k)) * rng.uniform(0.2, 2.0, size=k), 1)
+        rows = np.argsort(np.abs(scores), axis=1, kind="stable")
+        rows = rows[rng.integers(0, reps, size=reps)] if reps else rows
+        got = simulation._count_rows(rows)
+        want = self._unique_table(rows)
+        assert got == want
+        assert list(got) == list(want) == sorted(got)
+        assert all(type(c) is int for c in got.values())
+        assert all(type(j) is int for key in got for j in key)
+        assert sum(got.values()) == reps
+        if reps == 500 and k > 1:
+            assert max(got.values()) > 1 and len(got) > 1
 
 
 class TestEstimateMatrix:
