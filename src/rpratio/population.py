@@ -262,21 +262,47 @@ def load_population_csv(path) -> Population:
     return Population(y=np.array(ys), x=np.array(xs))
 
 
-def _column_text(column: np.ndarray, fmt) -> list[str]:
-    """fmt applied to each distinct value of a float column once, keyed by
-    bit pattern so that -0.0 keeps its own text."""
-    distinct, index = np.unique(column.view(np.uint64), return_inverse=True)
-    text = np.array(list(map(fmt, distinct.view(np.float64).tolist())), dtype=object)
-    return text[index].tolist()
+def _column_codes(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a float column, keyed by bit pattern so that
+    -0.0 keeps its own text, and each cell's index among them.  Runs of
+    equal cells are collapsed before the values are sorted."""
+    bits = column.view(np.uint64)
+    starts = np.ones(len(bits), dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+    runs = bits[starts]
+    distinct, index = np.unique(runs, return_inverse=True)
+    if len(runs) < len(bits):  # spread each run's index over its cells
+        index = index[np.cumsum(starts) - 1]
+    return distinct.view(np.float64), index
 
 
 def format_csv_rows(table: np.ndarray, formats) -> str:
     """The CSV lines of a float table, each ending in a newline: cell (i, j)
-    is formats[j](table[i, j]).  With repr as the format, every finite
-    cell reads back under load_population_csv's grammar to the same value.
+    is formats[j](table[i, j]).  A table of no rows gives "".  With repr as
+    the format, every finite cell reads back under load_population_csv's
+    grammar to the same value.
+
+    Each column's format runs once per distinct value, and its texts carry
+    the separators around them: the newline after the last column, and
+    each "," on the side of the neighbouring column with fewer distinct
+    values, so that it is attached to fewer texts.  The block is one join
+    over the row-major cell matrix.
     """
-    columns = [_column_text(table[:, j], fmt) for j, fmt in enumerate(formats)]
-    return "\n".join(map(",".join, zip(*columns))) + "\n"
+    k = len(formats)
+    columns = [_column_codes(table[:, j]) for j in range(k)]
+    heads, tails = [""] * k, [","] * (k - 1) + ["\n"]
+    for j in range(k - 1):
+        if len(columns[j + 1][0]) < len(columns[j][0]):
+            heads[j + 1], tails[j] = ",", ""
+    cells = np.empty((len(table), k), dtype=object)
+    for j, (fmt, (distinct, index)) in enumerate(zip(formats, columns)):
+        text = np.array(list(map(fmt, distinct.tolist())), dtype=object)
+        if heads[j]:
+            text = heads[j] + text
+        if tails[j]:
+            text = text + tails[j]
+        cells[:, j] = text[index]
+    return "".join(cells.ravel().tolist())
 
 
 def make_design(n: int, N: int) -> SamplingDesign:

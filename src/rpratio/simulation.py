@@ -39,9 +39,9 @@ _ENUMERATION_BUDGET = 1_000_000
 _GATHER_BYTES = 256 * 1024
 # Most rows one dump chunk formats.  A chunk's table and cell strings are
 # what the dump adds to peak RSS.  For 20 000 replications of nine
-# estimators (180 000 rows) the process peaked at 91.4 MB with all rows in
-# one chunk and 49.4 MB with 2^15-row chunks; 4096 rows keep it at the
-# 42.8 MB of a per-row writer.
+# estimators (180 000 rows) the process peaked at 91.0 MB with all rows in
+# one chunk and 50.7 MB with 2^15-row chunks; 4096 rows keep it at the
+# 45.7 MB that run_simulation reaches without a dump.
 _DUMP_CHUNK_ROWS = 4096
 # Most replications one run holds estimates for; the benchmark runs 20 000.
 _REPS_BUDGET = 10_000_000
@@ -232,8 +232,8 @@ def run_simulation(pop: Population, cfg: SimConfig) -> SimResult:
         re = base_mse / mse if mse > 0.0 else None
         _require_double(label, mse, re, skew, kurt, zero_mse=mse == 0.0 and devs.any())
         coverage = float(np.mean(np.abs(devs) <= half_width))
-        neg = float(np.mean(vals < true_mean - half_width))
-        pos = float(np.mean(vals > true_mean + half_width))
+        neg = float(np.mean(devs < -half_width))
+        pos = float(np.mean(devs > half_width))
         q1, med, q3 = quartiles(vals)
         reports.append(EstimatorReport(
             label, coverage, neg, pos, q1, med, q3, mse, re, skew, kurt, n_singular

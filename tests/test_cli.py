@@ -639,6 +639,21 @@ class TestSimulate:
         assert len(captured.err.splitlines()) == 1
         assert not out.exists()
 
+    def test_constant_y_rates_still_partition(self, tmp_path, capsys):
+        pop = tmp_path / "flat.csv"
+        pop.write_text("y,x\n" + "".join(f"0.3,{k}\n" for k in range(1, 11)))
+        out = tmp_path / "r.json"
+        rc = main([
+            "simulate", "--population", str(pop), "--reps", "20", "--n", "3",
+            "--seed", "1", "--estimators", "mean,ratio,product,aoe:0.5",
+            "--out", str(out),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        for rep in json.loads(out.read_text())["estimators"]:
+            rates = rep["coverage"] + rep["neg_bias_rate"] + rep["pos_bias_rate"]
+            assert rates == 1.0, rep["label"]
+
     def test_tiny_deviations_simulate(self, small_pop_csv, tmp_path, capsys):
         # The population's y scaled by 2^-332: the fourth powers of the
         # deviations underflow, the reported moments do not.

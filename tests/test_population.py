@@ -16,6 +16,7 @@ from rpratio.errors import (
 from rpratio.population import (
     Population,
     SummaryStats,
+    format_csv_rows,
     load_population_csv,
     make_design,
     summarize,
@@ -375,3 +376,90 @@ class TestLoadCsv:
         stx = summarize(load_population_csv(path))
         assert stx.r == 1.0
         assert math.isclose(stx.c, 1.0, rel_tol=1e-12)
+
+
+LABELS = ["mean", "ratio", '"rpr:0.5,0.5"']
+SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf]
+
+
+def _int_text(value: float) -> str:
+    return str(int(value))
+
+
+def _label_text(value: float) -> str:
+    return LABELS[int(value)]
+
+
+def naive_csv_rows(table: np.ndarray, formats) -> str:
+    return "".join(
+        ",".join(f(v) for f, v in zip(formats, row)) + "\n" for row in table.tolist()
+    )
+
+
+@st.composite
+def csv_tables(draw):
+    """A float table and its formats: each column repeats a small pool of
+    values in runs, in cycles or in any order."""
+    rows = draw(st.integers(1, 40))
+    columns, formats = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        fmt = draw(st.sampled_from([repr, _int_text, _label_text]))
+        if fmt is repr:
+            pool = draw(st.lists(st.sampled_from(SPECIAL) | st.floats(), min_size=1, max_size=6))
+        else:
+            pool = [float(i) for i in range(len(LABELS))]
+        pool = np.array(pool)
+        pattern = draw(st.sampled_from(["runs", "cycles", "any"]))
+        if pattern == "runs":
+            column = np.repeat(pool, -(-rows // len(pool)))[:rows]
+        elif pattern == "cycles":
+            column = np.resize(pool, rows)
+        else:
+            picks = st.lists(st.integers(0, len(pool) - 1), min_size=rows, max_size=rows)
+            column = pool[draw(picks)]
+        columns.append(column)
+        formats.append(fmt)
+    return np.column_stack(columns), formats
+
+
+class TestFormatCsvRows:
+    @given(csv_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_row_join(self, table_formats):
+        table, formats = table_formats
+        assert format_csv_rows(table, formats) == naive_csv_rows(table, formats)
+
+    def test_negative_zero_keeps_its_text_next_to_zero_and_non_finite_cells(self):
+        column = [0.0, -0.0, -0.0, 0.0, math.nan, math.inf, -math.inf, math.nan, -0.0]
+        table = np.column_stack([column, column[::-1]])
+        assert format_csv_rows(table, [repr, repr]) == (
+            "0.0,-0.0\n-0.0,nan\n-0.0,-inf\n0.0,inf\nnan,nan\n"
+            "inf,0.0\n-inf,-0.0\nnan,-0.0\n-0.0,0.0\n"
+        )
+
+    def test_single_row(self):
+        table = np.array([[1.5, 2.0, -0.0]])
+        assert format_csv_rows(table, [repr, _int_text, repr]) == "1.5,2,-0.0\n"
+
+    def test_single_column(self):
+        table = np.array([[0.25], [0.25], [-1e300], [0.25]])
+        assert format_csv_rows(table, [repr]) == "0.25\n0.25\n-1e+300\n0.25\n"
+
+    def test_repr_int_and_label_formats(self):
+        # The layout of the estimate dump: rep, estimator, estimate, covered.
+        table = np.array([
+            [0.0, 0.0, 0.5, 1.0],
+            [0.0, 1.0, math.nan, 0.0],
+            [0.0, 2.0, 0.1 + 0.2, 1.0],
+            [1.0, 0.0, 0.5, 1.0],
+        ])
+        formats = [_int_text, _label_text, repr, _int_text]
+        assert format_csv_rows(table, formats) == (
+            "0,mean,0.5,1\n"
+            "0,ratio,nan,0\n"
+            '0,"rpr:0.5,0.5",0.30000000000000004,1\n'
+            "1,mean,0.5,1\n"
+        )
+
+    def test_no_rows_give_no_text(self):
+        assert format_csv_rows(np.empty((0, 3)), [repr, repr, repr]) == ""

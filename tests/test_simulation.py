@@ -225,6 +225,17 @@ class TestReports:
         assert rep.skewness is None and rep.kurtosis is None
         assert rep.q1 == rep.median == rep.q3 == 2.0
 
+    def test_constant_y_rates_still_partition(self):
+        # The true mean of ten 0.3s rounds to 0.29999999999999993, so the
+        # half width is rounding noise (about 5e-17) and every estimate 0.3
+        # lies above the interval, although 0.3 > true_mean + half_width is
+        # false: that sum rounds to 0.3.
+        pop = Population(y=np.full(10, 0.3), x=np.arange(1.0, 11.0))
+        res = run_simulation(pop, SimConfig(reps=20, n=3, seed=1))
+        for rep in res.reports:
+            assert rep.coverage + rep.neg_bias_rate + rep.pos_bias_rate == 1.0, rep.label
+        assert res.reports[0].pos_bias_rate == 1.0
+
     def test_singular_draws_counted_not_crashed(self):
         pop = Population(y=[1.0, 2.0, 3.0, 4.0, 5.0], x=[-1.0, -1.0, 1.0, 1.0, 1.0])
         cfg = SimConfig(reps=2000, n=2, seed=21, estimators=(SampleMean(), Ratio()))
