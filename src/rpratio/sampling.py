@@ -6,18 +6,19 @@ statistics library.  Index draws come from a small counter-style generator
 with explicit (seed, stream) keying: replication r of a simulation uses
 stream r, which makes every draw a pure function of its key and therefore
 reproducible bit for bit on any platform or thread schedule.  srswor keys
-the stream states directly and computes the swap targets of one stream, or
-of a block of streams, as one array against a cached, read-only per-(N, n)
-plan of length n.  A stream in which some output may be rejected is drawn
-by SplitMix64.below itself.  A call that continues the last run of
-streams reads ahead: it draws the next block of streams in lockstep, on a
-narrow index matrix with one column per stream, and keeps the samples
-for the calls that follow, so consecutive streams cost a
-fraction of a lone one, and each call still returns one stream's draw.
+the stream states directly and computes the swap targets of a block of
+streams as one array against a cached, read-only per-(N, n) plan of
+length n.  A stream in which some output may be rejected is drawn by
+SplitMix64.below itself.  A call for a stream outside the block drawn
+last draws the block that starts at it, in lockstep on an index matrix
+as narrow as N allows, and keeps the samples for the calls that follow,
+so consecutive streams cost a fraction of a lone one, and each call
+still returns one stream's draw.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -175,6 +176,15 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _keys(seed, stream) -> tuple[int, int]:
+    """seed and stream, integers or numpy integers, reduced mod 2^64."""
+    try:
+        return operator.index(seed) & _MASK64, operator.index(stream) & _MASK64
+    except TypeError:
+        name, value = ("stream", stream) if hasattr(seed, "__index__") else ("seed", seed)
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
+
+
 class SplitMix64:
     """SplitMix64 keyed by (seed, stream).
 
@@ -184,7 +194,8 @@ class SplitMix64:
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        self._state = _mix64(_mix64(seed & _MASK64) + (stream & _MASK64))
+        seed, stream = _keys(seed, stream)
+        self._state = _mix64(_mix64(seed) + stream)
 
     def next64(self) -> int:
         self._state = (self._state + _GOLDEN) & _MASK64
@@ -205,12 +216,12 @@ _GOLDEN_U64 = np.uint64(_GOLDEN)
 _S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 _M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 # Most bytes of either large array of one read-ahead block: the
-# (pop_size, count) uint16 index matrix and the (count, n) uint64 swap
-# targets, so count = _BLOCK_BYTES // max(2 * pop_size, 8 * n): 292
-# streams at N = 365, n = 112 and 359 at n = 8.  No block is drawn below 2
-# streams, which also keeps N <= 65 536, so every index fits in uint16.
+# (pop_size, count) index matrix, of the narrowest unsigned type that
+# holds pop_size - 1, and the (count, n) uint64 swap targets, so count =
+# max(1, _BLOCK_BYTES // max(itemsize * pop_size, 8 * n)): 292 streams at
+# N = 365, n = 112, 359 at n = 8, and 1 at every N > 65 536.
 # Peak RSS of one 10 000-rep simulate process: 40.2 MB at N = 365,
-# n = 112, and 40.3 MB at N = 256, n = 250, where sizing by the index
+# n = 112, and 40.3 MB at N = 256, n = 250, where sizing by a uint16 index
 # matrix alone (512 streams) peaked at 41.6 MB.
 _BLOCK_BYTES = 256 * 1024
 # The streams srswor drew last: ((pop_size, n, seed mod 2^64), first stream
@@ -280,36 +291,23 @@ def _below_run(states: np.ndarray, pop_size: int, n: int) -> np.ndarray:
     return u
 
 
-def _draw_one(pop_size: int, n: int, start: int) -> np.ndarray:
-    """The sorted sample of the stream whose state is _mix64(start), as a
-    (1, n) array.  Its swaps run one by one on an index list: at N = 365
-    and n = 112 that takes a quarter of the time of n column swaps on a
-    one-row index matrix."""
-    idx = list(range(pop_size))
-    states = np.array([_mix64(start)], dtype=np.uint64)
-    for i, j in enumerate(_below_run(states, pop_size, n)[0].tolist()):
-        idx[i], idx[j] = idx[j], idx[i]
-    sample = np.fromiter(idx[:n], dtype=np.int64, count=n)
-    sample.sort()
-    return sample[None]
-
-
 def _draw_block(pop_size: int, n: int, start: int, count: int) -> np.ndarray:
     """The sorted samples of the streams whose states are _mix64(start + r)
     for r = 0, ..., count - 1 (mod 2^64), one per row of a (count, n) int64
-    array, drawn in lockstep on a (pop_size, count) uint16 index matrix
-    whose column r is stream r's index list: swap i exchanges row i, a
-    contiguous view, with the element at each stream's target, addressed
-    by its flat offset target * count + r.  Row i is final after swap i,
-    so rows 0, ..., n - 1, transposed and sorted per stream, are the
-    samples.  srswor's block size keeps pop_size <= 2^16."""
+    array, drawn in lockstep on a (pop_size, count) index matrix of the
+    narrowest unsigned type that holds pop_size - 1, whose column r is
+    stream r's index list: swap i exchanges row i, a contiguous view, with
+    the element at each stream's target, addressed by its flat offset
+    target * count + r.  Row i is final after swap i, so rows 0, ...,
+    n - 1, transposed and sorted per stream, are the samples."""
     states = _mix64_lanes(np.arange(count, dtype=np.uint64) + np.uint64(start & _MASK64))
-    # Targets are below 2^16, so their uint64 bits read as int64 offsets.
+    # Targets are below pop_size, so their uint64 bits read as int64 offsets.
     at = np.ascontiguousarray(_below_run(states, pop_size, n).T).view(np.int64)
     at *= count
     at += np.arange(count)
-    idx = np.empty((pop_size, count), dtype=np.uint16)
-    idx[:] = np.arange(pop_size, dtype=np.uint16)[:, None]
+    dtype = np.min_scalar_type(pop_size - 1)
+    idx = np.empty((pop_size, count), dtype=dtype)
+    idx[:] = np.arange(pop_size, dtype=dtype)[:, None]
     flat = idx.reshape(-1)
     for i, at_j in enumerate(at):
         row = idx[i]
@@ -330,34 +328,32 @@ def srswor(pop_size: int, n: int, seed: int, stream: int = 0) -> np.ndarray:
     give identical draws.
 
     The stream's state _mix64(_mix64(seed) + stream) is computed directly
-    and its n swap targets come as one array from _below_run.  A call for
-    the stream right after the last run of streams drawn for the same
-    (pop_size, n, seed) reads ahead: it draws the next block of streams at
-    once, as many as keep both the uint16 index matrix and the uint64 swap
-    targets within _BLOCK_BYTES (at least 2, so pop_size <= 65 536), and
-    the following calls return copies of its rows.  Any other call draws
-    its one stream with the swaps run on an index list.  A simulation,
-    which asks for streams 0, 1, 2, ... in turn, thus draws nearly all of
-    them in blocks while still making one call per replication.
+    and its n swap targets come as one array from _below_run.  A call for a
+    stream outside the block of streams drawn last draws the block that
+    starts at that stream, for the same (pop_size, n, seed): as many
+    streams as keep both the index matrix and the uint64 swap targets
+    within _BLOCK_BYTES, at least one, and the following calls for its
+    streams return copies of its rows.  A simulation, which asks for
+    streams 0, 1, 2, ... in turn, thus draws them in blocks while still
+    making one call per replication.  seed and stream may be any integers,
+    numpy integers included; they are taken mod 2^64.
     """
     global _read_ahead
     pop_size = int(pop_size)
     n = int(n)
     if not 1 <= n <= pop_size:
         raise InvalidDesignError(f"need 1 <= n <= pop_size, got n={n}, pop_size={pop_size}")
-    key = (pop_size, n, seed & _MASK64)
-    stream &= _MASK64
-    count = 1
+    seed, stream = _keys(seed, stream)
+    key = (pop_size, n, seed)
     memo = _read_ahead
     if memo is not None and memo[0] == key:
         _, first, rows = memo
         k = (stream - first) & _MASK64
         if k < len(rows):
             return rows[k].copy()
-        if k == len(rows):
-            count = _BLOCK_BYTES // max(2 * pop_size, 8 * n)
-    start = _mix64(seed & _MASK64) + stream
-    rows = _draw_block(pop_size, n, start, count) if count > 1 else _draw_one(pop_size, n, start)
+    itemsize = np.min_scalar_type(pop_size - 1).itemsize
+    count = max(1, _BLOCK_BYTES // max(itemsize * pop_size, 8 * n))
+    rows = _draw_block(pop_size, n, _mix64(seed) + stream, count)
     rows.flags.writeable = False
     _read_ahead = (key, stream, rows)
     return rows[0].copy()

@@ -274,6 +274,26 @@ class TestSrswor:
         chi2 = sum((k - expected) ** 2 / expected for k in counts.values())
         assert chi2 < scipy.stats.chi2.ppf(0.9995, 19)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", [np.int32, np.int64, np.uint64])
+    def test_numpy_integer_keys(self, kind):
+        # -7 and 2^64 - 7 are the same key mod 2^64.
+        seven = kind(2**64 - 7) if kind is np.uint64 else kind(-7)
+        for seed, stream in [(kind(1), 5), (1, kind(5)), (kind(1), kind(5)), (seven, seven)]:
+            want = _reference_srswor(365, 8, int(seed), int(stream))
+            np.testing.assert_array_equal(srswor(365, 8, seed, stream), want)
+            rng, ref = SplitMix64(seed, stream), SplitMix64(int(seed), int(stream))
+            assert [rng.next64() for _ in range(3)] == [ref.next64() for _ in range(3)]
+
+    @pytest.mark.parametrize(
+        "name, key", [("seed", (1.0, 0)), ("stream", (1, 2.5)), ("stream", (1, "3"))]
+    )
+    def test_non_integer_keys_are_named(self, name, key):
+        with pytest.raises(InvalidInputError, match=name):
+            srswor(365, 8, *key)
+        with pytest.raises(InvalidInputError, match=name):
+            SplitMix64(*key)
+
     def test_marginal_inclusion_rates(self):
         reps = 60000
         hits = np.zeros(6)
@@ -327,6 +347,7 @@ class TestSrsworMatchesReference:
             (50, 7, 42, -25, 60),  # negative streams, crossing zero
             (50, 7, 2**70 + 3, 2**64 - 30, 60),  # keys wrap modulo 2^64
             (40_000, 25, 99, 3, 20),  # population past the int16 range
+            (100_000, 20, 99, 3, 8),  # past uint16: one stream per block
         ],
     )
     def test_draws_match_reference(self, pop_size, n, seed, first_stream, count):
@@ -364,82 +385,88 @@ class TestSrsworMatchesReference:
 
 @pytest.fixture
 def draws(monkeypatch):
-    """Empties srswor's read-ahead memo and counts the streams it draws
-    one at a time ("cold") and the blocks it draws in lockstep."""
-    counts = {"cold": 0, "blocks": 0}
-    draw_one, draw_block = sampling._draw_one, sampling._draw_block
+    """Empties srswor's read-ahead memo and lists the size (streams) of
+    every block it draws."""
+    blocks = []
+    draw_block = sampling._draw_block
 
-    def counted_one(*args):
-        counts["cold"] += 1
-        return draw_one(*args)
-
-    def counted_block(*args):
-        counts["blocks"] += 1
-        return draw_block(*args)
+    def counted_block(pop_size, n, start, count):
+        blocks.append(count)
+        return draw_block(pop_size, n, start, count)
 
     monkeypatch.setattr(sampling, "_read_ahead", None)
-    monkeypatch.setattr(sampling, "_draw_one", counted_one)
     monkeypatch.setattr(sampling, "_draw_block", counted_block)
-    return counts
+    return blocks
+
+
+def _itemsize(pop_size):
+    # The narrowest unsigned type that holds every index below pop_size.
+    return next(b for b in (1, 2, 4, 8) if pop_size <= 2 ** (8 * b))
 
 
 def _block_size(pop_size, n):
-    # The larger of the uint16 index matrix and the uint64 swap targets
-    # fills 256 KiB.
-    return sampling._BLOCK_BYTES // max(2 * pop_size, 8 * n)
+    # The larger of the index matrix and the uint64 swap targets fills
+    # 256 KiB, or one stream's alone is larger.
+    return max(1, sampling._BLOCK_BYTES // max(_itemsize(pop_size) * pop_size, 8 * n))
 
 
 class TestReadAhead:
-    """srswor draws the streams after a run in blocks; every access order
-    must give the reference draws, and only continuing a run draws a block."""
+    """Every call for a stream outside the block drawn last draws the block
+    that starts there; every access order must give the reference draws."""
 
     @staticmethod
     def _check(pop_size, n, keys):
         # srswor is called in the order of keys; all rows are compared at once.
-        got = [srswor(pop_size, n, seed, stream) for seed, stream in keys]
+        got = np.array([srswor(pop_size, n, seed, stream) for seed, stream in keys])
         want = [_reference_srswor(pop_size, n, seed, stream) for seed, stream in keys]
-        np.testing.assert_array_equal(np.array(got), np.array(want))
+        np.testing.assert_array_equal(got, np.array(want))
+        return got
 
     @pytest.mark.parametrize("first", [0, 5, 2**64 - 100, 2**65 - 50, -300, -40])
     def test_consecutive_runs_cross_block_edges(self, draws, first):
         # Offsets past 2^64 wrap modulo 2^64; negative streams cross zero.
         count = 2 * _block_size(365, 112) + 7
         self._check(365, 112, [(1234, first + r) for r in range(count)])
-        assert draws == {"cold": 1, "blocks": 3}
+        assert draws == [292] * 3
 
-    def test_descending_order_draws_no_block(self, draws):
+    def test_descending_order_draws_a_block_per_call(self, draws):
+        # Each stream lies before the block drawn last.
         self._check(365, 8, [(7, s) for s in range(150, -50, -1)])
-        assert draws == {"cold": 200, "blocks": 0}
+        assert draws == [359] * 200
 
-    def test_random_order_draws_no_block(self, draws):
-        # Also the guard that 200 calls in random order draw no block.
+    def test_random_order_draws_a_block_per_call(self, draws):
         streams = np.random.default_rng(3).integers(-(2**62), 2**62, size=200).tolist()
-        assert all(b != a + 1 for a, b in zip(streams, streams[1:]))
+        assert all(not 0 <= b - a < 359 for a, b in zip(streams, streams[1:]))
         self._check(365, 8, [(7, s) for s in streams])
-        assert draws == {"cold": 200, "blocks": 0}
+        assert draws == [359] * 200
 
     def test_two_seeds_interleaved(self, draws):
         keys = [(seed, r) for r in range(100) for seed in (1, 2)]
         keys += [(2, r) for r in range(100, 500)] + [(1, r) for r in range(100, 500)]
         self._check(365, 112, keys)
-        # Switching seeds makes every interleaved call cold.  The last one
-        # drew seed 2's stream 99, so its run continues at once; seed 1's
-        # run starts cold.  400 and 399 streams then take 2 blocks each.
-        assert draws == {"cold": 201, "blocks": 4}
+        # Switching seeds makes every interleaved call draw a block.  The
+        # last one drew seed 2's streams 99-390, so its run continues from
+        # there and needs one more block; seed 1's streams 100-499 take 2.
+        assert len(draws) == 200 + 1 + 2
 
-    @pytest.mark.parametrize("pop_size, blocks", [(65536, 2), (65537, 0)])
-    def test_block_cap(self, draws, pop_size, blocks):
-        # 256 KiB of uint16 index matrix holds two streams at N = 65536,
-        # whose largest index is the largest uint16, and one at N = 65537,
-        # where no block is drawn.
-        assert _block_size(pop_size, 3) == (2 if blocks else 1)
-        self._check(pop_size, 3, [(9, s) for s in range(5)])
-        assert draws == {"cold": 5 - 2 * blocks, "blocks": blocks}
+    @pytest.mark.parametrize(
+        "pop_size, n, count",
+        [(256, 64, 512), (257, 64, 510), (65536, 1024, 2), (65537, 1024, 1)],
+    )
+    def test_index_dtype_edges(self, draws, pop_size, n, count):
+        # The largest index, pop_size - 1, just fits in uint8 at 256 and in
+        # uint16 at 65 536, and needs the next type at 257 and 65 537, which
+        # doubles the bytes per index.  Seed 23 puts it in some sample.
+        streams = 8 if pop_size < 2**16 else 24
+        assert _block_size(pop_size, n) == count
+        got = self._check(pop_size, n, [(23, s) for s in range(streams)])
+        assert (got == pop_size - 1).any()
+        assert draws == [count] * math.ceil(streams / count)
 
     @pytest.mark.parametrize("pop_size, n", [(50, 50), (365, 365), (365, 1), (2, 1), (2, 2)])
     def test_edge_sizes(self, draws, pop_size, n):
         self._check(pop_size, n, [(11, s) for s in range(-3, _block_size(pop_size, n) + 2)])
-        assert draws == {"cold": 1, "blocks": 2}
+        assert draws == [_block_size(pop_size, n)] * 2
 
     def test_returned_samples_are_copies(self, draws):
         for stream in (0, 1, 2, 1, 0):
@@ -452,26 +479,33 @@ class TestReadAhead:
         for stream in range(10_000):
             srswor(365, 112, 1234, stream)
         assert _block_size(365, 112) == 292
-        assert draws == {"cold": 1, "blocks": math.ceil(9_999 / 292)}
+        assert len(draws) == math.ceil(10_000 / 292)
 
     def test_near_census_crosses_block_edges(self, draws):
         # At n close to N the swap targets, not the index matrix, size the
         # block: 131 streams at N = 256, n = 250.
         assert _block_size(256, 250) == 131
         self._check(256, 250, [(5, s) for s in range(-2, 2 * 131 + 3)])
-        assert draws == {"cold": 1, "blocks": 3}
+        assert draws == [131] * 3
 
     @pytest.mark.parametrize(
         "pop_size, n",
-        [(365, 112), (365, 8), (256, 250), (365, 365), (2, 1), (65536, 3), (4096, 4096)],
+        [
+            (365, 112), (365, 8), (256, 250), (365, 365), (2, 1), (65536, 3), (4096, 4096),
+            (100_000, 3),  # one stream's uint32 index matrix alone exceeds _BLOCK_BYTES
+        ],
     )
     def test_block_arrays_fit_the_budget(self, draws, monkeypatch, pop_size, n):
-        # The index matrix holds count * pop_size uint16 and the swap
-        # targets count * n uint64; each fits in _BLOCK_BYTES, and the whole
-        # draw, temporaries included, stays within four times that.
+        # The index matrix holds count * pop_size indices of _itemsize bytes
+        # and the swap targets count * n uint64.  Each fits in the bound:
+        # _BLOCK_BYTES, or one stream's index matrix where that alone is
+        # larger and the block holds one stream.  The whole draw,
+        # temporaries included, stays within four times the bound.
         count = _block_size(pop_size, n)
-        assert count >= 2
-        assert count * pop_size * np.dtype(np.uint16).itemsize <= sampling._BLOCK_BYTES
+        matrix = pop_size * _itemsize(pop_size)
+        bound = max(sampling._BLOCK_BYTES, matrix)
+        assert (count == 1) == (pop_size > 2**16)
+        assert count * matrix <= bound
         _swap_plan(pop_size, n)  # cached O(n) state, not part of a block
         tracemalloc.start()
         try:
@@ -479,7 +513,7 @@ class TestReadAhead:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * sampling._BLOCK_BYTES
+        assert peak <= 4 * bound
         assert rows.shape == (count, n) and rows.dtype == np.int64
         below_run, targets = sampling._below_run, []
 
@@ -492,10 +526,11 @@ class TestReadAhead:
         sampling._draw_block(pop_size, n, 77, count)
         ((shape, nbytes),) = targets
         assert shape == (count, n) and nbytes <= sampling._BLOCK_BYTES
-        # srswor's samples are int64 from a cold draw and from a block.
-        before = dict(draws)
+        # srswor's samples are int64 from a new block and from the memo,
+        # which holds stream 1 unless the block holds one stream.
+        before = len(draws)
         assert [srswor(pop_size, n, 77, s).dtype for s in (0, 1)] == [np.int64] * 2
-        assert draws == {"cold": before["cold"] + 1, "blocks": before["blocks"] + 1}
+        assert len(draws) == before + (1 if count > 1 else 2)
 
 
 class TestBelowRun:
