@@ -97,14 +97,19 @@ def _is_finite_number(value) -> bool:
         return False
 
 
-def _write_manifest(out_path: Path, command: str, seed, inputs: dict,
-                    outputs: list[str], wall_time_s: float) -> Path:
+# Parsed values a manifest records elsewhere, or that name outputs.
+_NOT_INPUTS = frozenset({"command", "func", "seed", "out", "dump_estimates"})
+
+
+def _write_manifest(out_path: Path, args, outputs: list[str], wall_time_s: float) -> Path:
+    """Write <out stem>.manifest.json: the command, its seed, every other
+    parsed value as an input, in parser order, and the outputs."""
     path = out_path.with_name(out_path.stem + ".manifest.json")
     payload = {
-        "command": command,
+        "command": args.command,
         "version": __version__,
-        "seed": seed,
-        "inputs": inputs,
+        "seed": args.seed,
+        "inputs": {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS},
         "outputs": outputs,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "wall_time_s": round(wall_time_s, 3),
@@ -328,17 +333,7 @@ def _cmd_simulate(args) -> int:
         write_estimates_csv(args.dump_estimates, result)
         outputs.append(str(args.dump_estimates))
     out.write_text(_dump_json(_report_payload(result)))
-    _write_manifest(
-        out, "simulate", args.seed,
-        inputs={
-            "population": str(args.population),
-            "reps": args.reps, "n": args.n,
-            "confidence": args.confidence,
-            "estimators": args.estimators,
-        },
-        outputs=outputs,
-        wall_time_s=time.perf_counter() - started,
-    )
+    _write_manifest(out, args, outputs, time.perf_counter() - started)
     width = max(len(rep.label) for rep in result.reports)
     sys.stdout.write(
         f"{'estimator':<{width}}  coverage  mse           re_vs_mean\n"
@@ -393,15 +388,7 @@ def _cmd_generate(args) -> int:
     out = Path(args.out)
     with open(out, "w", newline="") as fh:
         _write_csv_blocks(fh, "y,x", np.column_stack((pop.y, pop.x)), [repr, repr])
-    _write_manifest(
-        out, "generate", args.seed,
-        inputs={
-            "size": args.size, "mean_y": args.mean_y, "mean_x": args.mean_x,
-            "cv_y": args.cv_y, "cv_x": args.cv_x, "r": args.r,
-        },
-        outputs=[str(out)],
-        wall_time_s=time.perf_counter() - started,
-    )
+    _write_manifest(out, args, [str(out)], time.perf_counter() - started)
     st = summarize(pop)
     sys.stdout.write(f"{pop.size} rows written to {out} (c={st.c!r})\n")
     return 0

@@ -22,6 +22,7 @@ from .errors import (
     ParseError,
     ZeroMeanError,
 )
+from .sampling import _integer
 
 __all__ = [
     "Population",
@@ -307,8 +308,8 @@ def format_csv_rows(table: np.ndarray, formats) -> str:
 
 def make_design(n: int, N: int) -> SamplingDesign:
     """Validate and build a without-replacement design; requires 1 <= n < N."""
-    n = int(n)
-    N = int(N)
+    n = _integer(n, "n")
+    N = _integer(N, "N")
     if not 1 <= n < N:
         raise InvalidDesignError(f"need 1 <= n < N, got n={n}, N={N}")
     return SamplingDesign(n=n, N=N)

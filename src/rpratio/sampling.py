@@ -7,20 +7,20 @@ with explicit (seed, stream) keying: replication r of a simulation uses
 stream r, which makes every draw a pure function of its key and therefore
 reproducible bit for bit on any platform or thread schedule.  srswor keys
 the stream states directly and computes the swap targets of a block of
-streams as one array against a cached, read-only per-(N, n) plan of
-length n.  A stream in which some output may be rejected is drawn by
-SplitMix64.below itself.  A call for a stream outside the block drawn
+streams as one array, from length-n bounds and counter steps built afresh
+for each block.  A stream in which some output may be rejected is drawn
+by SplitMix64.below itself.  A call for a stream outside the block drawn
 last draws the block that starts at it, in lockstep on an index matrix
 as narrow as N allows, and keeps the samples for the calls that follow,
 so consecutive streams cost a fraction of a lone one, and each call
-still returns one stream's draw.
+still returns one stream's draw.  Those samples are the only state kept
+between calls.
 """
 from __future__ import annotations
 
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -119,7 +119,7 @@ def plan_sample_size(
         raise InvalidInputError(f"sigma2 must be positive, got {sigma2!r}")
     if not (math.isfinite(margin) and margin > 0.0):
         raise InvalidInputError(f"margin must be positive, got {margin!r}")
-    N = int(N)
+    N = _integer(N, "N")
     if N < 2:
         raise InvalidInputError(f"population size must be at least 2, got {N}")
     z = z_quantile(confidence)
@@ -176,12 +176,12 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _keys(seed, stream) -> tuple[int, int]:
-    """seed and stream, integers or numpy integers, reduced mod 2^64."""
+def _integer(value, name: str) -> int:
+    """value, an integer or numpy integer, as an int; anything else, a
+    float with an integral value included, raises InvalidInputError."""
     try:
-        return operator.index(seed) & _MASK64, operator.index(stream) & _MASK64
+        return operator.index(value)
     except TypeError:
-        name, value = ("stream", stream) if hasattr(seed, "__index__") else ("seed", seed)
         raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
 
 
@@ -194,8 +194,7 @@ class SplitMix64:
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        seed, stream = _keys(seed, stream)
-        self._state = _mix64(_mix64(seed) + stream)
+        self._state = _mix64(_mix64(_integer(seed, "seed")) + _integer(stream, "stream"))
 
     def next64(self) -> int:
         self._state = (self._state + _GOLDEN) & _MASK64
@@ -245,26 +244,6 @@ def _mix64_lanes(z: np.ndarray) -> np.ndarray:
     return z
 
 
-@lru_cache(maxsize=8)
-def _swap_plan(pop_size: int, n: int):
-    """Read-only uint64 arrays for _below_run, all of length n: the bounds
-    pop_size - i, the counter steps GOLDEN * (1, ..., n) and the offsets i;
-    and, as a uint64 scalar, the largest output that every bound accepts.
-
-    Output u is accepted for bound b iff u < 2^64 - 2^64 % b, that is
-    u <= ~(2^64 % b), and 2^64 % b is computed as (2^64 - b) % b.  For a
-    power of two b it is 0, so every output is accepted.  Only O(n) arrays
-    are held, never an object of size pop_size.
-    """
-    offsets = np.arange(n, dtype=np.uint64)
-    bounds = np.uint64(pop_size) - offsets
-    min_limit = (~((np.uint64(0) - bounds) % bounds)).min()
-    steps = (offsets + np.uint64(1)) * _GOLDEN_U64
-    for a in (bounds, steps, offsets):
-        a.flags.writeable = False
-    return bounds, steps, offsets, min_limit
-
-
 def _below_run(states: np.ndarray, pop_size: int, n: int) -> np.ndarray:
     """The Fisher-Yates swap targets of a uint64 array of generator states,
     as a (len(states), n) uint64 array: row r holds i +
@@ -279,8 +258,12 @@ def _below_run(states: np.ndarray, pop_size: int, n: int) -> np.ndarray:
     drawn again, one SplitMix64.below call at a time, from a generator
     placed at its state.
     """
-    bounds, steps, offsets, min_limit = _swap_plan(pop_size, n)
-    u = _mix64_lanes(np.add.outer(states, steps))
+    offsets = np.arange(n, dtype=np.uint64)
+    bounds = np.uint64(pop_size) - offsets
+    # Output u is accepted for bound b iff u <= ~(2^64 % b), with 2^64 % b
+    # = (2^64 - b) % b, which is 0 for a power of two.
+    min_limit = (~((np.uint64(0) - bounds) % bounds)).min()
+    u = _mix64_lanes(np.add.outer(states, (offsets + np.uint64(1)) * _GOLDEN_U64))
     redraw = np.flatnonzero(np.maximum.reduce(u, axis=1) > min_limit)
     u %= bounds
     u += offsets
@@ -336,14 +319,22 @@ def srswor(pop_size: int, n: int, seed: int, stream: int = 0) -> np.ndarray:
     streams return copies of its rows.  A simulation, which asks for
     streams 0, 1, 2, ... in turn, thus draws them in blocks while still
     making one call per replication.  seed and stream may be any integers,
-    numpy integers included; they are taken mod 2^64.
+    numpy integers included; they are taken mod 2^64.  pop_size and n must
+    be integers or numpy integers too: a fractional size is refused, not
+    truncated.
     """
     global _read_ahead
-    pop_size = int(pop_size)
-    n = int(n)
+    # One try around the four conversions keeps a call cheap; _integer
+    # names the argument that is not an integer.
+    try:
+        pop_size, n = operator.index(pop_size), operator.index(n)
+        seed, stream = operator.index(seed) & _MASK64, operator.index(stream) & _MASK64
+    except TypeError:
+        for name, value in [("pop_size", pop_size), ("n", n), ("seed", seed), ("stream", stream)]:
+            _integer(value, name)
+        raise
     if not 1 <= n <= pop_size:
         raise InvalidDesignError(f"need 1 <= n <= pop_size, got n={n}, pop_size={pop_size}")
-    seed, stream = _keys(seed, stream)
     key = (pop_size, n, seed)
     memo = _read_ahead
     if memo is not None and memo[0] == key:

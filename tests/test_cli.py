@@ -2,11 +2,16 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rpratio
 from rpratio import cli
 from rpratio.cli import main
 from rpratio.errors import EstimationError
@@ -409,6 +414,7 @@ class TestTheory:
                          "sd_x": 0.7, "r": 0.9}), "var_y is negative"),
             (json.dumps({"mean_y": 0.5, "mean_x": 0.6, "sd_y": 0.4, "r": 0.9}),
              "missing key 'var_x'"),
+            ('{"mean_y": 0.5,', "stats.json: Expecting property name"),
         ],
     )
     def test_malformed_stats_exit_2(self, tmp_path, capsys, content, message):
@@ -441,6 +447,18 @@ class TestTheory:
         assert rc == 2
         assert "cv_x" in captured.err and "too large" in captured.err
         assert captured.out == ""
+
+    def test_stats_with_variances_equal_stats_with_sds(self, tmp_path, capsys):
+        moments = {"mean_y": 0.5832, "mean_x": 0.6277, "r": 0.9125}
+        payloads = []
+        for name, spread in [("var", {"var_y": 0.25, "var_x": 0.49}),
+                             ("sd", {"sd_y": 0.5, "sd_x": 0.7})]:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({**moments, **spread}))
+            assert main(["theory", "--stats", str(path), "--design", "112,365"]) == 0
+            payloads.append(json.loads(capsys.readouterr().out))
+        assert payloads[0] == payloads[1]
+        assert payloads[0]["c"] == pytest.approx(0.9125 * 0.5 / 0.5832 / (0.7 / 0.6277))
 
     def test_stats_from_population_csv(self, pop_csv, capsys):
         rc = main(["theory", "--stats", str(pop_csv), "--re"])
@@ -558,6 +576,58 @@ class TestSimulate:
         mean_rep, power_rep = json.loads(out.read_text())["estimators"]
         assert mean_rep["singular_count"] == 0
         assert 0 < power_rep["singular_count"] < 200
+
+    def test_estimator_singular_on_every_draw(self, tmp_path, capsys):
+        # x / Xbar is -2 or 4 on either one-unit sample, and either raised
+        # to 1e308 overflows: the report keeps nulls, not invalid JSON.
+        pop = tmp_path / "pair.csv"
+        pop.write_text("y,x\n1,-2\n2,4\n")
+        out = tmp_path / "rep.json"
+        rc = main([
+            "simulate", "--population", str(pop), "--reps", "10", "--n", "1",
+            "--seed", "0", "--estimators", "srivastava:1e308", "--out", str(out),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        payload = json.loads(out.read_text())
+        (rep,) = payload["estimators"]
+        assert rep["singular_count"] == 10
+        assert [rep[k] for k in ("coverage", "neg_bias_rate", "pos_bias_rate")] == [0.0] * 3
+        assert [k for k, v in rep.items() if v is None] == [
+            "q1", "median", "q3", "mse_empirical", "re_vs_sample_mean", "skewness", "kurtosis",
+        ]
+        assert payload["ranking"] == {"excluded_draws": 10, "orders": []}
+        line = captured.out.splitlines()[1].split()
+        assert line == ["srivastava:1e+308", "0.0000", "n/a", "n/a"]
+
+    def test_manifest_inputs_are_the_parsed_flags(self, pop_csv, tmp_path, capsys):
+        # Every parsed value but the command, seed and output paths, in
+        # parser order.
+        out, dump = tmp_path / "rep.json", tmp_path / "est.csv"
+        assert main([
+            "simulate", "--population", str(pop_csv), "--reps", "20", "--n", "4",
+            "--seed", "9", "--estimators", "mean,aoe:0.6", "--out", str(out),
+            "--dump-estimates", str(dump),
+        ]) == 0
+        manifest = json.loads((tmp_path / "rep.manifest.json").read_text())
+        assert list(manifest["inputs"].items()) == [
+            ("population", str(pop_csv)), ("reps", 20), ("n", 4),
+            ("confidence", 0.9), ("estimators", "mean,aoe:0.6"),
+        ]
+        assert (manifest["command"], manifest["seed"]) == ("simulate", 9)
+        assert manifest["outputs"] == [str(out), str(dump)]
+        pop = tmp_path / "pop.csv"
+        assert main([
+            "generate", "--size", "30", "--mean-y", "1", "--mean-x", "2",
+            "--cv-y", "0.3", "--cv-x", "0.4", "--r", "0.5", "--seed", "6", "--out", str(pop),
+        ]) == 0
+        manifest = json.loads((tmp_path / "pop.manifest.json").read_text())
+        assert list(manifest["inputs"].items()) == [
+            ("size", 30), ("mean_y", 1.0), ("mean_x", 2.0), ("cv_y", 0.3), ("cv_x", 0.4),
+            ("r", 0.5),
+        ]
+        assert (manifest["command"], manifest["seed"]) == ("generate", 6)
+        assert manifest["outputs"] == [str(pop)]
 
     def test_unknown_token_lists_grammar(self, pop_csv, tmp_path, capsys):
         rc = main([
@@ -806,6 +876,17 @@ class TestSurface:
         assert rc == 2
         assert "start:stop:step" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [("0:one:0.5", "non-numeric bound in range '0:one:0.5'"),
+         ("0:nan:0.5", "alpha bounds must be finite")],
+    )
+    def test_bad_range_bound_exit_2(self, alpha, message, capsys):
+        rc = main(["surface", "--kind", "aoe", "--alpha", alpha, "--c", "0.6:0.6:1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
     def test_over_budget_grid_exit_2_at_once(self, tmp_path, capsys):
         out = tmp_path / "region.csv"
@@ -845,3 +926,32 @@ class TestTopLevel:
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
+
+
+class TestEntryPoint:
+    """cli.run, the console entry point, in a fresh interpreter."""
+
+    @staticmethod
+    def run_module(*argv):
+        # The child imports the package under test, wherever it was found.
+        src = str(Path(rpratio.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run(
+            [sys.executable, "-m", "rpratio.cli", *argv],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+
+    def test_version(self):
+        proc = self.run_module("--version")
+        assert (proc.returncode, proc.stdout) == (0, "0.1.0\n")
+
+    def test_missing_population_exit_2(self, tmp_path):
+        missing = tmp_path / "absent.csv"
+        proc = self.run_module(
+            "simulate", "--population", str(missing), "--reps", "5", "--n", "2",
+            "--seed", "1", "--out", str(tmp_path / "r.json"),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and str(missing) in proc.stderr
+        assert not (tmp_path / "r.json").exists()

@@ -229,6 +229,22 @@ class TestMakeDesign:
         with pytest.raises(InvalidDesignError):
             make_design(n, N)
 
+    @pytest.mark.parametrize("kind", [np.int32, np.int64, np.uint16])
+    def test_numpy_integer_sizes(self, kind):
+        d = make_design(kind(112), kind(365))
+        assert d == make_design(112, 365)
+        assert type(d.n) is int and type(d.N) is int
+
+    @pytest.mark.parametrize(
+        "name, n, N",
+        [("n", 112.7, 365), ("n", 112.0, 365), ("N", 112, 365.0), ("N", 112, np.float64(365)),
+         ("N", 112, "365")],
+        ids=["fractional", "integral-float", "float", "numpy-float", "string"],
+    )
+    def test_non_integer_sizes_are_named(self, name, n, N):
+        with pytest.raises(InvalidInputError, match=f"^{name} must be an integer"):
+            make_design(n, N)
+
 
 class TestLoadCsv:
     def _write(self, tmp_path, text):

@@ -25,7 +25,7 @@ from rpratio.sampling import (
     z_quantile,
 )
 from rpratio import sampling
-from rpratio.sampling import _below_run, _mix64, _mix64_lanes, _norm_ppf, _swap_plan
+from rpratio.sampling import _below_run, _mix64, _mix64_lanes, _norm_ppf
 
 
 class TestNormalQuantile:
@@ -105,6 +105,20 @@ class TestPlanSampleSize:
     def test_rejects_bad_confidence(self):
         with pytest.raises(OutOfRangeError):
             plan_sample_size(1.0, 0.1, 1.5, 50)
+
+    @pytest.mark.parametrize("kind", [np.int32, np.int64, np.uint64])
+    def test_numpy_integer_population_size(self, kind):
+        plan = plan_sample_size(0.2006, 0.0583, 0.90, kind(365))
+        assert plan == plan_sample_size(0.2006, 0.0583, 0.90, 365)
+        assert type(plan.n) is int
+
+    @pytest.mark.parametrize(
+        "N", [365.5, 365.0, np.float64(365), "365"],
+        ids=["fractional", "integral-float", "numpy-float", "string"],
+    )
+    def test_non_integer_population_size_is_named(self, N):
+        with pytest.raises(InvalidInputError, match="^N must be an integer"):
+            plan_sample_size(0.2006, 0.0583, 0.90, N)
 
     @pytest.mark.parametrize(
         "sigma2, margin",
@@ -293,6 +307,25 @@ class TestSrswor:
             srswor(365, 8, *key)
         with pytest.raises(InvalidInputError, match=name):
             SplitMix64(*key)
+
+    @pytest.mark.parametrize("kind", [np.int32, np.int64, np.uint16])
+    def test_numpy_integer_sizes(self, kind):
+        for pop_size, n in [(kind(365), 8), (365, kind(8)), (kind(365), kind(8))]:
+            np.testing.assert_array_equal(
+                srswor(pop_size, n, 1, 3), _reference_srswor(365, 8, 1, 3)
+            )
+
+    @pytest.mark.parametrize(
+        "name, sizes",
+        [("pop_size", (365.9, 8)), ("n", (365, 8.7)), ("pop_size", (365.0, 8)),
+         ("n", (365, np.float64(8))), ("pop_size", ("365", 8))],
+        ids=["fractional-N", "fractional-n", "integral-float", "numpy-float", "string"],
+    )
+    def test_non_integer_sizes_are_named(self, name, sizes):
+        # A fractional size is refused, never truncated to the draw of
+        # the integer below it.
+        with pytest.raises(InvalidInputError, match=f"^{name} must be an integer"):
+            srswor(*sizes, 1, 0)
 
     def test_marginal_inclusion_rates(self):
         reps = 60000
@@ -500,13 +533,13 @@ class TestReadAhead:
         # and the swap targets count * n uint64.  Each fits in the bound:
         # _BLOCK_BYTES, or one stream's index matrix where that alone is
         # larger and the block holds one stream.  The whole draw,
-        # temporaries included, stays within four times the bound.
+        # temporaries and the length-n plan of bounds and counter steps
+        # included, stays within four times the bound.
         count = _block_size(pop_size, n)
         matrix = pop_size * _itemsize(pop_size)
         bound = max(sampling._BLOCK_BYTES, matrix)
         assert (count == 1) == (pop_size > 2**16)
         assert count * matrix <= bound
-        _swap_plan(pop_size, n)  # cached O(n) state, not part of a block
         tracemalloc.start()
         try:
             rows = sampling._draw_block(pop_size, n, 77, count)
@@ -553,13 +586,6 @@ class TestBelowRun:
         for stream in range(-20, 80):
             start, want = _reference_targets(2024, stream, pop_size, n)
             assert _one_run(start, pop_size, n) == want
-
-    @pytest.mark.parametrize("pop_size, n", [(2**63 + 1, 3), (2**64 - 1, 2), (365, 112), (64, 64)])
-    def test_largest_accepted_output(self, pop_size, n):
-        plan = _swap_plan(pop_size, n)
-        bounds, min_limit = plan[0], plan[3]
-        assert bounds.tolist() == [pop_size - i for i in range(n)]
-        assert min_limit == min(2**64 - 2**64 % b - 1 for b in bounds.tolist())
 
     def test_rejections_happen_at_huge_bound(self):
         # A draw that was rejected advanced the generator more than once.
@@ -642,29 +668,6 @@ class TestBelowRun:
         got = _below_run(np.array(starts, dtype=np.uint64), pop_size, n)
         assert got.shape == (300, n) and got.dtype == np.uint64
         assert got.tolist() == wants
-
-    def test_cached_plan_stays_read_only_and_unchanged(self):
-        # At 2^63 + 60 about half of all outputs are rejected, so these
-        # draws also take the path that draws one SplitMix64.below at a time.
-        for pop_size, n in [(365, 112), (2**63 + 60, 60)]:
-            plan = _swap_plan(pop_size, n)
-            assert len(plan) == 4  # no mixer arrays
-            arrays = plan[:3]
-            copies = [a.copy() for a in arrays]
-            min_limit = plan[3]
-            for stream in range(50):
-                _one_run(SplitMix64(5, stream)._state, pop_size, n)
-                srswor(365, 112, 5, stream)
-            assert _swap_plan(pop_size, n) is plan
-            for a, copy in zip(arrays, copies):
-                assert a.shape == (n,) and a.dtype == np.uint64
-                assert not a.flags.writeable
-                np.testing.assert_array_equal(a, copy)
-                with pytest.raises(ValueError):
-                    a[0] = 0
-            assert plan[3] == min_limit == min(
-                2**64 - 2**64 % b - 1 for b in copies[0].tolist()
-            )
 
 
 _GOLDEN = 0x9E3779B97F4A7C15

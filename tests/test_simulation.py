@@ -22,6 +22,7 @@ from rpratio.estimators import (
     SampleMean,
     SampleSummary,
     SinghRatioProduct,
+    SrivastavaPower,
     UnbiasedAOE,
     estimate,
     estimator_token,
@@ -250,6 +251,20 @@ class TestReports:
         total = sum(res.ranking.counts.values())
         assert total + res.ranking.excluded_draws == 2000
         assert res.ranking.excluded_draws == ratio_rep.singular_count
+
+    def test_estimator_singular_on_every_draw(self):
+        # Both samples of one unit have xbar / Xbar of -2 or 4, and either
+        # raised to 1e308 overflows: no estimate survives to be summarized.
+        pop = Population(y=[1.0, 2.0], x=[-2.0, 4.0])
+        res = run_simulation(pop, SimConfig(reps=10, n=1, seed=0, estimators=(SrivastavaPower(1e308),)))
+        (rep,) = res.reports
+        assert rep.singular_count == 10
+        assert (rep.coverage, rep.neg_bias_rate, rep.pos_bias_rate) == (0.0, 0.0, 0.0)
+        shape = (rep.q1, rep.median, rep.q3, rep.mse_empirical, rep.re_vs_sample_mean,
+                 rep.skewness, rep.kurtosis)
+        assert shape == (None,) * 7
+        assert res.ranking == RankingTable(counts={}, excluded_draws=10)
+        assert res.singular.all()
 
     @pytest.mark.parametrize(
         "spec",

@@ -47,6 +47,16 @@ class TestExactMoments:
         stx = summarize(generate_population(targets, seed=5))
         assert stx.r == pytest.approx(-0.6, abs=1e-12)
 
+    def test_cv_y_above_cv_x(self):
+        # The higher-CV base then drives y, and the mixed direction x.
+        targets = MomentTargets(size=200, mean_y=2.0, mean_x=1.5, cv_y=0.6, cv_x=0.2, r=0.7)
+        stx = summarize(generate_population(targets, seed=3))
+        assert stx.mean_y == pytest.approx(2.0, rel=1e-12)
+        assert stx.mean_x == pytest.approx(1.5, rel=1e-12)
+        assert stx.cv_y == pytest.approx(0.6, rel=1e-12)
+        assert stx.cv_x == pytest.approx(0.2, rel=1e-12)
+        assert stx.r == pytest.approx(0.7, abs=1e-12)
+
     def test_equal_cv_targets(self):
         targets = MomentTargets(
             size=40, mean_y=1.0, mean_x=1.0, cv_y=0.5, cv_x=0.5, r=0.7
