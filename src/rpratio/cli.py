@@ -59,14 +59,6 @@ __all__ = ["main", "run"]
 _CSV_BLOCK_ROWS = 1 << 15
 
 
-def _finite_or_none(value):
-    if value is None:
-        return None
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
 def _dump_json(payload) -> str:
     try:
         return json.dumps(payload, indent=2, allow_nan=False) + "\n"
@@ -280,8 +272,8 @@ def _cmd_theory(args) -> int:
             for branch in (Branch.MINUS_MINUS, Branch.PLUS_PLUS):
                 sol = aoe_parameters(c, branch)
                 aoe[branch.value.replace("-", "_")] = {
-                    "alpha_star": _finite_or_none(sol.alpha_star),
-                    "beta_star": _finite_or_none(sol.beta_star),
+                    "alpha_star": sol.alpha_star if sol.is_real else None,
+                    "beta_star": sol.beta_star if sol.is_real else None,
                     "is_real": sol.is_real,
                 }
             payload["aoe"] = aoe

@@ -83,6 +83,12 @@ class _Kind:
 
     name: ClassVar[str]
 
+    def __post_init__(self):
+        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
+            raise InvalidInputError(
+                f"estimator {estimator_token(self)}: parameters must be finite"
+            )
+
     def evaluate(self, ybar, xbar, Xbar: float) -> tuple[np.ndarray, np.ndarray]:
         """Estimates for paired arrays of sample means (nan where singular),
         and the mask of the singular draws."""
@@ -93,11 +99,11 @@ class _Kind:
         return np.where(singular, np.nan, values), singular
 
 
-def _pow(base: float, k: float) -> float | None:
+def _pow(base: float, k: float) -> float:
     try:
         return math.pow(base, k)
     except (ValueError, ZeroDivisionError, OverflowError):
-        return None
+        return math.nan
 
 
 class _PowerTransform(_Kind):
@@ -105,13 +111,13 @@ class _PowerTransform(_Kind):
 
     math.pow fails for 0**negative, for a negative base with fractional
     exponent and on overflow; each means the transform has left its domain
-    for that draw.  (np.power may differ from math.pow in the last bit.)
+    for that draw, which is marked by a nan power (k is finite, so math.pow
+    never returns one).  (np.power may differ from math.pow in the last bit.)
     """
 
     def _power(self, xb, Xb) -> tuple[np.ndarray, np.ndarray]:
-        out = [_pow(base, self.k) for base in np.ravel(xb / Xb).tolist()]
-        singular = np.array([value is None for value in out], dtype=bool)
-        return np.array(out, dtype=float).reshape(xb.shape), singular.reshape(xb.shape)
+        values = np.reshape([_pow(b, self.k) for b in np.ravel(xb / Xb).tolist()], xb.shape)
+        return values, np.isnan(values)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from .errors import (
     InvalidDesignError,
     InvalidInputError,
     OutOfRangeError,
+    TooLargeError,
 )
 
 __all__ = [
@@ -155,6 +156,7 @@ def confidence_interval(
 
         point +- z * sqrt(sd_y^2 / n) * sqrt((N - n) / (N - 1))
     """
+    n, N = _integer(n, "n"), _integer(N, "N")
     if not 1 <= n < N:
         raise InvalidDesignError(f"need 1 <= n < N, got n={n}, N={N}")
     if not (math.isfinite(sd_y) and sd_y >= 0.0):
@@ -223,6 +225,9 @@ _M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 # n = 112, and 40.3 MB at N = 256, n = 250, where sizing by a uint16 index
 # matrix alone (512 streams) peaked at 41.6 MB.
 _BLOCK_BYTES = 256 * 1024
+# Most units srswor draws from, and generate_population makes; the
+# benchmark population has 365.
+_UNIT_BUDGET = 10_000_000
 # The streams srswor drew last: ((pop_size, n, seed mod 2^64), first stream
 # mod 2^64, read-only (count, n) sorted samples), or None.  Every row is a
 # pure function of its key, so a stale or lost entry costs a redraw and
@@ -321,7 +326,8 @@ def srswor(pop_size: int, n: int, seed: int, stream: int = 0) -> np.ndarray:
     making one call per replication.  seed and stream may be any integers,
     numpy integers included; they are taken mod 2^64.  pop_size and n must
     be integers or numpy integers too: a fractional size is refused, not
-    truncated.
+    truncated.  A pop_size above 10^7 raises TooLargeError before anything
+    is allocated.
     """
     global _read_ahead
     # One try around the four conversions keeps a call cheap; _integer
@@ -342,6 +348,8 @@ def srswor(pop_size: int, n: int, seed: int, stream: int = 0) -> np.ndarray:
         k = (stream - first) & _MASK64
         if k < len(rows):
             return rows[k].copy()
+    if pop_size > _UNIT_BUDGET:
+        raise TooLargeError(f"pop_size {pop_size} exceeds the {_UNIT_BUDGET} unit budget")
     itemsize = np.min_scalar_type(pop_size - 1).itemsize
     count = max(1, _BLOCK_BYTES // max(itemsize * pop_size, 8 * n))
     rows = _draw_block(pop_size, n, _mix64(seed) + stream, count)

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InvalidInputError, SingularDenominatorError, TooLargeError
 from .estimators import EstimatorSpec, Product, Ratio, SampleMean, estimator_token
 from .population import Population, format_csv_rows, make_design
-from .sampling import confidence_interval, quartiles, srswor
+from .sampling import _integer, confidence_interval, quartiles, srswor
 
 __all__ = [
     "SimConfig",
@@ -56,6 +56,8 @@ class SimConfig:
     estimators: tuple[EstimatorSpec, ...] = (SampleMean(), Ratio(), Product())
 
     def __post_init__(self):
+        for name in ("reps", "n", "seed"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.reps < 1:
             raise InvalidInputError(f"reps must be at least 1, got {self.reps}")
         if self.reps > _REPS_BUDGET:
@@ -148,6 +150,12 @@ def _shape(devs: np.ndarray) -> tuple[float | None, float | None]:
     return m3 / m2**1.5, m4 / (m2 * m2)
 
 
+def _mean_y(pop: Population) -> float:
+    """The population mean of y; on a constant column its value, which the
+    summed mean can miss by rounding (ten 0.3s average 0.29999999999999993)."""
+    return float(pop.y[0]) if np.ptp(pop.y) == 0.0 else float(pop.y.mean())
+
+
 def _require_double(label: str, *values: float | None, zero_mse: bool = False) -> None:
     """Raise InvalidInputError naming estimator label when one of the values
     (None skipped) is beyond double precision: not finite, or nonzero but
@@ -188,8 +196,8 @@ def run_simulation(pop: Population, cfg: SimConfig) -> SimResult:
     make_design(cfg.n, N)
     # Moments are computed directly rather than through summarize() so that
     # degenerate populations (constant y) still simulate; the interval width
-    # is then simply zero.
-    true_mean = float(pop.y.mean())
+    # is then exactly zero.
+    true_mean = _mean_y(pop)
     mean_x = float(pop.x.mean())
     dy = pop.y - true_mean
     sd_y = math.sqrt(float(dy @ dy) / (N - 1))
@@ -331,7 +339,7 @@ def exhaustive_oracle(pop: Population, n: int, spec: EstimatorSpec) -> ExactMome
             f"C({N}, {n}) = {total} subsets exceeds the {_ENUMERATION_BUDGET} budget"
         )
     Xbar = float(pop.x.mean())
-    Ybar = float(pop.y.mean())
+    Ybar = _mean_y(pop)
     subsets = itertools.combinations(range(N), n)
     chunk = max(1, _GATHER_BYTES // (8 * n))
     values: list[float] = []

@@ -24,11 +24,9 @@ import numpy as np
 
 from .errors import InfeasibleTargetsError, InvalidInputError, TooLargeError
 from .population import Population
+from .sampling import _UNIT_BUDGET, _integer
 
 __all__ = ["MomentTargets", "generate_population"]
-
-# Most units generate_population draws; the benchmark generates 365.
-_SIZE_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -43,13 +41,14 @@ class MomentTargets:
     r: float
 
     def __post_init__(self):
+        object.__setattr__(self, "size", _integer(self.size, "size"))
         if self.size < 3:
             raise InvalidInputError(
                 f"population size must be at least 3, got {self.size}"
             )
-        if self.size > _SIZE_BUDGET:
+        if self.size > _UNIT_BUDGET:
             raise TooLargeError(
-                f"population size {self.size} exceeds the {_SIZE_BUDGET} unit budget"
+                f"population size {self.size} exceeds the {_UNIT_BUDGET} unit budget"
             )
         if self.mean_y <= 0.0 or self.mean_x <= 0.0:
             raise InvalidInputError("means must be positive for positive-valued data")
@@ -77,12 +76,11 @@ def _lognormal_sigma(cv: float) -> float:
     return math.sqrt(math.log1p(square))
 
 
-def _unit_centered(column: np.ndarray) -> np.ndarray:
-    centered = column - column.mean()
-    norm = float(np.linalg.norm(centered))
+def _unit(v: np.ndarray, cause: str) -> np.ndarray:
+    norm = float(np.linalg.norm(v))
     if norm == 0.0:
-        raise InfeasibleTargetsError("degenerate base draw (constant column)")
-    return centered / norm
+        raise InfeasibleTargetsError(f"degenerate base draw ({cause})")
+    return v / norm
 
 
 def generate_population(targets: MomentTargets, seed: int) -> Population:
@@ -92,6 +90,7 @@ def generate_population(targets: MomentTargets, seed: int) -> Population:
     likewise.  Raises InfeasibleTargetsError when the targets cannot be met
     with strictly positive values, and InvalidInputError for a negative seed.
     """
+    seed = _integer(seed, "seed")
     if seed < 0:
         raise InvalidInputError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
@@ -100,13 +99,9 @@ def generate_population(targets: MomentTargets, seed: int) -> Population:
     base_hi = rng.lognormal(0.0, _lognormal_sigma(hi_cv), targets.size)
     base_lo = rng.lognormal(0.0, _lognormal_sigma(max(lo_cv, 0.05)), targets.size)
 
-    e1 = _unit_centered(base_hi)
+    e1 = _unit(base_hi - base_hi.mean(), "constant column")
     g = base_lo - base_lo.mean()
-    g = g - (g @ e1) * e1
-    norm = float(np.linalg.norm(g))
-    if norm == 0.0:
-        raise InfeasibleTargetsError("degenerate base draw (collinear columns)")
-    e2 = g / norm
+    e2 = _unit(g - (g @ e1) * e1, "collinear columns")
 
     mix = targets.r * e1 + math.sqrt(1.0 - targets.r**2) * e2
     if targets.cv_x >= targets.cv_y:

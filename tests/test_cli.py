@@ -665,6 +665,34 @@ class TestSimulate:
         assert not out.exists()
         assert not (tmp_path / "r.manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "estimators, token",
+        [
+            ("mean,reddy:-inf", "reddy:-inf"),
+            ("mean,srivastava:nan", "srivastava:nan"),
+            ("rpr:nan,0", "rpr:nan,0.0"),
+            ("rpr:0,1e999", "rpr:0.0,inf"),
+            ("aoe:inf", "aoe:inf"),
+            ("singh:nan", "singh:nan"),
+            ("sahai:-inf", "sahai:-inf"),
+        ],
+    )
+    def test_non_finite_estimator_parameter_exit_2_naming_it(
+        self, small_pop_csv, tmp_path, capsys, estimators, token
+    ):
+        out = tmp_path / "r.json"
+        rc = main([
+            "simulate", "--population", str(small_pop_csv),
+            "--reps", "20", "--n", "3", "--seed", "1",
+            "--estimators", estimators, "--out", str(out),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == f"error: estimator {token}: parameters must be finite\n"
+        assert not out.exists()
+        assert not (tmp_path / "r.manifest.json").exists()
+
     def test_huge_but_finite_moments_keep_their_report(self, small_pop_csv, tmp_path, capsys):
         # The sha256 of this report before overflow was checked for.
         out = tmp_path / "r.json"

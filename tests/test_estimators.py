@@ -209,6 +209,24 @@ class TestSampleSummaryValidation:
             SampleSummary(ybar=1.0, xbar=math.inf, Xbar=1.0)
 
 
+class TestNonFiniteParameters:
+    @pytest.mark.parametrize(
+        "kind", [k for k in ESTIMATOR_KINDS.values() if fields(k)], ids=lambda k: k.name
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+    def test_every_field_of_every_kind_must_be_finite(self, kind, bad):
+        for i in range(len(fields(kind))):
+            args = [0.25] * len(fields(kind))
+            args[i] = bad
+            token = f"{kind.name}:" + ",".join(repr(a) for a in args)
+            with pytest.raises(InvalidInputError) as err:
+                kind(*args)
+            assert str(err.value) == f"estimator {token}: parameters must be finite"
+
+    def test_numpy_floats_are_accepted(self):
+        assert Reddy(np.float64(0.5)) == Reddy(0.5)
+
+
 class TestTokens:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=estimator_token)
     def test_round_trip(self, spec):

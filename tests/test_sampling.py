@@ -14,6 +14,7 @@ from rpratio.errors import (
     InvalidDesignError,
     InvalidInputError,
     OutOfRangeError,
+    TooLargeError,
 )
 from rpratio.sampling import (
     SamplePlan,
@@ -205,6 +206,17 @@ class TestConfidenceInterval:
         b = confidence_interval(0.0, 1.0, 10, 50, 0.99).half_width
         assert a < b
 
+    @pytest.mark.parametrize(
+        "name, sizes", [("n", (3.5, 10)), ("N", (3, 10.0)), ("n", ("3", 10))]
+    )
+    def test_non_integer_sizes_are_named(self, name, sizes):
+        with pytest.raises(InvalidInputError, match=f"^{name} must be an integer"):
+            confidence_interval(1.0, 1.0, *sizes, 0.9)
+
+    def test_numpy_integer_sizes(self):
+        ci = confidence_interval(1.0, 1.0, np.int64(3), np.uint16(10), 0.9)
+        assert ci == confidence_interval(1.0, 1.0, 3, 10, 0.9)
+
     def test_rejects_bad_designs(self):
         with pytest.raises(InvalidDesignError):
             confidence_interval(0.0, 1.0, 0, 10, 0.9)
@@ -326,6 +338,18 @@ class TestSrswor:
         # the integer below it.
         with pytest.raises(InvalidInputError, match=f"^{name} must be an integer"):
             srswor(*sizes, 1, 0)
+
+    def test_population_over_budget_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLargeError, match="^pop_size 1000000000000 exceeds"):
+                srswor(10**12, 3, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        with pytest.raises(TooLargeError, match="unit budget"):
+            srswor(np.int64(sampling._UNIT_BUDGET + 1), 3, 1)
 
     def test_marginal_inclusion_rates(self):
         reps = 60000

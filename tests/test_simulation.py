@@ -62,6 +62,11 @@ class TestExhaustiveOracle:
             assert out.expectation == pytest.approx(base.expectation, rel=1e-14)
             assert out.mse == pytest.approx(base.mse, rel=1e-12, abs=1e-18)
 
+    def test_constant_y_mean_is_its_value(self):
+        # Ten 0.3s sum to a mean of 0.29999999999999993.
+        pop = Population(y=np.full(10, 0.3), x=np.arange(1.0, 11.0))
+        assert exhaustive_oracle(pop, 3, SampleMean()) == simulation.ExactMoments(0.3, 0.0, 0.0)
+
     def test_budget_guard(self):
         grid = np.arange(40, dtype=float) + 1.0
         big = Population(y=grid, x=grid + 0.5)
@@ -227,15 +232,22 @@ class TestReports:
         assert rep.q1 == rep.median == rep.q3 == 2.0
 
     def test_constant_y_rates_still_partition(self):
-        # The true mean of ten 0.3s rounds to 0.29999999999999993, so the
-        # half width is rounding noise (about 5e-17) and every estimate 0.3
-        # lies above the interval, although 0.3 > true_mean + half_width is
-        # false: that sum rounds to 0.3.
+        # The summed mean of ten 0.3s rounds to 0.29999999999999993; the
+        # true mean of a constant column is its value, so the half width is
+        # exactly 0 and every sample mean 0.3 is covered.
         pop = Population(y=np.full(10, 0.3), x=np.arange(1.0, 11.0))
         res = run_simulation(pop, SimConfig(reps=20, n=3, seed=1))
         for rep in res.reports:
             assert rep.coverage + rep.neg_bias_rate + rep.pos_bias_rate == 1.0, rep.label
-        assert res.reports[0].pos_bias_rate == 1.0
+        assert res.reports[0].coverage == 1.0
+
+    def test_constant_y_reports_no_rounding_noise(self):
+        pop = Population(y=np.full(10, 0.3), x=np.arange(1.0, 11.0))
+        res = run_simulation(pop, SimConfig(reps=20, n=3, seed=1))
+        mean, ratio, product = res.reports
+        assert res.meta["true_mean_y"] == 0.3 and res.meta["half_width"] == 0.0
+        assert (mean.mse_empirical, mean.re_vs_sample_mean, mean.coverage) == (0.0, None, 1.0)
+        assert ratio.re_vs_sample_mean == product.re_vs_sample_mean == 0.0
 
     def test_singular_draws_counted_not_crashed(self):
         pop = Population(y=[1.0, 2.0, 3.0, 4.0, 5.0], x=[-1.0, -1.0, 1.0, 1.0, 1.0])
@@ -517,6 +529,24 @@ class TestConfigValidation:
             SimConfig(reps=10, n=3, seed=1, estimators=())
         with pytest.raises(InvalidInputError):
             SimConfig(reps=10, n=3, seed=1, estimators=(Ratio(), Ratio()))
+
+    @pytest.mark.parametrize("name", ["reps", "n", "seed"])
+    @pytest.mark.parametrize("value", [10.5, 10.0, np.float64(10), "10"], ids=repr)
+    def test_non_integer_counts_are_named(self, name, value):
+        kwargs = {"reps": 10, "n": 3, "seed": 1}
+        kwargs[name] = value
+        with pytest.raises(InvalidInputError, match=f"^{name} must be an integer"):
+            SimConfig(**kwargs)
+
+    @pytest.mark.parametrize("kind", [np.int32, np.int64, np.uint16])
+    def test_numpy_integer_counts_are_stored_as_int(self, tiny_pop, kind):
+        cfg = SimConfig(reps=kind(10), n=kind(3), seed=kind(1))
+        assert all(type(v) is int for v in (cfg.reps, cfg.n, cfg.seed))
+        res = run_simulation(tiny_pop, cfg)
+        assert all(type(res.meta[k]) is int for k in ("reps", "n", "seed"))
+        assert res == dataclasses.replace(
+            run_simulation(tiny_pop, SimConfig(reps=10, n=3, seed=1)), wall_time_s=res.wall_time_s
+        )
 
     def test_rejects_reps_over_budget(self):
         with pytest.raises(TooLargeError, match="budget"):

@@ -1,4 +1,5 @@
 """Synthetic population generation: exact moments, determinism, feasibility."""
+import dataclasses
 import math
 import re
 
@@ -7,7 +8,7 @@ import pytest
 
 from rpratio.errors import InfeasibleTargetsError, InvalidInputError, TooLargeError
 from rpratio.population import summarize
-from rpratio.synthetic import MomentTargets, _lognormal_sigma, generate_population
+from rpratio.synthetic import MomentTargets, _lognormal_sigma, _unit, generate_population
 
 BENCH_TARGETS = MomentTargets(
     size=365, mean_y=0.5832, mean_x=0.6277, cv_y=0.7681, cv_x=1.1504, r=0.9125
@@ -98,6 +99,20 @@ class TestTargetsValidation:
         with pytest.raises(InvalidInputError):
             MomentTargets(**kwargs)
 
+    @pytest.mark.parametrize("size", [10.5, 10.0, np.float64(10), "10"], ids=repr)
+    def test_non_integer_size_is_named(self, size):
+        with pytest.raises(InvalidInputError, match="^size must be an integer"):
+            MomentTargets(size=size, mean_y=1.0, mean_x=1.0, cv_y=0.5, cv_x=0.5, r=0.5)
+
+    @pytest.mark.parametrize("kind", [np.int32, np.int64, np.uint16])
+    def test_numpy_integer_size_and_seed(self, kind):
+        targets = MomentTargets(size=kind(10), mean_y=1.0, mean_x=1.0, cv_y=0.5, cv_x=0.5, r=0.5)
+        assert type(targets.size) is int
+        pop = generate_population(targets, kind(3))
+        want = generate_population(dataclasses.replace(targets, size=10), 3)
+        np.testing.assert_array_equal(pop.y, want.y)
+        np.testing.assert_array_equal(pop.x, want.x)
+
     def test_rejects_size_over_budget(self):
         with pytest.raises(TooLargeError, match="budget"):
             MomentTargets(size=10**15, mean_y=1.0, mean_x=1.0, cv_y=0.5, cv_x=0.5, r=0.5)
@@ -126,6 +141,19 @@ class TestInputChecks:
     def test_negative_seed_is_named(self):
         with pytest.raises(InvalidInputError, match="seed must be non-negative, got -1"):
             generate_population(BENCH_TARGETS, seed=-1)
+
+    @pytest.mark.parametrize("seed", [3.5, 3.0, np.float64(3), "3"], ids=repr)
+    def test_non_integer_seed_is_named(self, seed):
+        with pytest.raises(InvalidInputError, match="^seed must be an integer"):
+            generate_population(BENCH_TARGETS, seed)
+
+    @pytest.mark.parametrize(
+        "v, cause", [(np.zeros(4), "constant column"), (np.full(4, -0.0), "collinear columns")]
+    )
+    def test_zero_direction_is_infeasible(self, v, cause):
+        with pytest.raises(InfeasibleTargetsError) as err:
+            _unit(v, cause)
+        assert str(err.value) == f"degenerate base draw ({cause})"
 
     @pytest.mark.parametrize("cv_x", [1e300, 1e160, 1e308])
     def test_cv_whose_base_square_overflows_is_named(self, cv_x):
