@@ -150,10 +150,23 @@ def _shape(devs: np.ndarray) -> tuple[float | None, float | None]:
     return m3 / m2**1.5, m4 / (m2 * m2)
 
 
-def _mean_y(pop: Population) -> float:
-    """The population mean of y; on a constant column its value, which the
-    summed mean can miss by rounding (ten 0.3s average 0.29999999999999993)."""
-    return float(pop.y[0]) if np.ptp(pop.y) == 0.0 else float(pop.y.mean())
+def _mean(values: np.ndarray) -> float:
+    """A population column's mean; a constant column's is its value, which
+    the summed mean can miss by rounding (ten 0.3s average 0.29999999999999993)."""
+    return float(values[0]) if np.ptp(values) == 0.0 else float(values.mean())
+
+
+def _sample_means(pop: Population, samples, count: int, n: int):
+    """The y and x means of the count size-n index samples that the iterator
+    samples yields, gathered in blocks whose int64 indices fill _GATHER_BYTES.
+    Row means reduce along contiguous rows, so each is pop.y[sample].mean() to the bit."""
+    ybar, xbar = np.empty(count), np.empty(count)
+    block = max(1, _GATHER_BYTES // (8 * n))
+    for first in range(0, count, block):
+        idx = np.array(list(itertools.islice(samples, block)))
+        ybar[first:first + len(idx)] = pop.y[idx].mean(axis=1)
+        xbar[first:first + len(idx)] = pop.x[idx].mean(axis=1)
+    return ybar, xbar
 
 
 def _require_double(label: str, *values: float | None, zero_mse: bool = False) -> None:
@@ -197,8 +210,8 @@ def run_simulation(pop: Population, cfg: SimConfig) -> SimResult:
     # Moments are computed directly rather than through summarize() so that
     # degenerate populations (constant y) still simulate; the interval width
     # is then exactly zero.
-    true_mean = _mean_y(pop)
-    mean_x = float(pop.x.mean())
+    true_mean = _mean(pop.y)
+    mean_x = _mean(pop.x)
     dy = pop.y - true_mean
     sd_y = math.sqrt(float(dy @ dy) / (N - 1))
     ci = confidence_interval(true_mean, sd_y, cfg.n, N, cfg.confidence)
@@ -207,18 +220,8 @@ def run_simulation(pop: Population, cfg: SimConfig) -> SimResult:
     specs = cfg.estimators
     labels = [estimator_token(s) for s in specs]
     reps = cfg.reps
-    base = np.empty(reps)
-    xbars = np.empty(reps)
-
-    # Replications per gather: their int64 indices fill _GATHER_BYTES.
-    block = max(1, _GATHER_BYTES // (8 * cfg.n))
-    for first in range(0, reps, block):
-        rows = range(first, min(first + block, reps))
-        idx = np.array([srswor(N, cfg.n, cfg.seed, stream=rep) for rep in rows])
-        # Row means reduce along contiguous rows, so each equals the
-        # per-draw pop.y[idx[r]].mean() bit for bit.
-        base[rows.start:rows.stop] = pop.y[idx].mean(axis=1)
-        xbars[rows.start:rows.stop] = pop.x[idx].mean(axis=1)
+    draws = (srswor(N, cfg.n, cfg.seed, stream=rep) for rep in range(reps))
+    base, xbars = _sample_means(pop, draws, reps, cfg.n)
 
     est = np.empty((reps, len(specs)))
     singular = np.empty((reps, len(specs)), dtype=bool)
@@ -317,19 +320,11 @@ def _int_text(value: float) -> str:
     return str(int(value))
 
 
-def _subset_means(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Means of values over each row of idx, summed one column at a time
-    from zero, which is the order of Python's sum() over each subset."""
-    total = np.zeros(len(idx))
-    for column in idx.T:
-        total += values[column]
-    return total / idx.shape[1]
-
-
 def exhaustive_oracle(pop: Population, n: int, spec: EstimatorSpec) -> ExactMoments:
     """Exact design expectation, bias and MSE by enumerating all C(N, n)
-    subsets with equal weight.  Refuses budgets beyond 10^6 subsets, and
-    raises InvalidInputError naming the estimator when a moment is beyond
+    subsets with equal weight, their means gathered as run_simulation's are.
+    Refuses budgets beyond 10^6 subsets, whose estimates it holds (~40 MB),
+    and raises InvalidInputError naming the estimator when a moment is beyond
     double precision, as run_simulation does."""
     N = pop.size
     make_design(n, N)
@@ -338,21 +333,16 @@ def exhaustive_oracle(pop: Population, n: int, spec: EstimatorSpec) -> ExactMome
         raise TooLargeError(
             f"C({N}, {n}) = {total} subsets exceeds the {_ENUMERATION_BUDGET} budget"
         )
-    Xbar = float(pop.x.mean())
-    Ybar = _mean_y(pop)
+    Xbar, Ybar = _mean(pop.x), _mean(pop.y)
     subsets = itertools.combinations(range(N), n)
-    chunk = max(1, _GATHER_BYTES // (8 * n))
-    values: list[float] = []
-    while block := list(itertools.islice(subsets, chunk)):
-        idx = np.array(block)
-        ybar, xbar = _subset_means(pop.y, idx), _subset_means(pop.x, idx)
-        est, singular = spec.evaluate(ybar, xbar, Xbar)
-        if singular.any():
-            subset = block[int(np.argmax(singular))]
-            raise SingularDenominatorError(
-                f"{estimator_token(spec)} is singular on the subset of units {subset}"
-            )
-        values += est.tolist()
+    est, singular = spec.evaluate(*_sample_means(pop, subsets, total, n), Xbar)
+    if singular.any():
+        first = int(np.argmax(singular))
+        subset = next(itertools.islice(itertools.combinations(range(N), n), first, None))
+        raise SingularDenominatorError(
+            f"{estimator_token(spec)} is singular on the subset of units {subset}"
+        )
+    values = est.tolist()
     try:
         expectation = math.fsum(values) / total
         mse = math.fsum((v - Ybar) ** 2 for v in values) / total

@@ -67,6 +67,32 @@ class TestExhaustiveOracle:
         pop = Population(y=np.full(10, 0.3), x=np.arange(1.0, 11.0))
         assert exhaustive_oracle(pop, 3, SampleMean()) == simulation.ExactMoments(0.3, 0.0, 0.0)
 
+    def test_constant_x_mean_is_its_value(self):
+        # Ratio equals the sample mean when x is constant; ten 0.3s would
+        # otherwise give Xbar 0.29999999999999993 and a bias of -8.9e-16.
+        pop = Population(y=np.arange(1.0, 11.0), x=np.full(10, 0.3))
+        assert exhaustive_oracle(pop, 3, Ratio()).bias == 0.0
+
+    @pytest.mark.parametrize(
+        "spec", [SampleMean(), Ratio(), RatioProductRatio(-0.3349, 0.3176)], ids=estimator_token
+    )
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_uses_the_simulation_mean_rule(self, spec, n):
+        # From 8 units on, numpy's row means no longer add in order, so the
+        # oracle's subset means are pinned to the simulation's numpy means.
+        pop = generate_population(MomentTargets(12, 1.0, 1.0, 0.3, 0.3, 0.5), 3)
+        Xbar, Ybar = float(pop.x.mean()), float(pop.y.mean())
+        values = []
+        for subset in itertools.combinations(range(pop.size), n):
+            ybar, xbar = pop.y[list(subset)].mean(), pop.x[list(subset)].mean()
+            est, _ = spec.evaluate(np.array([ybar]), np.array([xbar]), Xbar)
+            values.append(float(est[0]))
+        total = math.comb(pop.size, n)
+        expectation = math.fsum(values) / total
+        mse = math.fsum((v - Ybar) ** 2 for v in values) / total
+        out = exhaustive_oracle(pop, n, spec)
+        assert (out.expectation, out.mse) == (expectation, mse)
+
     def test_budget_guard(self):
         grid = np.arange(40, dtype=float) + 1.0
         big = Population(y=grid, x=grid + 0.5)
@@ -143,6 +169,15 @@ class TestExhaustiveOracle:
         # In enumeration order, (0, 1) averages x to -1 and (0, 2) to 0.
         pop = Population(y=[1.0, 2.0, 3.0, 4.0, 5.0], x=[-1.0, -1.0, 1.0, 1.0, 1.0])
         with pytest.raises(SingularDenominatorError, match=r"^ratio is singular .*\(0, 2\)$"):
+            exhaustive_oracle(pop, 2, Ratio())
+
+    @pytest.mark.parametrize("per_block", [1, 3])
+    def test_singular_subset_past_the_first_gather_block(self, per_block, monkeypatch):
+        # (0, 4) is the fourth subset in enumeration order, the first whose
+        # x averages to 0.
+        monkeypatch.setattr(simulation, "_GATHER_BYTES", per_block * 8 * 2)
+        pop = Population(y=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], x=[-1.0, -3.0, 2.0, 2.0, 1.0, 1.0])
+        with pytest.raises(SingularDenominatorError, match=r"^ratio is singular .*\(0, 4\)$"):
             exhaustive_oracle(pop, 2, Ratio())
 
     @pytest.mark.parametrize("n", [0, 6, -1])
@@ -248,6 +283,13 @@ class TestReports:
         assert res.meta["true_mean_y"] == 0.3 and res.meta["half_width"] == 0.0
         assert (mean.mse_empirical, mean.re_vs_sample_mean, mean.coverage) == (0.0, None, 1.0)
         assert ratio.re_vs_sample_mean == product.re_vs_sample_mean == 0.0
+
+    def test_constant_x_reports_no_rounding_noise(self):
+        # Ratio and product equal the sample mean when x is constant.
+        pop = Population(y=np.arange(1.0, 11.0), x=np.full(10, 0.3))
+        res = run_simulation(pop, SimConfig(reps=20, n=3, seed=1))
+        mean, ratio, product = res.reports
+        assert (ratio.re_vs_sample_mean, product.re_vs_sample_mean) == (1.0, 1.0)
 
     def test_singular_draws_counted_not_crashed(self):
         pop = Population(y=[1.0, 2.0, 3.0, 4.0, 5.0], x=[-1.0, -1.0, 1.0, 1.0, 1.0])

@@ -113,6 +113,14 @@ class TestTargetsValidation:
         np.testing.assert_array_equal(pop.y, want.y)
         np.testing.assert_array_equal(pop.x, want.x)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize("name", ["mean_y", "mean_x", "cv_y", "cv_x"])
+    def test_non_finite_target_is_named(self, name, value):
+        kwargs = dict(size=10, mean_y=1.0, mean_x=1.0, cv_y=0.5, cv_x=0.5, r=0.5)
+        kwargs[name] = value
+        with pytest.raises(InvalidInputError, match=f"^{name} must be finite, got {value!r}$"):
+            MomentTargets(**kwargs)
+
     def test_rejects_size_over_budget(self):
         with pytest.raises(TooLargeError, match="budget"):
             MomentTargets(size=10**15, mean_y=1.0, mean_x=1.0, cv_y=0.5, cv_x=0.5, r=0.5)
