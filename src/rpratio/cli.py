@@ -30,6 +30,7 @@ from .estimators import (
 )
 from .population import (
     SummaryStats,
+    _int_text,
     format_csv_rows,
     load_population_csv,
     make_design,
@@ -351,7 +352,7 @@ def _cmd_surface(args) -> int:
     formats = [repr, repr, repr]
     header = "alpha,beta,c"
     if kind is SurfaceKind.DOMINANCE:
-        formats.append(lambda flag: str(int(flag)))
+        formats.append(_int_text)
         header += ",indicator"
     if args.out:
         with open(args.out, "w") as fh:

@@ -31,6 +31,7 @@ from typing import ClassVar, Union, get_args
 import numpy as np
 
 from .errors import InvalidInputError, SingularDenominatorError
+from .sampling import _real
 
 __all__ = [
     "SampleSummary",
@@ -84,6 +85,9 @@ class _Kind:
     name: ClassVar[str]
 
     def __post_init__(self):
+        for f in fields(self):
+            value = _real(getattr(self, f.name), f"estimator {self.name}: {f.name}")
+            object.__setattr__(self, f.name, value)
         if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
             raise InvalidInputError(
                 f"estimator {estimator_token(self)}: parameters must be finite"

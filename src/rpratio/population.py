@@ -277,32 +277,58 @@ def _column_codes(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct.view(np.float64), index
 
 
+# A column fuses into the group to its left while the fused texts would
+# number at most the block's rows over this.  At 1 the estimate dump's
+# (rep, label) pair fuses into one text per row, which saves nothing and
+# measured slower; at 4 a fused table stays well below the rows that share
+# it, the region grid's (alpha, beta) and (c, indicator) pairs fuse, and
+# neither the dump nor a generated population does.
+_ROWS_PER_FUSED_TEXT = 4
+
+
+def _int_text(value: float) -> str:
+    """The text of an integral float cell, such as a count or a 0/1 flag."""
+    return str(int(value))
+
+
 def format_csv_rows(table: np.ndarray, formats) -> str:
     """The CSV lines of a float table, each ending in a newline: cell (i, j)
     is formats[j](table[i, j]).  A table of no rows gives "".  With repr as
     the format, every finite cell reads back under load_population_csv's
     grammar to the same value.
 
-    Each column's format runs once per distinct value, and its texts carry
-    the separators around them: the newline after the last column, and
-    each "," on the side of the neighbouring column with fewer distinct
-    values, so that it is attached to fewer texts.  The block is one join
-    over the row-major cell matrix.
+    Each column's format runs once per distinct value.  Walking left to
+    right, a column fuses into the group of columns before it when the
+    group's texts times the column's, times _ROWS_PER_FUSED_TEXT, are at
+    most the rows: the group's texts become every "group,column" pair, and
+    each row's code becomes that of its pair.  The groups' texts carry the
+    separators around them: the newline after the last group, and each ","
+    on the side of the neighbouring group with fewer texts, so that it is
+    attached to fewer texts.  The block is one join over the row-major
+    group matrix.
     """
-    k = len(formats)
-    columns = [_column_codes(table[:, j]) for j in range(k)]
+    rows = len(table)
+    groups = []
+    for fmt, column in zip(formats, table.T):
+        distinct, index = _column_codes(column)
+        text = np.array(list(map(fmt, distinct.tolist())), dtype=object)
+        if groups and len(groups[-1][0]) * len(text) * _ROWS_PER_FUSED_TEXT <= rows:
+            texts, codes = groups[-1]
+            groups[-1] = np.add.outer(texts + ",", text).ravel(), codes * len(text) + index
+        else:
+            groups.append((text, index))
+    k = len(groups)
     heads, tails = [""] * k, [","] * (k - 1) + ["\n"]
     for j in range(k - 1):
-        if len(columns[j + 1][0]) < len(columns[j][0]):
+        if len(groups[j + 1][0]) < len(groups[j][0]):
             heads[j + 1], tails[j] = ",", ""
-    cells = np.empty((len(table), k), dtype=object)
-    for j, (fmt, (distinct, index)) in enumerate(zip(formats, columns)):
-        text = np.array(list(map(fmt, distinct.tolist())), dtype=object)
+    cells = np.empty((rows, k), dtype=object)
+    for j, (text, codes) in enumerate(groups):
         if heads[j]:
             text = heads[j] + text
         if tails[j]:
             text = text + tails[j]
-        cells[:, j] = text[index]
+        cells[:, j] = text[codes]
     return "".join(cells.ravel().tolist())
 
 

@@ -19,6 +19,7 @@ between calls.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -185,6 +186,17 @@ def _integer(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _real(value, name: str) -> float:
+    """value, a real number or numpy real, as a float; a string, None or
+    anything else that is not a real number raises InvalidInputError."""
+    if not isinstance(value, numbers.Real):
+        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InvalidInputError(f"{name} must be finite, got {value!r}") from None
 
 
 class SplitMix64:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidInputError, SingularDenominatorError, TooLargeError
 from .estimators import EstimatorSpec, Product, Ratio, SampleMean, estimator_token
-from .population import Population, format_csv_rows, make_design
+from .population import Population, _int_text, format_csv_rows, make_design
 from .sampling import _integer, confidence_interval, quartiles, srswor
 
 __all__ = [
@@ -314,10 +314,6 @@ def write_estimates_csv(path, result: SimResult) -> None:
             with np.errstate(over="ignore"):
                 table[:, :, 3] = np.abs(table[:, :, 2] - true_mean) <= half_width
             fh.write(format_csv_rows(table.reshape(-1, 4), formats))
-
-
-def _int_text(value: float) -> str:
-    return str(int(value))
 
 
 def exhaustive_oracle(pop: Population, n: int, spec: EstimatorSpec) -> ExactMoments:

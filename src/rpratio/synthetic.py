@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InfeasibleTargetsError, InvalidInputError, TooLargeError
 from .population import Population
-from .sampling import _UNIT_BUDGET, _integer
+from .sampling import _UNIT_BUDGET, _integer, _real
 
 __all__ = ["MomentTargets", "generate_population"]
 
@@ -50,6 +50,8 @@ class MomentTargets:
             raise TooLargeError(
                 f"population size {self.size} exceeds the {_UNIT_BUDGET} unit budget"
             )
+        for name in ("mean_y", "mean_x", "cv_y", "cv_x", "r"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         for name in ("mean_y", "mean_x", "cv_y", "cv_x"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidInputError(f"{name} must be finite, got {getattr(self, name)!r}")

@@ -15,6 +15,7 @@ import rpratio
 from rpratio import cli
 from rpratio.cli import main
 from rpratio.errors import EstimationError
+from rpratio.population import _int_text
 
 BENCH_STATS = {
     "mean_y": 0.5832,
@@ -932,7 +933,7 @@ class TestSurface:
         monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 3)
         rng = np.random.default_rng(5)
         table = rng.choice([0.0, -0.0, 0.1, 1e-300, -2.5e16, 1.0 / 3.0], size=(8, 3))
-        formats = [repr, repr, lambda v: str(int(v))]
+        formats = [repr, repr, _int_text]
         table[:, 2] = rng.integers(0, 2, size=8)
         fh = io.StringIO()
         cli._write_csv_blocks(fh, "a,b,flag", table, formats)

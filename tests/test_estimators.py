@@ -209,10 +209,11 @@ class TestSampleSummaryValidation:
             SampleSummary(ybar=1.0, xbar=math.inf, Xbar=1.0)
 
 
+PARAMETERIZED_KINDS = [k for k in ESTIMATOR_KINDS.values() if fields(k)]
+
+
 class TestNonFiniteParameters:
-    @pytest.mark.parametrize(
-        "kind", [k for k in ESTIMATOR_KINDS.values() if fields(k)], ids=lambda k: k.name
-    )
+    @pytest.mark.parametrize("kind", PARAMETERIZED_KINDS, ids=lambda k: k.name)
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
     def test_every_field_of_every_kind_must_be_finite(self, kind, bad):
         for i in range(len(fields(kind))):
@@ -225,6 +226,30 @@ class TestNonFiniteParameters:
 
     def test_numpy_floats_are_accepted(self):
         assert Reddy(np.float64(0.5)) == Reddy(0.5)
+
+    @pytest.mark.parametrize("kind", PARAMETERIZED_KINDS, ids=lambda k: k.name)
+    @pytest.mark.parametrize("bad", ["0.5", None, 1j], ids=repr)
+    def test_every_field_of_every_kind_must_be_a_real_number(self, kind, bad):
+        for f in fields(kind):
+            args = {g.name: 0.25 for g in fields(kind)}
+            args[f.name] = bad
+            with pytest.raises(InvalidInputError) as err:
+                kind(**args)
+            assert str(err.value) == (
+                f"estimator {kind.name}: {f.name} must be a real number, got {bad!r}"
+            )
+
+    @pytest.mark.parametrize("kind", PARAMETERIZED_KINDS, ids=lambda k: k.name)
+    def test_numpy_and_integer_parameters_are_stored_as_float(self, kind):
+        values = [np.float32(0.5), np.int64(2), 1][: len(fields(kind))]
+        spec = kind(*values)
+        assert spec == kind(*(float(v) for v in values))
+        assert all(type(getattr(spec, f.name)) is float for f in fields(kind))
+
+    def test_integer_beyond_double_range_is_named(self):
+        with pytest.raises(InvalidInputError) as err:
+            Reddy(10**400)
+        assert str(err.value) == f"estimator reddy: k must be finite, got {10**400!r}"
 
 
 class TestTokens:

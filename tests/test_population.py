@@ -16,11 +16,13 @@ from rpratio.errors import (
 from rpratio.population import (
     Population,
     SummaryStats,
+    _int_text,
     format_csv_rows,
     load_population_csv,
     make_design,
     summarize,
 )
+from rpratio.theory import SurfaceKind, surface_grid
 
 finite_values = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -398,10 +400,6 @@ LABELS = ["mean", "ratio", '"rpr:0.5,0.5"']
 SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf]
 
 
-def _int_text(value: float) -> str:
-    return str(int(value))
-
-
 def _label_text(value: float) -> str:
     return LABELS[int(value)]
 
@@ -416,7 +414,7 @@ def naive_csv_rows(table: np.ndarray, formats) -> str:
 def csv_tables(draw):
     """A float table and its formats: each column repeats a small pool of
     values in runs, in cycles or in any order."""
-    rows = draw(st.integers(1, 40))
+    rows = draw(st.integers(1, 80))
     columns, formats = [], []
     for _ in range(draw(st.integers(1, 5))):
         fmt = draw(st.sampled_from([repr, _int_text, _label_text]))
@@ -479,3 +477,63 @@ class TestFormatCsvRows:
 
     def test_no_rows_give_no_text(self):
         assert format_csv_rows(np.empty((0, 3)), [repr, repr, repr]) == ""
+
+
+def nested_grid(*axes: np.ndarray) -> np.ndarray:
+    """Every combination of the axes' values, one per row, the first axis
+    slowest and the last fastest."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+class TestFusedColumns:
+    """Neighbouring columns fuse into one text when the fused texts number
+    at most a quarter of the rows; the bytes are those of the per-row join."""
+
+    def test_region_shaped_grid_fuses_two_pairs(self):
+        # 4 alphas x 5 betas x 12 cs = 240 rows: (alpha, beta) gives 20
+        # texts (80 <= 240) and (c, indicator) 24 (96 <= 240), but the
+        # 20 x 12 of (alpha, beta) with c would be too many.
+        grid = nested_grid(np.linspace(-1, 1, 4), np.linspace(-0.5, 0.5, 5), np.linspace(0, 2, 12))
+        flag = (grid[:, 0] * grid[:, 1] < grid[:, 2] - 1).astype(float)
+        table = np.column_stack([grid, flag])
+        formats = [repr, repr, repr, _int_text]
+        assert format_csv_rows(table, formats) == naive_csv_rows(table, formats)
+
+    @pytest.mark.parametrize("rows", [24, 23], ids=["product*4=rows", "product*4=rows+1"])
+    def test_either_side_of_the_rule(self, rows):
+        # 2 x 3 distinct values: 6 fused texts need 24 rows.
+        table = np.column_stack([
+            np.resize([0.5, -0.5], rows),
+            np.resize([0.1, 0.2, 0.3], rows),
+            np.arange(rows) / 7.0,
+        ])
+        formats = [repr, repr, repr]
+        assert format_csv_rows(table, formats) == naive_csv_rows(table, formats)
+
+    def test_negative_zero_and_non_finite_cells_in_fused_columns(self):
+        grid = nested_grid(
+            np.array([0.0, -0.0]), np.array([math.nan, math.inf, -math.inf, -0.0]), np.arange(4.0)
+        )
+        # The first two columns fuse: 8 texts for 32 rows.
+        table = np.column_stack([grid[:, :2], grid[:, 2] % 2])
+        formats = [repr, repr, _int_text]
+        text = format_csv_rows(table, formats)
+        assert text == naive_csv_rows(table, formats)
+        assert text.startswith("0.0,nan,0\n0.0,nan,1\n0.0,nan,0\n")
+        assert "-0.0,-inf,1\n" in text and "-0.0,-0.0,0\n" in text
+
+    def test_three_columns_fuse_before_a_distinct_one(self):
+        # 2 x 2 x 3 = 12 fused texts for 48 rows; the last column is all
+        # distinct and stays on its own.
+        grid = np.tile(nested_grid([1.0, 2.0], [0.0, 1.0], [0.25, 0.5, 0.75]), (4, 1))
+        table = np.column_stack([grid, np.arange(48) * 1.5])
+        formats = [repr, _int_text, repr, repr]
+        assert format_csv_rows(table, formats) == naive_csv_rows(table, formats)
+
+    def test_first_block_of_the_benchmark_region_grid(self):
+        # The axes of the benchmark's region surface (tests/test_golden.py).
+        axis = (-1.0, 1.0, 0.02)
+        grid = surface_grid(SurfaceKind.DOMINANCE, axis, (0.0, 2.0, 0.05), axis)
+        block = grid[: 1 << 15]
+        formats = [repr, repr, repr, _int_text]
+        assert format_csv_rows(block, formats) == naive_csv_rows(block, formats)

@@ -121,6 +121,23 @@ class TestTargetsValidation:
         with pytest.raises(InvalidInputError, match=f"^{name} must be finite, got {value!r}$"):
             MomentTargets(**kwargs)
 
+    @pytest.mark.parametrize("value", ["1", "0.5", None, 1j], ids=repr)
+    @pytest.mark.parametrize("name", ["mean_y", "mean_x", "cv_y", "cv_x", "r"])
+    def test_non_number_target_is_named(self, name, value):
+        kwargs = dict(size=10, mean_y=1.0, mean_x=1.0, cv_y=0.5, cv_x=0.5, r=0.5)
+        kwargs[name] = value
+        with pytest.raises(InvalidInputError) as err:
+            MomentTargets(**kwargs)
+        assert str(err.value) == f"{name} must be a real number, got {value!r}"
+
+    def test_numpy_and_integer_targets_are_stored_as_float(self):
+        targets = MomentTargets(
+            size=10, mean_y=np.float32(1.5), mean_x=np.int64(2), cv_y=0.5, cv_x=np.float64(0.5), r=0
+        )
+        assert targets == MomentTargets(size=10, mean_y=1.5, mean_x=2.0, cv_y=0.5, cv_x=0.5, r=0.0)
+        for name in ("mean_y", "mean_x", "cv_y", "cv_x", "r"):
+            assert type(getattr(targets, name)) is float
+
     def test_rejects_size_over_budget(self):
         with pytest.raises(TooLargeError, match="budget"):
             MomentTargets(size=10**15, mean_y=1.0, mean_x=1.0, cv_y=0.5, cv_x=0.5, r=0.5)
