@@ -36,7 +36,7 @@ from .population import (
     make_design,
     summarize,
 )
-from .sampling import plan_sample_size
+from .sampling import _real, plan_sample_size
 from .simulation import SimConfig, run_simulation, write_estimates_csv
 from .synthetic import MomentTargets, generate_population
 from .theory import (
@@ -78,16 +78,6 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return value
-
-
-def _is_finite_number(value) -> bool:
-    """True for a JSON int or float that is finite as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
 
 
 # Parsed values a manifest records elsewhere, or that name outputs.
@@ -177,12 +167,7 @@ def _load_stats(path_text: str) -> SummaryStats:
     def number(key: str):
         if key not in raw:
             raise EstimationError(f"stats file {path} missing key {key!r}")
-        value = raw[key]
-        if not _is_finite_number(value):
-            raise EstimationError(
-                f"stats file {path}: {key} must be a finite number, got {value!r}"
-            )
-        return value
+        return _real(raw[key], f"stats file {path}: {key}")
 
     def sd(axis: str):
         if f"sd_{axis}" in raw:

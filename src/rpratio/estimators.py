@@ -70,6 +70,8 @@ class SampleSummary:
     Xbar: float
 
     def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _real(getattr(self, f.name), f.name))
         _check_means(self.ybar, self.xbar, self.Xbar)
 
 
@@ -88,10 +90,6 @@ class _Kind:
         for f in fields(self):
             value = _real(getattr(self, f.name), f"estimator {self.name}: {f.name}")
             object.__setattr__(self, f.name, value)
-        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
-            raise InvalidInputError(
-                f"estimator {estimator_token(self)}: parameters must be finite"
-            )
 
     def evaluate(self, ybar, xbar, Xbar: float) -> tuple[np.ndarray, np.ndarray]:
         """Estimates for paired arrays of sample means (nan where singular),

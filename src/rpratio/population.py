@@ -22,7 +22,7 @@ from .errors import (
     ParseError,
     ZeroMeanError,
 )
-from .sampling import _integer
+from .sampling import _integer, _real
 
 __all__ = [
     "Population",
@@ -43,8 +43,11 @@ class Population:
     x: np.ndarray
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
-        x = np.asarray(self.x, dtype=float)
+        try:
+            y = np.asarray(self.y, dtype=float)
+            x = np.asarray(self.x, dtype=float)
+        except (TypeError, ValueError):
+            raise InvalidInputError("population values must be real numbers") from None
         if y.ndim != 1 or x.ndim != 1:
             raise InvalidInputError("population columns must be one-dimensional")
         if len(y) != len(x):
@@ -114,10 +117,8 @@ class SummaryStats:
         r: float,
     ) -> "SummaryStats":
         """Build a summary from published moments rather than raw data."""
-        moments = dict(mean_y=mean_y, mean_x=mean_x, sd_y=sd_y, sd_x=sd_x, r=r)
-        for name, value in moments.items():
-            if not math.isfinite(value):
-                raise InvalidInputError(f"{name} must be finite, got {value!r}")
+        mean_y, mean_x = _real(mean_y, "mean_y"), _real(mean_x, "mean_x")
+        sd_y, sd_x, r = _real(sd_y, "sd_y"), _real(sd_x, "sd_x"), _real(r, "r")
         if mean_y == 0.0 or mean_x == 0.0:
             raise ZeroMeanError("means must be nonzero")
         if sd_y <= 0.0 or sd_x <= 0.0:
@@ -141,10 +142,18 @@ class SummaryStats:
 
 @dataclass(frozen=True)
 class SamplingDesign:
-    """Without-replacement design drawing n of N units."""
+    """Without-replacement design drawing n of N units; requires 1 <= n < N,
+    with n and N integers or numpy integers, stored as int."""
 
     n: int
     N: int
+
+    def __post_init__(self):
+        n, N = _integer(self.n, "n"), _integer(self.N, "N")
+        if not 1 <= n < N:
+            raise InvalidDesignError(f"need 1 <= n < N, got n={n}, N={N}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "N", N)
 
     @property
     def f(self) -> float:
@@ -156,6 +165,12 @@ class SamplingDesign:
         return (1.0 - self.f) / self.n
 
 
+def _mean(values: np.ndarray) -> float:
+    """A population column's mean; a constant column's is its value, which
+    the summed mean can miss by rounding (ten 0.3s average 0.29999999999999993)."""
+    return float(values[0]) if np.ptp(values) == 0.0 else float(values.mean())
+
+
 def summarize(pop: Population) -> SummaryStats:
     """Compute :class:`SummaryStats` for a population.
 
@@ -164,8 +179,7 @@ def summarize(pop: Population) -> SummaryStats:
     column is constant.
     """
     N = pop.size
-    mean_y = float(pop.y.mean())
-    mean_x = float(pop.x.mean())
+    mean_y, mean_x = _mean(pop.y), _mean(pop.x)
     if mean_y == 0.0:
         raise ZeroMeanError("population mean of y is zero")
     if mean_x == 0.0:
@@ -174,11 +188,9 @@ def summarize(pop: Population) -> SummaryStats:
     dx = pop.x - mean_x
     var_y = float(dy @ dy) / (N - 1)
     var_x = float(dx @ dx) / (N - 1)
-    # The mean of identical values can miss them by an ulp, leaving a
-    # rounding-noise variance, so constancy is tested on the values.
-    if var_y == 0.0 or np.ptp(pop.y) == 0.0:
+    if var_y == 0.0:
         raise DegenerateVarianceError("y values are all identical")
-    if var_x == 0.0 or np.ptp(pop.x) == 0.0:
+    if var_x == 0.0:
         raise DegenerateVarianceError("x values are all identical")
     cov_xy = float(dy @ dx) / (N - 1)
     # Cauchy-Schwarz bounds |r| by 1 up to float rounding; clamp the excursion.
@@ -333,9 +345,5 @@ def format_csv_rows(table: np.ndarray, formats) -> str:
 
 
 def make_design(n: int, N: int) -> SamplingDesign:
-    """Validate and build a without-replacement design; requires 1 <= n < N."""
-    n = _integer(n, "n")
-    N = _integer(N, "N")
-    if not 1 <= n < N:
-        raise InvalidDesignError(f"need 1 <= n < N, got n={n}, N={N}")
+    """Build a without-replacement design; SamplingDesign checks 1 <= n < N."""
     return SamplingDesign(n=n, N=N)

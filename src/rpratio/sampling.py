@@ -92,7 +92,7 @@ def _norm_ppf(p: float) -> float:
 
 def z_quantile(confidence: float) -> float:
     """Two-sided normal critical value: Phi^-1((1 + confidence) / 2)."""
-    if not 0.0 < confidence < 1.0:
+    if not (isinstance(confidence, numbers.Real) and 0.0 < confidence < 1.0):
         raise OutOfRangeError(f"confidence {confidence!r} outside (0, 1)")
     return _norm_ppf(0.5 * (1.0 + confidence))
 
@@ -117,9 +117,10 @@ def plan_sample_size(
     Both stages round up: n0 = ceil(z^2 sigma2 / margin^2) and
     n = ceil(1 / (1/n0 + 1/N)) with the integer n0 in the harmonic step.
     """
-    if not (math.isfinite(sigma2) and sigma2 > 0.0):
+    sigma2, margin = _real(sigma2, "sigma2"), _real(margin, "margin")
+    if sigma2 <= 0.0:
         raise InvalidInputError(f"sigma2 must be positive, got {sigma2!r}")
-    if not (math.isfinite(margin) and margin > 0.0):
+    if margin <= 0.0:
         raise InvalidInputError(f"margin must be positive, got {margin!r}")
     N = _integer(N, "N")
     if N < 2:
@@ -160,7 +161,8 @@ def confidence_interval(
     n, N = _integer(n, "n"), _integer(N, "N")
     if not 1 <= n < N:
         raise InvalidDesignError(f"need 1 <= n < N, got n={n}, N={N}")
-    if not (math.isfinite(sd_y) and sd_y >= 0.0):
+    point, sd_y = _real(point, "point"), _real(sd_y, "sd_y")
+    if sd_y < 0.0:
         raise InvalidInputError(f"sd_y must be nonnegative, got {sd_y!r}")
     z = z_quantile(confidence)
     half = z * (sd_y / math.sqrt(n)) * math.sqrt((N - n) / (N - 1.0))
@@ -189,14 +191,18 @@ def _integer(value, name: str) -> int:
 
 
 def _real(value, name: str) -> float:
-    """value, a real number or numpy real, as a float; a string, None or
-    anything else that is not a real number raises InvalidInputError."""
-    if not isinstance(value, numbers.Real):
+    """value, a real number or numpy real other than a bool, as a finite
+    float.  A string, None, a complex or a bool raises InvalidInputError
+    "<name> must be a real number"; nan, an infinity or an int beyond the
+    double range raises InvalidInputError "<name> must be finite"."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidInputError(f"{name} must be a real number, got {value!r}")
     try:
-        return float(value)
-    except OverflowError:
-        raise InvalidInputError(f"{name} must be finite, got {value!r}") from None
+        if math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int beyond the double range
+        pass
+    raise InvalidInputError(f"{name} must be finite, got {value!r}")
 
 
 class SplitMix64:

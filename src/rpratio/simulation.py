@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidInputError, SingularDenominatorError, TooLargeError
 from .estimators import EstimatorSpec, Product, Ratio, SampleMean, estimator_token
-from .population import Population, _int_text, format_csv_rows, make_design
+from .population import Population, _int_text, _mean, format_csv_rows, make_design
 from .sampling import _integer, confidence_interval, quartiles, srswor
 
 __all__ = [
@@ -148,12 +148,6 @@ def _shape(devs: np.ndarray) -> tuple[float | None, float | None]:
     except OverflowError:
         return math.nan, math.nan
     return m3 / m2**1.5, m4 / (m2 * m2)
-
-
-def _mean(values: np.ndarray) -> float:
-    """A population column's mean; a constant column's is its value, which
-    the summed mean can miss by rounding (ten 0.3s average 0.29999999999999993)."""
-    return float(values[0]) if np.ptp(values) == 0.0 else float(values.mean())
 
 
 def _sample_means(pop: Population, samples, count: int, n: int):
@@ -322,6 +316,7 @@ def exhaustive_oracle(pop: Population, n: int, spec: EstimatorSpec) -> ExactMome
     Refuses budgets beyond 10^6 subsets, whose estimates it holds (~40 MB),
     and raises InvalidInputError naming the estimator when a moment is beyond
     double precision, as run_simulation does."""
+    label = estimator_token(spec)
     N = pop.size
     make_design(n, N)
     total = math.comb(N, n)
@@ -336,7 +331,7 @@ def exhaustive_oracle(pop: Population, n: int, spec: EstimatorSpec) -> ExactMome
         first = int(np.argmax(singular))
         subset = next(itertools.islice(itertools.combinations(range(N), n), first, None))
         raise SingularDenominatorError(
-            f"{estimator_token(spec)} is singular on the subset of units {subset}"
+            f"{label} is singular on the subset of units {subset}"
         )
     values = est.tolist()
     try:
@@ -346,7 +341,7 @@ def exhaustive_oracle(pop: Population, n: int, spec: EstimatorSpec) -> ExactMome
         expectation = mse = math.nan
     bias = expectation - Ybar
     _require_double(
-        estimator_token(spec), expectation, bias, mse,
+        label, expectation, bias, mse,
         zero_mse=mse == 0.0 and any(v != Ybar for v in values),
     )
     return ExactMoments(expectation=expectation, bias=bias, mse=mse)

@@ -52,9 +52,6 @@ class MomentTargets:
             )
         for name in ("mean_y", "mean_x", "cv_y", "cv_x", "r"):
             object.__setattr__(self, name, _real(getattr(self, name), name))
-        for name in ("mean_y", "mean_x", "cv_y", "cv_x"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidInputError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.mean_y <= 0.0 or self.mean_x <= 0.0:
             raise InvalidInputError("means must be positive for positive-valued data")
         if self.cv_y <= 0.0 or self.cv_x <= 0.0:

@@ -406,11 +406,11 @@ class TestTheory:
         "content, message",
         [
             ("[0.5832, 0.6277]", "expected a JSON object"),
-            (json.dumps({**BENCH_STATS, "mean_y": "x"}), "mean_y must be a finite number"),
-            (json.dumps({**BENCH_STATS, "r": True}), "r must be a finite number"),
-            (json.dumps({**BENCH_STATS, "sd_x": None}), "sd_x must be a finite number"),
+            (json.dumps({**BENCH_STATS, "mean_y": "x"}), "mean_y must be a real number"),
+            (json.dumps({**BENCH_STATS, "r": True}), "r must be a real number"),
+            (json.dumps({**BENCH_STATS, "sd_x": None}), "sd_x must be a real number"),
             ('{"mean_y": NaN, "mean_x": 0.6, "sd_y": 0.4, "sd_x": 0.7, "r": 0.9}',
-             "mean_y must be a finite number"),
+             "mean_y must be finite"),
             (json.dumps({"mean_y": 0.5, "mean_x": 0.6, "var_y": -1.0,
                          "sd_x": 0.7, "r": 0.9}), "var_y is negative"),
             (json.dumps({"mean_y": 0.5, "mean_x": 0.6, "sd_y": 0.4, "r": 0.9}),
@@ -667,19 +667,19 @@ class TestSimulate:
         assert not (tmp_path / "r.manifest.json").exists()
 
     @pytest.mark.parametrize(
-        "estimators, token",
+        "estimators, message",
         [
-            ("mean,reddy:-inf", "reddy:-inf"),
-            ("mean,srivastava:nan", "srivastava:nan"),
-            ("rpr:nan,0", "rpr:nan,0.0"),
-            ("rpr:0,1e999", "rpr:0.0,inf"),
-            ("aoe:inf", "aoe:inf"),
-            ("singh:nan", "singh:nan"),
-            ("sahai:-inf", "sahai:-inf"),
+            ("mean,reddy:-inf", "reddy: k must be finite, got -inf"),
+            ("mean,srivastava:nan", "srivastava: k must be finite, got nan"),
+            ("rpr:nan,0", "rpr: alpha must be finite, got nan"),
+            ("rpr:0,1e999", "rpr: beta must be finite, got inf"),
+            ("aoe:inf", "aoe: c must be finite, got inf"),
+            ("singh:nan", "singh: k must be finite, got nan"),
+            ("sahai:-inf", "sahai: k must be finite, got -inf"),
         ],
     )
     def test_non_finite_estimator_parameter_exit_2_naming_it(
-        self, small_pop_csv, tmp_path, capsys, estimators, token
+        self, small_pop_csv, tmp_path, capsys, estimators, message
     ):
         out = tmp_path / "r.json"
         rc = main([
@@ -690,7 +690,7 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.out == ""
-        assert captured.err == f"error: estimator {token}: parameters must be finite\n"
+        assert captured.err == f"error: estimator {message}\n"
         assert not out.exists()
         assert not (tmp_path / "r.manifest.json").exists()
 

@@ -216,19 +216,20 @@ class TestNonFiniteParameters:
     @pytest.mark.parametrize("kind", PARAMETERIZED_KINDS, ids=lambda k: k.name)
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
     def test_every_field_of_every_kind_must_be_finite(self, kind, bad):
-        for i in range(len(fields(kind))):
-            args = [0.25] * len(fields(kind))
-            args[i] = bad
-            token = f"{kind.name}:" + ",".join(repr(a) for a in args)
+        for f in fields(kind):
+            args = {g.name: 0.25 for g in fields(kind)}
+            args[f.name] = bad
             with pytest.raises(InvalidInputError) as err:
-                kind(*args)
-            assert str(err.value) == f"estimator {token}: parameters must be finite"
+                kind(**args)
+            assert str(err.value) == (
+                f"estimator {kind.name}: {f.name} must be finite, got {bad!r}"
+            )
 
     def test_numpy_floats_are_accepted(self):
         assert Reddy(np.float64(0.5)) == Reddy(0.5)
 
     @pytest.mark.parametrize("kind", PARAMETERIZED_KINDS, ids=lambda k: k.name)
-    @pytest.mark.parametrize("bad", ["0.5", None, 1j], ids=repr)
+    @pytest.mark.parametrize("bad", ["0.5", None, True, 1j], ids=repr)
     def test_every_field_of_every_kind_must_be_a_real_number(self, kind, bad):
         for f in fields(kind):
             args = {g.name: 0.25 for g in fields(kind)}

@@ -15,6 +15,7 @@ from rpratio.errors import (
 )
 from rpratio.population import (
     Population,
+    SamplingDesign,
     SummaryStats,
     _int_text,
     format_csv_rows,
@@ -55,6 +56,8 @@ class TestPopulation:
             ([1.0], [1.0]),
             ([1.0, float("nan")], [1.0, 2.0]),
             ([1.0, float("inf")], [1.0, 2.0]),
+            (["a", "b"], [1.0, 2.0]),
+            ([1j, 2.0], [1.0, 2.0]),
         ],
     )
     def test_rejects_bad_columns(self, y, x):
@@ -235,6 +238,18 @@ class TestMakeDesign:
     def test_numpy_integer_sizes(self, kind):
         d = make_design(kind(112), kind(365))
         assert d == make_design(112, 365)
+        assert type(d.n) is int and type(d.N) is int
+
+    @pytest.mark.parametrize("n, N", [(200, 100), (365, 365), (0, 100), (-1, 10)])
+    def test_direct_construction_checks_the_design(self, n, N):
+        with pytest.raises(InvalidDesignError) as err:
+            SamplingDesign(n, N)
+        assert str(err.value) == f"need 1 <= n < N, got n={n}, N={N}"
+
+    @pytest.mark.parametrize("kind", [np.int32, np.int64, np.uint16])
+    def test_direct_construction_stores_numpy_sizes_as_int(self, kind):
+        d = SamplingDesign(kind(112), kind(365))
+        assert d == SamplingDesign(112, 365)
         assert type(d.n) is int and type(d.N) is int
 
     @pytest.mark.parametrize(

@@ -114,14 +114,14 @@ class TestTargetsValidation:
         np.testing.assert_array_equal(pop.x, want.x)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
-    @pytest.mark.parametrize("name", ["mean_y", "mean_x", "cv_y", "cv_x"])
+    @pytest.mark.parametrize("name", ["mean_y", "mean_x", "cv_y", "cv_x", "r"])
     def test_non_finite_target_is_named(self, name, value):
         kwargs = dict(size=10, mean_y=1.0, mean_x=1.0, cv_y=0.5, cv_x=0.5, r=0.5)
         kwargs[name] = value
         with pytest.raises(InvalidInputError, match=f"^{name} must be finite, got {value!r}$"):
             MomentTargets(**kwargs)
 
-    @pytest.mark.parametrize("value", ["1", "0.5", None, 1j], ids=repr)
+    @pytest.mark.parametrize("value", ["1", "0.5", None, True, 1j], ids=repr)
     @pytest.mark.parametrize("name", ["mean_y", "mean_x", "cv_y", "cv_x", "r"])
     def test_non_number_target_is_named(self, name, value):
         kwargs = dict(size=10, mean_y=1.0, mean_x=1.0, cv_y=0.5, cv_x=0.5, r=0.5)
