@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -22,6 +23,7 @@ import numpy as np
 from . import __version__
 from .errors import EstimationError, PoleAtHalfError
 from .estimators import (
+    ESTIMATOR_KINDS,
     Product,
     Ratio,
     SampleMean,
@@ -102,17 +104,16 @@ def _write_manifest(out_path: Path, args, outputs: list[str], wall_time_s: float
 
 
 def _split_estimators(text: str) -> list[str]:
-    """Split a comma-separated token list.
-
-    The rpr token is the one form with an internal comma
-    (rpr:<alpha>,<beta>), so a fragment following an incomplete rpr piece
-    is glued back on; a bare number is never a valid token by itself."""
-    tokens: list[str] = []
-    for piece in (p.strip() for p in text.split(",")):
-        if tokens and tokens[-1].startswith("rpr:") and "," not in tokens[-1]:
-            tokens[-1] += "," + piece
-        else:
-            tokens.append(piece)
+    """Split a comma-separated token list: a piece 'name:...' naming an
+    estimator kind starts a token of as many pieces as the kind has fields,
+    so rpr:<alpha>,<beta> keeps its comma.  Empty tokens are dropped."""
+    pieces = (p.strip() for p in text.split(","))
+    tokens = []
+    for piece in pieces:
+        name, sep, _ = piece.partition(":")
+        kind = ESTIMATOR_KINDS.get(name) if sep else None
+        more = max(len(dataclasses.fields(kind)), 1) - 1 if kind else 0
+        tokens.append(",".join([piece, *itertools.islice(pieces, more)]))
     return [t for t in tokens if t]
 
 
@@ -363,11 +364,11 @@ def _cmd_generate(args) -> int:
         cv_y=args.cv_y, cv_x=args.cv_x, r=args.r,
     )
     pop = generate_population(targets, args.seed)
+    st = summarize(pop)
     out = Path(args.out)
     with open(out, "w", newline="") as fh:
         _write_csv_blocks(fh, "y,x", np.column_stack((pop.y, pop.x)), [repr, repr])
     _write_manifest(out, args, [str(out)], time.perf_counter() - started)
-    st = summarize(pop)
     sys.stdout.write(f"{pop.size} rows written to {out} (c={st.c!r})\n")
     return 0
 

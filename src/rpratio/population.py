@@ -44,10 +44,15 @@ class Population:
 
     def __post_init__(self):
         try:
-            y = np.asarray(self.y, dtype=float)
-            x = np.asarray(self.x, dtype=float)
-        except (TypeError, ValueError):
-            raise InvalidInputError("population values must be real numbers") from None
+            y, x = np.asarray(self.y), np.asarray(self.x)
+            # Only integer and float columns: numpy's float conversion would
+            # also read the strings "1" and True as 1.0.
+            numeric = y.dtype.kind in "iuf" and x.dtype.kind in "iuf"
+        except ValueError:  # ragged rows
+            numeric = False
+        if not numeric:
+            raise InvalidInputError("population values must be real numbers")
+        y, x = y.astype(float), x.astype(float)
         if y.ndim != 1 or x.ndim != 1:
             raise InvalidInputError("population columns must be one-dimensional")
         if len(y) != len(x):
@@ -58,7 +63,6 @@ class Population:
             raise InvalidInputError("a population needs at least 2 units")
         if not (np.isfinite(y).all() and np.isfinite(x).all()):
             raise InvalidInputError("population values must all be finite")
-        y, x = y.copy(), x.copy()
         y.setflags(write=False)
         x.setflags(write=False)
         object.__setattr__(self, "y", y)
@@ -125,19 +129,15 @@ class SummaryStats:
             raise DegenerateVarianceError("standard deviations must be positive")
         if not -1.0 <= r <= 1.0:
             raise InvalidInputError(f"correlation {r} outside [-1, 1]")
-        cv_y = sd_y / mean_y
-        cv_x = sd_x / mean_x
-        return cls(
-            mean_y=mean_y,
-            mean_x=mean_x,
-            var_y=sd_y * sd_y,
-            var_x=sd_x * sd_x,
-            cov_xy=r * sd_y * sd_x,
-            r=r,
-            cv_y=cv_y,
-            cv_x=cv_x,
-            c=r * cv_y / cv_x,
+        return cls._derive(
+            mean_y, mean_x, sd_y, sd_x, sd_y * sd_y, sd_x * sd_x, r * sd_y * sd_x, r
         )
+
+    @classmethod
+    def _derive(cls, mean_y, mean_x, sd_y, sd_x, var_y, var_x, cov_xy, r):
+        """The summary of these moments, with its CVs and c derived."""
+        cv_y, cv_x = sd_y / mean_y, sd_x / mean_x
+        return cls(mean_y, mean_x, var_y, var_x, cov_xy, r, cv_y, cv_x, r * cv_y / cv_x)
 
 
 @dataclass(frozen=True)
@@ -188,25 +188,18 @@ def summarize(pop: Population) -> SummaryStats:
     dx = pop.x - mean_x
     var_y = float(dy @ dy) / (N - 1)
     var_x = float(dx @ dx) / (N - 1)
-    if var_y == 0.0:
-        raise DegenerateVarianceError("y values are all identical")
-    if var_x == 0.0:
-        raise DegenerateVarianceError("x values are all identical")
+    for name, column, var in (("y", pop.y, var_y), ("x", pop.x, var_x)):
+        if var == 0.0 and np.ptp(column) > 0.0:
+            raise DegenerateVarianceError(
+                f"the variance of {name} underflows double precision"
+            )
+        if var == 0.0:
+            raise DegenerateVarianceError(f"{name} values are all identical")
     cov_xy = float(dy @ dx) / (N - 1)
     # Cauchy-Schwarz bounds |r| by 1 up to float rounding; clamp the excursion.
     r = max(-1.0, min(1.0, cov_xy / math.sqrt(var_y * var_x)))
-    cv_y = math.sqrt(var_y) / mean_y
-    cv_x = math.sqrt(var_x) / mean_x
-    return SummaryStats(
-        mean_y=mean_y,
-        mean_x=mean_x,
-        var_y=var_y,
-        var_x=var_x,
-        cov_xy=cov_xy,
-        r=r,
-        cv_y=cv_y,
-        cv_x=cv_x,
-        c=r * cv_y / cv_x,
+    return SummaryStats._derive(
+        mean_y, mean_x, math.sqrt(var_y), math.sqrt(var_x), var_y, var_x, cov_xy, r
     )
 
 

@@ -182,12 +182,15 @@ def _mix64(z: int) -> int:
 
 
 def _integer(value, name: str) -> int:
-    """value, an integer or numpy integer, as an int; anything else, a
-    float with an integral value included, raises InvalidInputError."""
+    """value, an integer or numpy integer other than a bool, as an int;
+    anything else, a float with an integral value included, raises
+    InvalidInputError."""
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
-        raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
+        pass
+    raise InvalidInputError(f"{name} must be an integer, got {value!r}")
 
 
 def _real(value, name: str) -> float:
@@ -349,13 +352,15 @@ def srswor(pop_size: int, n: int, seed: int, stream: int = 0) -> np.ndarray:
     """
     global _read_ahead
     # One try around the four conversions keeps a call cheap; _integer
-    # names the argument that is not an integer.
+    # names the argument that is not an integer, passing over a bool,
+    # which operator.index took as 0 or 1.
     try:
         pop_size, n = operator.index(pop_size), operator.index(n)
         seed, stream = operator.index(seed) & _MASK64, operator.index(stream) & _MASK64
     except TypeError:
         for name, value in [("pop_size", pop_size), ("n", n), ("seed", seed), ("stream", stream)]:
-            _integer(value, name)
+            if not isinstance(value, bool):
+                _integer(value, name)
         raise
     if not 1 <= n <= pop_size:
         raise InvalidDesignError(f"need 1 <= n <= pop_size, got n={n}, pop_size={pop_size}")

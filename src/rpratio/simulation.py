@@ -163,13 +163,14 @@ def _sample_means(pop: Population, samples, count: int, n: int):
     return ybar, xbar
 
 
-def _require_double(label: str, *values: float | None, zero_mse: bool = False) -> None:
-    """Raise InvalidInputError naming estimator label when one of the values
-    (None skipped) is beyond double precision: not finite, or nonzero but
-    below the smallest normal double, where fewer than 53 bits remain.
-    zero_mse says that an MSE of 0.0 came from nonzero deviations, whose
-    squares all underflowed, and raises the same underflow error."""
-    for v in values:
+def _require_double(label: str, devs: np.ndarray, mse: float, *others: float | None) -> None:
+    """Raise InvalidInputError naming estimator label when mse or one of the
+    others (None skipped), in that order, is not finite or is nonzero but
+    below the smallest normal double, where fewer than 53 bits remain; or
+    when mse is 0.0 although devs, nonzero where an estimate misses the
+    true mean, is not all zero, because every square underflowed."""
+    underflow = False
+    for v in (mse, *others):
         if v is None:
             continue
         if not math.isfinite(v):
@@ -177,9 +178,9 @@ def _require_double(label: str, *values: float | None, zero_mse: bool = False) -
                 f"estimator {label}: its estimates or their moments overflow double precision"
             )
         if 0.0 < abs(v) < sys.float_info.min:
-            zero_mse = True
+            underflow = True
             break
-    if zero_mse:
+    if underflow or (mse == 0.0 and devs.any()):
         raise InvalidInputError(
             f"estimator {label}: the moments of its deviations underflow double precision"
         )
@@ -200,7 +201,6 @@ def run_simulation(pop: Population, cfg: SimConfig) -> SimResult:
     """
     started = time.perf_counter()
     N = pop.size
-    make_design(cfg.n, N)
     # Moments are computed directly rather than through summarize() so that
     # degenerate populations (constant y) still simulate; the interval width
     # is then exactly zero.
@@ -235,7 +235,7 @@ def run_simulation(pop: Population, cfg: SimConfig) -> SimResult:
             mse = float(np.mean(devs * devs))
             skew, kurt = _shape(devs - devs.mean())
         re = base_mse / mse if mse > 0.0 else None
-        _require_double(label, mse, re, skew, kurt, zero_mse=mse == 0.0 and devs.any())
+        _require_double(label, devs, mse, re, skew, kurt)
         coverage = float(np.mean(np.abs(devs) <= half_width))
         neg = float(np.mean(devs < -half_width))
         pos = float(np.mean(devs > half_width))
@@ -340,8 +340,5 @@ def exhaustive_oracle(pop: Population, n: int, spec: EstimatorSpec) -> ExactMome
     except (OverflowError, ValueError):  # a sum or square overflowed, or inf - inf
         expectation = mse = math.nan
     bias = expectation - Ybar
-    _require_double(
-        label, expectation, bias, mse,
-        zero_mse=mse == 0.0 and any(v != Ybar for v in values),
-    )
+    _require_double(label, est != Ybar, mse, expectation, bias)
     return ExactMoments(expectation=expectation, bias=bias, mse=mse)

@@ -37,6 +37,7 @@ from .errors import (
 )
 from .estimators import EstimatorSpec, RatioProductRatio, _checked
 from .population import SamplingDesign, SummaryStats
+from .sampling import _real
 
 __all__ = [
     "Branch",
@@ -119,9 +120,10 @@ def mse1_grad(
     with u = 1 - 2*alpha, v = 1 - 2*beta.  Zero exactly at the saddle
     (1/2, 1/2) and on the hyperbola u*v = c.
     """
-    u = 1.0 - 2.0 * alpha
-    v = 1.0 - 2.0 * beta
-    k = -4.0 * d.fpc_rate * st.mean_y**2 * st.cv_x**2 * (u * v - st.c)
+    spec = RatioProductRatio(alpha, beta)
+    w, _ = spec.coefficients()
+    u, v = 1.0 - 2.0 * spec.alpha, 1.0 - 2.0 * spec.beta
+    k = -4.0 * d.fpc_rate * st.mean_y**2 * st.cv_x**2 * (w - st.c)
     return k * v, k * u
 
 
@@ -150,10 +152,16 @@ def minimal_mse1(st: SummaryStats, d: SamplingDesign) -> float:
     return d.fpc_rate * st.var_y * (1.0 - st.r**2)
 
 
+def _real_or_array(value, name: str):
+    """A numpy array as it is; any other value read by _real."""
+    return value if isinstance(value, np.ndarray) else _real(value, name)
+
+
 def biasfree_betas(alpha: float, c: float) -> tuple[float, float]:
     """Both beta roots that zero bias1 at a given alpha: the plane beta = 1/2
     and the ruled sheet beta = 1 - alpha - c + 2*alpha*c.  The sheet is
     computed element-wise when alpha or c is a numpy array."""
+    alpha, c = _real_or_array(alpha, "alpha"), _real_or_array(c, "c")
     return 0.5, 1.0 - alpha - c + 2.0 * alpha * c
 
 
@@ -174,6 +182,7 @@ def aoe_parameters(
     error.  At c = 1/2 exactly the radicand has a pole and PoleAtHalfError
     is always raised.
     """
+    c = _real(c, "c")
     if c == 0.5:
         raise PoleAtHalfError("optimal parameters undefined at c = 1/2")
     if 0.0 < c < 0.5:
@@ -185,9 +194,8 @@ def aoe_parameters(
     if c == 0.0:
         # Degenerate hyperbola: the unique bias-free minimum is the center.
         return AOESolution(0.5, 0.5, branch, True)
-    twice = 2.0 * c - 1.0
-    # Past |c| ~ 9e307, 2c - 1 overflows; c / (2c - 1) = 1 / (2 - 1/c) there.
-    u = math.sqrt(c / twice if math.isfinite(twice) else 1.0 / (2.0 - 1.0 / c))
+    # c / (2c - 1) halved exactly from c / (c - 1/2), which cannot overflow.
+    u = math.sqrt(c / (c - 0.5) / 2.0)
     if branch is Branch.PLUS_PLUS:
         u = -u
     v = c / u
@@ -204,6 +212,7 @@ def aoe_bias1(beta: float, c: float, st: SummaryStats, d: SamplingDesign) -> flo
 
     Vanishes exactly at beta_star, where (1 - 2*beta)^2 = c*(2c - 1).
     """
+    beta, c = _real(beta, "beta"), _real(c, "c")
     v = 1.0 - 2.0 * beta
     return d.fpc_rate * st.cv_x**2 * st.mean_y * (c * (1.0 - 2.0 * c) + v * v) / 2.0
 
@@ -221,6 +230,8 @@ def dominates(over: Baseline, alpha: float, beta: float, c: float) -> bool:
     with g = 2*alpha*beta - alpha - beta = (u*v - 1)/2.  Given numpy arrays,
     returns the boolean array of the broadcast predicate.
     """
+    alpha, beta = _real_or_array(alpha, "alpha"), _real_or_array(beta, "beta")
+    c = _real_or_array(c, "c")
     g = 2.0 * alpha * beta - alpha - beta
     match over:
         case Baseline.PRODUCT:

@@ -12,9 +12,19 @@ from rpratio.errors import EstimationError
 from rpratio.estimators import SampleSummary
 from rpratio.population import Population, SamplingDesign, SummaryStats
 from rpratio.sampling import confidence_interval, plan_sample_size
-from rpratio.simulation import exhaustive_oracle
+from rpratio.simulation import SimConfig, exhaustive_oracle
+from rpratio.theory import (
+    Baseline,
+    aoe_bias1,
+    aoe_parameters,
+    biasfree_betas,
+    dominates,
+    mse1_grad,
+)
 
 POP = Population(y=[1.0, 2.0, 4.0, 3.0], x=[2.0, 3.0, 5.0, 4.0])
+ST = SummaryStats.from_moments(mean_y=2.0, mean_x=4.0, sd_y=1.0, sd_x=2.0, r=0.5)
+DESIGN = SamplingDesign(n=10, N=100)
 
 # (callable, its valid keyword arguments, the arguments swept); each case
 # replaces one swept argument.
@@ -40,6 +50,15 @@ ENTRY_POINTS = {
     "SamplingDesign": (SamplingDesign, dict(n=10, N=100), ["n", "N"]),
     "Population": (Population, dict(y=[1.0, 2.0], x=[2.0, 1.0]), ["y", "x"]),
     "exhaustive_oracle": (exhaustive_oracle, dict(pop=POP, n=2, spec=None), ["spec"]),
+    "SimConfig": (SimConfig, dict(reps=10, n=2, seed=1), ["reps", "n", "seed"]),
+    "aoe_parameters": (aoe_parameters, dict(c=0.6), ["c"]),
+    "aoe_bias1": (aoe_bias1, dict(beta=0.3, c=0.6, st=ST, d=DESIGN), ["beta", "c"]),
+    "mse1_grad": (mse1_grad, dict(alpha=0.2, beta=0.3, st=ST, d=DESIGN), ["alpha", "beta"]),
+    "dominates": (
+        dominates, dict(over=Baseline.RATIO, alpha=0.2, beta=0.3, c=0.6),
+        ["alpha", "beta", "c"],
+    ),
+    "biasfree_betas": (biasfree_betas, dict(alpha=0.2, c=0.6), ["alpha", "c"]),
 }
 BAD_VALUES = ["0.5", None, True, 1j, math.nan]
 
@@ -48,10 +67,7 @@ def _cases():
     for entry, (_, _, names) in ENTRY_POINTS.items():
         for name in names:
             for bad in BAD_VALUES:
-                # A bool is an int to operator.index, so n=True reads as the
-                # valid size 1; test_a_bool_size_reads_as_one pins that.
-                if (entry, name, bad) != ("SamplingDesign", "n", True):
-                    yield pytest.param(entry, name, bad, id=f"{entry}-{name}-{bad!r}")
+                yield pytest.param(entry, name, bad, id=f"{entry}-{name}-{bad!r}")
 
 
 @pytest.mark.parametrize("entry, name, bad", _cases())
@@ -61,5 +77,11 @@ def test_a_bad_argument_raises_an_estimation_error(entry, name, bad):
         func(**{**kwargs, name: bad})
 
 
-def test_a_bool_size_reads_as_one():
-    assert SamplingDesign(n=True, N=100) == SamplingDesign(n=1, N=100)
+def test_a_bool_size_is_refused():
+    with pytest.raises(EstimationError, match="^n must be an integer, got True$"):
+        SamplingDesign(n=True, N=100)
+
+
+def test_bool_and_string_cells_are_refused():
+    with pytest.raises(EstimationError, match="^population values must be real numbers$"):
+        Population(y=["1", "2"], x=[True, False])

@@ -149,6 +149,19 @@ class TestGenerate:
         assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
         assert not out.exists()
 
+    def test_underflowing_variance_exit_2_leaving_no_file(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        rc = main([
+            "generate", "--size", "5", "--mean-y", "1e-320", "--mean-x", "1",
+            "--cv-y", "0.3", "--cv-x", "0.3", "--r", "0.5",
+            "--seed", "1", "--out", str(out),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: the variance of y underflows double precision\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_over_budget_size_exit_2_at_once(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         rc = main([
@@ -213,6 +226,15 @@ class TestAnalyze:
         assert rc == 2
         assert captured.out == ""
         assert "line 4" in captured.err
+
+    def test_underflowing_variance_exit_2_naming_it(self, tmp_path, capsys):
+        tiny = tmp_path / "tiny.csv"
+        tiny.write_text("y,x\n1e-320,1\n2e-320,2\n3e-320,4\n")
+        rc = main(["analyze", str(tiny)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "error: the variance of y underflows double precision\n"
 
 
 class TestPlan:
@@ -641,6 +663,17 @@ class TestSimulate:
         assert rc == 2
         assert "rpr:<alpha>,<beta>" in err
 
+    def test_unknown_token_with_an_argument_exit_2_naming_it(self, pop_csv, tmp_path, capsys):
+        rc = main([
+            "simulate", "--population", str(pop_csv),
+            "--reps", "5", "--n", "5", "--seed", "1",
+            "--estimators", "bogus:1,mean",
+            "--out", str(tmp_path / "x.json"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: unknown estimator token 'bogus:1';")
+
     @pytest.mark.parametrize(
         "estimators, token",
         [
@@ -853,6 +886,24 @@ class TestEstimatorListSplitting:
             "rpr:0.1,0.2", "rpr:0.3,0.4",
         ]
         assert _split_estimators(" mean , aoe:0.6 ") == ["mean", "aoe:0.6"]
+
+    @pytest.mark.parametrize(
+        "text, tokens",
+        [
+            ("bogus:1,mean", ["bogus:1", "mean"]),
+            ("rpr,mean", ["rpr", "mean"]),
+            ("rpr:0.5", ["rpr:0.5"]),
+            ("rpr:,0.5", ["rpr:,0.5"]),
+            ("rpr:0.5,,0.6", ["rpr:0.5,", "0.6"]),
+            ("ratio:1,2", ["ratio:1", "2"]),
+            ("mean,,ratio", ["mean", "ratio"]),
+            ("rpr:0.1,rpr:0.2,0.3", ["rpr:0.1,rpr:0.2", "0.3"]),
+        ],
+    )
+    def test_each_kind_takes_as_many_pieces_as_it_has_fields(self, text, tokens):
+        from rpratio.cli import _split_estimators
+
+        assert _split_estimators(text) == tokens
 
 
 class TestSurface:

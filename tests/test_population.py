@@ -1,5 +1,6 @@
 """Population container, summaries, CSV loading, and design constants."""
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from rpratio.population import (
     SamplingDesign,
     SummaryStats,
     _int_text,
+    _mean,
     format_csv_rows,
     load_population_csv,
     make_design,
@@ -104,6 +106,45 @@ class TestSummarize:
         with pytest.raises(DegenerateVarianceError):
             summarize(Population(y=[1.0, 2.0, 3.0], x=[5.0, 5.0, 5.0]))
 
+    def test_underflowing_variance_is_named(self):
+        tiny, spread = [1e-320, 2e-320, 3e-320], [1.0, 2.0, 4.0]
+        with pytest.raises(
+            DegenerateVarianceError, match="^the variance of y underflows double precision$"
+        ):
+            summarize(Population(y=tiny, x=spread))
+        with pytest.raises(
+            DegenerateVarianceError, match="^the variance of x underflows double precision$"
+        ):
+            summarize(Population(y=spread, x=tiny))
+
+    @given(
+        data=st.lists(
+            st.tuples(
+                st.floats(min_value=-1e6, max_value=1e6),
+                st.floats(min_value=-1e6, max_value=1e6),
+            ),
+            min_size=2,
+            max_size=30,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_fields_equal_the_inline_derivation(self, data):
+        y = np.array([p[0] for p in data])
+        x = np.array([p[1] for p in data])
+        try:
+            stx = summarize(Population(y=y, x=x))
+        except (ZeroMeanError, DegenerateVarianceError, InvalidInputError):
+            return
+        N = len(y)
+        mean_y, mean_x = _mean(y), _mean(x)
+        dy, dx = y - mean_y, x - mean_x
+        var_y, var_x = float(dy @ dy) / (N - 1), float(dx @ dx) / (N - 1)
+        cov_xy = float(dy @ dx) / (N - 1)
+        r = max(-1.0, min(1.0, cov_xy / math.sqrt(var_y * var_x)))
+        cv_y, cv_x = math.sqrt(var_y) / mean_y, math.sqrt(var_x) / mean_x
+        expected = (mean_y, mean_x, var_y, var_x, cov_xy, r, cv_y, cv_x, r * cv_y / cv_x)
+        assert [v.hex() for v in astuple(stx)] == [v.hex() for v in expected]
+
     def test_constant_column_with_inexact_mean_rejected(self):
         # The float mean of three copies of this value is not the value, so
         # the computed variance is rounding noise rather than zero.
@@ -180,6 +221,26 @@ class TestFromMoments:
         assert stx.cv_y == 0.5
         assert stx.cv_x == 0.5
         assert stx.c == -0.5
+
+    @given(
+        mean_y=st.floats(min_value=-1e100, max_value=1e100).filter(bool),
+        mean_x=st.floats(min_value=-1e100, max_value=1e100).filter(bool),
+        sd_y=st.floats(min_value=1e-100, max_value=1e100),
+        sd_x=st.floats(min_value=1e-100, max_value=1e100),
+        r=st.floats(min_value=-1.0, max_value=1.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_fields_equal_the_inline_derivation(self, mean_y, mean_x, sd_y, sd_x, r):
+        try:
+            stx = SummaryStats.from_moments(mean_y, mean_x, sd_y, sd_x, r)
+        except InvalidInputError:  # a square overflows
+            return
+        cv_y, cv_x = sd_y / mean_y, sd_x / mean_x
+        expected = (
+            mean_y, mean_x, sd_y * sd_y, sd_x * sd_x, r * sd_y * sd_x, r,
+            cv_y, cv_x, r * cv_y / cv_x,
+        )
+        assert [v.hex() for v in astuple(stx)] == [v.hex() for v in expected]
 
     def test_validation(self):
         with pytest.raises(ZeroMeanError):

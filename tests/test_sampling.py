@@ -339,6 +339,11 @@ class TestSrswor:
         with pytest.raises(InvalidInputError, match=f"^{name} must be an integer"):
             srswor(*sizes, 1, 0)
 
+    def test_a_bool_beside_a_bad_size_is_not_named(self):
+        # srswor reads True as 1, so the error names the string.
+        with pytest.raises(InvalidInputError, match="^n must be an integer, got '3'$"):
+            srswor(True, "3", 1)
+
     def test_population_over_budget_refused_before_allocating(self):
         tracemalloc.start()
         try:

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rpratio.errors import (
@@ -319,6 +319,30 @@ class TestOptimalParameters:
             u = -u
         sol = aoe_parameters(c, branch)
         assert (sol.alpha_star, sol.beta_star) == ((1.0 - u) / 2.0, (1.0 - c / u) / 2.0)
+
+    @given(
+        c=st.floats(max_value=0.0, exclude_max=True, allow_infinity=False)
+        | st.floats(min_value=0.5, exclude_min=True, allow_infinity=False),
+        branch=st.sampled_from(list(Branch)),
+    )
+    @example(c=-5e-324, branch=Branch.MINUS_MINUS)
+    @example(c=0.5000000000000001, branch=Branch.MINUS_MINUS)
+    @example(c=1.27e308, branch=Branch.PLUS_PLUS)
+    @example(c=-1.7976931348623157e308, branch=Branch.MINUS_MINUS)
+    @settings(max_examples=500, deadline=None)
+    def test_equals_the_two_form_radicand(self, c, branch):
+        # The reference: c / (2c - 1), or 1 / (2 - 1/c) where 2c - 1 overflows.
+        twice = 2.0 * c - 1.0
+        u = math.sqrt(c / twice if math.isfinite(twice) else 1.0 / (2.0 - 1.0 / c))
+        if branch is Branch.PLUS_PLUS:
+            u = -u
+        if not math.isfinite(c / u):
+            with pytest.raises(InvalidInputError):
+                aoe_parameters(c, branch)
+            return
+        sol = aoe_parameters(c, branch)
+        expected = ((1.0 - u) / 2.0, (1.0 - c / u) / 2.0)
+        assert [v.hex() for v in (sol.alpha_star, sol.beta_star)] == [v.hex() for v in expected]
 
     @pytest.mark.parametrize("c", [1e308, -1e308, 9e307, -9e307])
     def test_huge_c_where_two_c_overflows(self, c):
