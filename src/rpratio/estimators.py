@@ -270,7 +270,7 @@ class SinghRatioProduct(_Kind):
     def _values(self, yb, xb, Xb):
         k = self.k
         if k == 0.0:
-            return yb * xb / Xb, np.zeros_like(yb, dtype=bool)
+            return Product._values(self, yb, xb, Xb)
         return yb * (k * Xb / xb + (1.0 - k) * xb / Xb), xb == 0.0
 
     def coefficients(self):

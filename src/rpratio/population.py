@@ -17,12 +17,11 @@ import numpy as np
 
 from .errors import (
     DegenerateVarianceError,
-    InvalidDesignError,
     InvalidInputError,
     ParseError,
     ZeroMeanError,
 )
-from .sampling import _integer, _real
+from .sampling import SamplingDesign, _real, make_design
 
 __all__ = [
     "Population",
@@ -43,6 +42,11 @@ class Population:
     x: np.ndarray
 
     def __post_init__(self):
+        # numpy would read a list that mixes numbers and bools, such as
+        # [1, True], as numbers; an array's dtype tells a bool column below.
+        for column in (self.y, self.x):
+            if isinstance(column, (list, tuple)) and {bool, np.bool_} & set(map(type, column)):
+                raise InvalidInputError("population values must be real numbers")
         try:
             y, x = np.asarray(self.y), np.asarray(self.x)
             # Only integer and float columns: numpy's float conversion would
@@ -140,35 +144,24 @@ class SummaryStats:
         return cls(mean_y, mean_x, var_y, var_x, cov_xy, r, cv_y, cv_x, r * cv_y / cv_x)
 
 
-@dataclass(frozen=True)
-class SamplingDesign:
-    """Without-replacement design drawing n of N units; requires 1 <= n < N,
-    with n and N integers or numpy integers, stored as int."""
-
-    n: int
-    N: int
-
-    def __post_init__(self):
-        n, N = _integer(self.n, "n"), _integer(self.N, "N")
-        if not 1 <= n < N:
-            raise InvalidDesignError(f"need 1 <= n < N, got n={n}, N={N}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "N", N)
-
-    @property
-    def f(self) -> float:
-        return self.n / self.N
-
-    @property
-    def fpc_rate(self) -> float:
-        """(1 - f) / n, the factor multiplying every first-order moment."""
-        return (1.0 - self.f) / self.n
-
-
 def _mean(values: np.ndarray) -> float:
     """A population column's mean; a constant column's is its value, which
     the summed mean can miss by rounding (ten 0.3s average 0.29999999999999993)."""
     return float(values[0]) if np.ptp(values) == 0.0 else float(values.mean())
+
+
+def _column_moments(column: np.ndarray, name: str) -> tuple[float, np.ndarray, float]:
+    """A column's mean by _mean's rule, its deviations and its variance on the
+    N-1 divisor.  InvalidInputError names the column when the mean or the
+    variance of its finite cells overflows a double."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = _mean(column)
+        dev = column - mean
+        var = float(dev @ dev) / (len(column) - 1)
+    for what, value in (("mean", mean), ("variance", var)):
+        if not math.isfinite(value):
+            raise InvalidInputError(f"the {what} of {name} overflows double precision")
+    return mean, dev, var
 
 
 def summarize(pop: Population) -> SummaryStats:
@@ -178,16 +171,11 @@ def summarize(pop: Population) -> SummaryStats:
     variation would be undefined) and DegenerateVarianceError when either
     column is constant.
     """
-    N = pop.size
-    mean_y, mean_x = _mean(pop.y), _mean(pop.x)
-    if mean_y == 0.0:
-        raise ZeroMeanError("population mean of y is zero")
-    if mean_x == 0.0:
-        raise ZeroMeanError("population mean of x is zero")
-    dy = pop.y - mean_y
-    dx = pop.x - mean_x
-    var_y = float(dy @ dy) / (N - 1)
-    var_x = float(dx @ dx) / (N - 1)
+    mean_y, dy, var_y = _column_moments(pop.y, "y")
+    mean_x, dx, var_x = _column_moments(pop.x, "x")
+    for name, mean in (("y", mean_y), ("x", mean_x)):
+        if mean == 0.0:
+            raise ZeroMeanError(f"population mean of {name} is zero")
     for name, column, var in (("y", pop.y, var_y), ("x", pop.x, var_x)):
         if var == 0.0 and np.ptp(column) > 0.0:
             raise DegenerateVarianceError(
@@ -195,7 +183,7 @@ def summarize(pop: Population) -> SummaryStats:
             )
         if var == 0.0:
             raise DegenerateVarianceError(f"{name} values are all identical")
-    cov_xy = float(dy @ dx) / (N - 1)
+    cov_xy = float(dy @ dx) / (pop.size - 1)
     # Cauchy-Schwarz bounds |r| by 1 up to float rounding; clamp the excursion.
     r = max(-1.0, min(1.0, cov_xy / math.sqrt(var_y * var_x)))
     return SummaryStats._derive(
@@ -336,7 +324,3 @@ def format_csv_rows(table: np.ndarray, formats) -> str:
         cells[:, j] = text[codes]
     return "".join(cells.ravel().tolist())
 
-
-def make_design(n: int, N: int) -> SamplingDesign:
-    """Build a without-replacement design; SamplingDesign checks 1 <= n < N."""
-    return SamplingDesign(n=n, N=N)

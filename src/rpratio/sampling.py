@@ -1,4 +1,4 @@
-"""Sample-size planning, confidence intervals, and reproducible SRSWOR draws.
+"""Designs, sample-size planning, confidence intervals, and reproducible SRSWOR draws.
 
 The normal quantile is computed in-package (rational initial guess plus one
 Halley step against math.erfc) so nothing on the numeric path depends on a
@@ -145,6 +145,35 @@ def plan_sample_size(
 
 
 @dataclass(frozen=True)
+class SamplingDesign:
+    """Without-replacement design drawing n of N units; requires 1 <= n < N,
+    with n and N integers or numpy integers, stored as int."""
+
+    n: int
+    N: int
+
+    def __post_init__(self):
+        n, N = _integer(self.n, "n"), _integer(self.N, "N")
+        if not 1 <= n < N:
+            raise InvalidDesignError(f"need 1 <= n < N, got n={n}, N={N}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "N", N)
+
+    @property
+    def f(self) -> float:
+        return self.n / self.N
+
+    @property
+    def fpc_rate(self) -> float:
+        """(1 - f) / n, the factor multiplying every first-order moment."""
+        return (1.0 - self.f) / self.n
+
+
+# make_design(n, N) is the design's older spelling.
+make_design = SamplingDesign
+
+
+@dataclass(frozen=True)
 class ConfidenceInterval:
     lo: float
     hi: float
@@ -158,14 +187,12 @@ def confidence_interval(
 
         point +- z * sqrt(sd_y^2 / n) * sqrt((N - n) / (N - 1))
     """
-    n, N = _integer(n, "n"), _integer(N, "N")
-    if not 1 <= n < N:
-        raise InvalidDesignError(f"need 1 <= n < N, got n={n}, N={N}")
+    d = SamplingDesign(n, N)
     point, sd_y = _real(point, "point"), _real(sd_y, "sd_y")
     if sd_y < 0.0:
         raise InvalidInputError(f"sd_y must be nonnegative, got {sd_y!r}")
     z = z_quantile(confidence)
-    half = z * (sd_y / math.sqrt(n)) * math.sqrt((N - n) / (N - 1.0))
+    half = z * (sd_y / math.sqrt(d.n)) * math.sqrt((d.N - d.n) / (d.N - 1.0))
     return ConfidenceInterval(lo=point - half, hi=point + half, half_width=half)
 
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import InvalidInputError, SingularDenominatorError, TooLargeError
 from .estimators import EstimatorSpec, Product, Ratio, SampleMean, estimator_token
-from .population import Population, _int_text, _mean, format_csv_rows, make_design
-from .sampling import _integer, confidence_interval, quartiles, srswor
+from .population import Population, _column_moments, _int_text, format_csv_rows
+from .sampling import _integer, confidence_interval, make_design, quartiles, srswor
 
 __all__ = [
     "SimConfig",
@@ -112,9 +112,9 @@ class SimResult:
     reports: tuple[EstimatorReport, ...]
     ranking: RankingTable
     meta: dict = field(default_factory=dict)
-    # Volatile by nature, so kept out of meta: the serialized report must be
-    # byte-identical across reruns.
-    wall_time_s: float = 0.0
+    # Volatile by nature, so kept out of meta and out of equality: the
+    # serialized report must be byte-identical across reruns.
+    wall_time_s: float = field(default=0.0, compare=False)
     # (reps, k) estimates, nan where singular, and the singular mask.
     estimates: np.ndarray | None = field(default=None, compare=False)
     singular: np.ndarray | None = field(default=None, compare=False)
@@ -201,14 +201,10 @@ def run_simulation(pop: Population, cfg: SimConfig) -> SimResult:
     """
     started = time.perf_counter()
     N = pop.size
-    # Moments are computed directly rather than through summarize() so that
-    # degenerate populations (constant y) still simulate; the interval width
-    # is then exactly zero.
-    true_mean = _mean(pop.y)
-    mean_x = _mean(pop.x)
-    dy = pop.y - true_mean
-    sd_y = math.sqrt(float(dy @ dy) / (N - 1))
-    ci = confidence_interval(true_mean, sd_y, cfg.n, N, cfg.confidence)
+    # Not summarize(): a constant y still simulates, with a zero-width interval.
+    true_mean, _, var_y = _column_moments(pop.y, "y")
+    mean_x = _column_moments(pop.x, "x")[0]
+    ci = confidence_interval(true_mean, math.sqrt(var_y), cfg.n, N, cfg.confidence)
     half_width = ci.half_width
 
     specs = cfg.estimators
@@ -324,7 +320,7 @@ def exhaustive_oracle(pop: Population, n: int, spec: EstimatorSpec) -> ExactMome
         raise TooLargeError(
             f"C({N}, {n}) = {total} subsets exceeds the {_ENUMERATION_BUDGET} budget"
         )
-    Xbar, Ybar = _mean(pop.x), _mean(pop.y)
+    Ybar, Xbar = _column_moments(pop.y, "y")[0], _column_moments(pop.x, "x")[0]
     subsets = itertools.combinations(range(N), n)
     est, singular = spec.evaluate(*_sample_means(pop, subsets, total, n), Xbar)
     if singular.any():

@@ -36,8 +36,8 @@ from .errors import (
     TooLargeError,
 )
 from .estimators import EstimatorSpec, RatioProductRatio, _checked
-from .population import SamplingDesign, SummaryStats
-from .sampling import _real
+from .population import SummaryStats
+from .sampling import SamplingDesign, _real
 
 __all__ = [
     "Branch",
@@ -263,9 +263,12 @@ def relative_efficiency(
 
 def _axis(bounds: tuple[float, float, float], what: str) -> tuple[float, float, int]:
     """(start, step, count) of an inclusive 'start:stop:step' range."""
-    start, stop, step = (float(t) for t in bounds)
-    if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(step)):
-        raise InvalidInputError(f"{what} bounds must be finite")
+    try:
+        start, stop, step = bounds
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"{what} range needs start, stop and step") from None
+    start, stop = _real(start, f"{what} start"), _real(stop, f"{what} stop")
+    step = _real(step, f"{what} step")
     if step <= 0.0 or stop < start:
         raise InvalidInputError(f"{what} needs stop >= start and step > 0")
     span = (stop - start) / step + 1e-9

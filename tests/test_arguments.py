@@ -15,16 +15,24 @@ from rpratio.sampling import confidence_interval, plan_sample_size
 from rpratio.simulation import SimConfig, exhaustive_oracle
 from rpratio.theory import (
     Baseline,
+    SurfaceKind,
     aoe_bias1,
     aoe_parameters,
     biasfree_betas,
     dominates,
     mse1_grad,
+    surface_grid,
 )
 
 POP = Population(y=[1.0, 2.0, 4.0, 3.0], x=[2.0, 3.0, 5.0, 4.0])
 ST = SummaryStats.from_moments(mean_y=2.0, mean_x=4.0, sd_y=1.0, sd_x=2.0, r=0.5)
 DESIGN = SamplingDesign(n=10, N=100)
+
+
+def _alpha_axis(start, stop, step):
+    """surface_grid over the alpha range (start, stop, step)."""
+    return surface_grid(SurfaceKind.AOE, (start, stop, step), (0.0, 1.0, 0.5))
+
 
 # (callable, its valid keyword arguments, the arguments swept); each case
 # replaces one swept argument.
@@ -59,6 +67,9 @@ ENTRY_POINTS = {
         ["alpha", "beta", "c"],
     ),
     "biasfree_betas": (biasfree_betas, dict(alpha=0.2, c=0.6), ["alpha", "c"]),
+    "surface_grid": (
+        _alpha_axis, dict(start=0.0, stop=1.0, step=0.5), ["start", "stop", "step"],
+    ),
 }
 BAD_VALUES = ["0.5", None, True, 1j, math.nan]
 
@@ -85,3 +96,22 @@ def test_a_bool_size_is_refused():
 def test_bool_and_string_cells_are_refused():
     with pytest.raises(EstimationError, match="^population values must be real numbers$"):
         Population(y=["1", "2"], x=[True, False])
+
+
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        ((0, 1), "alpha range needs start, stop and step"),
+        ((0, 1, 0.5, 2), "alpha range needs start, stop and step"),
+        (None, "alpha range needs start, stop and step"),
+        ((0, "a", 1), "alpha stop must be a real number, got 'a'"),
+        ((0, 1, None), "alpha step must be a real number, got None"),
+        (("0", 1, 0.5), "alpha start must be a real number, got '0'"),
+        ((0, 1, math.inf), "alpha step must be finite, got inf"),
+    ],
+    ids=repr,
+)
+def test_malformed_grid_bounds_name_the_axis_and_part(bounds, message):
+    with pytest.raises(EstimationError) as err:
+        surface_grid(SurfaceKind.AOE, bounds, (0.0, 1.0, 0.5))
+    assert str(err.value) == message

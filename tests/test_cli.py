@@ -959,7 +959,7 @@ class TestSurface:
     @pytest.mark.parametrize(
         "alpha, message",
         [("0:one:0.5", "non-numeric bound in range '0:one:0.5'"),
-         ("0:nan:0.5", "alpha bounds must be finite")],
+         ("0:nan:0.5", "alpha stop must be finite, got nan")],
     )
     def test_bad_range_bound_exit_2(self, alpha, message, capsys):
         rc = main(["surface", "--kind", "aoe", "--alpha", alpha, "--c", "0.6:0.6:1"])
@@ -1025,6 +1025,24 @@ class TestEntryPoint:
     def test_version(self):
         proc = self.run_module("--version")
         assert (proc.returncode, proc.stdout) == (0, "0.1.0\n")
+
+    @pytest.mark.parametrize(
+        "column, what", [("1e308,1.5e308,1.7e308", "mean"), ("1e160,-1e160,2e160", "variance")]
+    )
+    def test_overflowing_moments_exit_2_with_one_line(self, tmp_path, column, what):
+        # A fresh interpreter shows whether numpy's warnings reach stderr.
+        pop = tmp_path / "big.csv"
+        pop.write_text("y,x\n" + "".join(f"{v},{k}\n" for k, v in enumerate(column.split(","), 1)))
+        out = tmp_path / "r.json"
+        for argv in (
+            ["analyze", str(pop)],
+            ["simulate", "--population", str(pop), "--reps", "5", "--n", "2",
+             "--seed", "1", "--out", str(out)],
+        ):
+            proc = self.run_module(*argv)
+            assert (proc.returncode, proc.stdout) == (2, "")
+            assert proc.stderr == f"error: the {what} of y overflows double precision\n"
+        assert not out.exists()
 
     def test_missing_population_exit_2(self, tmp_path):
         missing = tmp_path / "absent.csv"

@@ -365,6 +365,14 @@ class TestArrayEvaluator:
             else:
                 assert same_float(values[i], want), (yb, xb, values[i], want)
 
+    @given(means=mean_arrays())
+    @settings(max_examples=300, deadline=None)
+    def test_singh_at_zero_is_the_product_estimator(self, means):
+        values, singular = SinghRatioProduct(0.0).evaluate(*means)
+        want, want_singular = Product().evaluate(*means)
+        assert values.tobytes() == want.tobytes()
+        assert singular.tolist() == want_singular.tolist()
+
     @pytest.mark.parametrize(
         "spec, xbar",
         [

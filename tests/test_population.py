@@ -14,10 +14,12 @@ from rpratio.errors import (
     ParseError,
     ZeroMeanError,
 )
+import rpratio
 from rpratio.population import (
     Population,
     SamplingDesign,
     SummaryStats,
+    _column_moments,
     _int_text,
     _mean,
     format_csv_rows,
@@ -25,6 +27,7 @@ from rpratio.population import (
     make_design,
     summarize,
 )
+from rpratio.sampling import confidence_interval
 from rpratio.theory import SurfaceKind, surface_grid
 
 finite_values = st.floats(
@@ -65,6 +68,14 @@ class TestPopulation:
     def test_rejects_bad_columns(self, y, x):
         with pytest.raises(InvalidInputError):
             Population(y=y, x=x)
+
+    @pytest.mark.parametrize(
+        "column", [[1, True], (2.0, False), [1.0, np.True_]], ids=["int", "tuple", "numpy-bool"]
+    )
+    def test_bools_inside_a_list_column_are_refused(self, column):
+        for kwargs in (dict(y=column, x=[1.0, 2.0]), dict(y=[1.0, 2.0], x=column)):
+            with pytest.raises(InvalidInputError, match="^population values must be real numbers$"):
+                Population(**kwargs)
 
     def test_rejects_two_dimensional(self):
         with pytest.raises(InvalidInputError):
@@ -116,6 +127,17 @@ class TestSummarize:
             DegenerateVarianceError, match="^the variance of x underflows double precision$"
         ):
             summarize(Population(y=spread, x=tiny))
+
+    @pytest.mark.parametrize(
+        "column, what", [([1e308, 1.5e308, 1.7e308], "mean"), ([1e160, -1e160, 2e160], "variance")]
+    )
+    @pytest.mark.parametrize("name", ["y", "x"])
+    def test_overflowing_moments_are_named(self, column, what, name):
+        pop = Population(**{"y": [1.0, 2.0, 4.0], "x": [1.0, 2.0, 4.0], name: column})
+        with pytest.raises(
+            InvalidInputError, match=f"^the {what} of {name} overflows double precision$"
+        ):
+            summarize(pop)
 
     @given(
         data=st.lists(
@@ -208,6 +230,31 @@ class TestSummarize:
         stx = summarize(Population(y=y, x=x))
         assert -1.0 <= stx.r <= 1.0
         assert stx.c * stx.cv_x == pytest.approx(stx.r * stx.cv_y, abs=1e-14)
+
+
+class TestColumnMoments:
+    @given(
+        column=st.lists(
+            st.floats(allow_nan=False, allow_infinity=False)
+            | st.sampled_from([0.0, -0.0, 0.3, 1e-320, 1e160, 1.7e308]),
+            min_size=2,
+            max_size=30,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_inline_moments_bit_for_bit(self, column):
+        values = np.array(column)
+        with np.errstate(all="ignore"):
+            mean = _mean(values)
+            dev = values - mean
+            var = float(dev @ dev) / (len(values) - 1)
+        if not (math.isfinite(mean) and math.isfinite(var)):
+            with pytest.raises(InvalidInputError, match="^the (mean|variance) of y overflows"):
+                _column_moments(values, "y")
+            return
+        got_mean, got_dev, got_var = _column_moments(values, "y")
+        assert (got_mean.hex(), got_var.hex()) == (mean.hex(), var.hex())
+        assert got_dev.tobytes() == dev.tobytes()
 
 
 class TestFromMoments:
@@ -312,6 +359,19 @@ class TestMakeDesign:
         d = SamplingDesign(kind(112), kind(365))
         assert d == SamplingDesign(112, 365)
         assert type(d.n) is int and type(d.N) is int
+
+    def test_the_design_lives_in_sampling(self):
+        assert rpratio.population.SamplingDesign is rpratio.sampling.SamplingDesign
+        assert rpratio.population.make_design is rpratio.sampling.make_design
+        assert rpratio.SamplingDesign is rpratio.sampling.SamplingDesign
+
+    @pytest.mark.parametrize("n", [0, 50, 51])
+    def test_interval_and_design_refuse_alike(self, n):
+        with pytest.raises(InvalidDesignError) as design:
+            SamplingDesign(n, 50)
+        with pytest.raises(InvalidDesignError) as interval:
+            confidence_interval(1.0, 0.5, n, 50, 0.9)
+        assert str(interval.value) == str(design.value) == f"need 1 <= n < N, got n={n}, N=50"
 
     @pytest.mark.parametrize(
         "name, n, N",

@@ -186,6 +186,24 @@ class TestExhaustiveOracle:
             exhaustive_oracle(tiny_pop, n, SampleMean())
 
 
+OVERFLOWING_COLUMNS = [
+    ([1e308, 1.5e308, 1.7e308], "mean"),
+    ([1e160, -1e160, 2e160], "variance"),
+]
+
+
+@pytest.mark.parametrize("column, what", OVERFLOWING_COLUMNS)
+@pytest.mark.parametrize("name", ["y", "x"])
+def test_overflowing_column_moments_are_named(column, what, name):
+    spread = [1.0, 2.0, 4.0]
+    pop = Population(**{"y": spread, "x": spread, name: column})
+    message = f"^the {what} of {name} overflows double precision$"
+    with pytest.raises(InvalidInputError, match=message):
+        run_simulation(pop, SimConfig(reps=5, n=2, seed=1))
+    with pytest.raises(InvalidInputError, match=message):
+        exhaustive_oracle(pop, 2, SampleMean())
+
+
 class TestMonteCarloAgreement:
     def test_matches_oracle_on_enumerable_population(self, tiny_pop, tmp_path):
         reps = 30000
@@ -230,6 +248,10 @@ class TestDeterminism:
         a = run_simulation(tiny_pop, SimConfig(reps=400, n=3, seed=1))
         b = run_simulation(tiny_pop, SimConfig(reps=400, n=3, seed=2))
         assert comparable(a) != comparable(b)
+
+    def test_identical_runs_are_equal(self, tiny_pop):
+        cfg = SimConfig(reps=50, n=3, seed=7)
+        assert run_simulation(tiny_pop, cfg) == run_simulation(tiny_pop, cfg)
 
     def test_wall_time_not_serialized(self, tiny_pop):
         res = run_simulation(tiny_pop, SimConfig(reps=10, n=3, seed=5))
