@@ -32,7 +32,10 @@ from .estimators import (
 )
 from .population import (
     SummaryStats,
+    _csv_column,
+    _csv_texts,
     _int_text,
+    _join_csv_columns,
     format_csv_rows,
     load_population_csv,
     make_design,
@@ -45,6 +48,7 @@ from .theory import (
     Baseline,
     Branch,
     SurfaceKind,
+    _surface,
     aoe_parameters,
     bias1_rpr,
     biasfree_betas,
@@ -53,13 +57,14 @@ from .theory import (
     mse1_grad,
     mse1_rpr,
     relative_efficiency,
-    surface_grid,
 )
 
 __all__ = ["main", "run"]
 
-# Rows joined into one write by _write_csv_blocks.
-_CSV_BLOCK_ROWS = 1 << 15
+# Rows joined into one write by _write_csv_blocks and _write_surface.  At
+# 2^15 rows the region surface's per-block arrays and text came from fresh
+# pages (10 000 page faults a call); 2^13 measured faster than 2^12 and 2^15.
+_CSV_BLOCK_ROWS = 1 << 13
 
 
 def _dump_json(payload) -> str:
@@ -328,25 +333,49 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_surface(args) -> int:
-    kind = SurfaceKind(args.kind)
-    rows = surface_grid(
-        kind,
+    grid = _surface(
+        SurfaceKind(args.kind),
         _parse_range(args.alpha),
         _parse_range(args.c),
         _parse_range(args.beta) if args.beta else None,
     )
     formats = [repr, repr, repr]
     header = "alpha,beta,c"
-    if kind is SurfaceKind.DOMINANCE:
+    if grid.kind is SurfaceKind.DOMINANCE:
         formats.append(_int_text)
         header += ",indicator"
     if args.out:
         with open(args.out, "w") as fh:
-            _write_csv_blocks(fh, header, rows, formats)
-        sys.stdout.write(f"{len(rows)} rows written to {args.out}\n")
+            _write_surface(fh, header, grid, formats)
+        sys.stdout.write(f"{grid.rows} rows written to {args.out}\n")
     else:
-        _write_csv_blocks(sys.stdout, header, rows, formats)
+        _write_surface(sys.stdout, header, grid, formats)
     return 0
+
+
+def _write_surface(fh, header: str, grid, formats) -> None:
+    """Write a header line and one CSV line per grid row, evaluated and
+    joined _CSV_BLOCK_ROWS rows at a time.  Each value of a column that has
+    known values is formatted once per grid; only the computed beta of
+    biasfree and aoe is formatted per block."""
+    known = [
+        None if values is None else _csv_texts(values, fmt)
+        for values, fmt in zip(grid.columns, formats)
+    ]
+    fh.write(header + "\n")
+    for start in range(0, grid.rows, _CSV_BLOCK_ROWS):
+        columns = []
+        for texts, fmt, column in zip(
+            known, formats, grid.block(start, min(start + _CSV_BLOCK_ROWS, grid.rows))
+        ):
+            if texts is None:
+                columns.append(_csv_column(column, fmt))
+            else:
+                # Only the texts this block reaches, which lets the few alphas
+                # of a block fuse with the betas.
+                low = column.min()
+                columns.append((texts[low:column.max() + 1], column - low))
+        fh.write(_join_csv_columns(columns))
 
 
 def _write_csv_blocks(fh, header: str, table: np.ndarray, formats) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,8 +185,15 @@ def summarize(pop: Population) -> SummaryStats:
         if var == 0.0:
             raise DegenerateVarianceError(f"{name} values are all identical")
     cov_xy = float(dy @ dx) / (pop.size - 1)
+    # The product of two variances can underflow or overflow; only then is
+    # it split, so that every other r keeps the bits of the one square root.
+    var_product = var_y * var_x
+    if sys.float_info.min <= var_product < math.inf:
+        sd_product = math.sqrt(var_product)
+    else:
+        sd_product = math.sqrt(var_y) * math.sqrt(var_x)
     # Cauchy-Schwarz bounds |r| by 1 up to float rounding; clamp the excursion.
-    r = max(-1.0, min(1.0, cov_xy / math.sqrt(var_y * var_x)))
+    r = max(-1.0, min(1.0, cov_xy / sd_product))
     return SummaryStats._derive(
         mean_y, mean_x, math.sqrt(var_y), math.sqrt(var_x), var_y, var_x, cov_xy, r
     )
@@ -256,10 +264,16 @@ def load_population_csv(path) -> Population:
     return Population(y=np.array(ys), x=np.array(xs))
 
 
-def _column_codes(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of a float column, keyed by bit pattern so that
-    -0.0 keeps its own text, and each cell's index among them.  Runs of
-    equal cells are collapsed before the values are sorted."""
+def _csv_texts(values: np.ndarray, fmt) -> np.ndarray:
+    """fmt of each value, as an object array of texts."""
+    return np.array(list(map(fmt, values.tolist())), dtype=object)
+
+
+def _csv_column(column: np.ndarray, fmt) -> tuple[np.ndarray, np.ndarray]:
+    """A float column's texts and codes: fmt of each distinct value, keyed
+    by bit pattern so that -0.0 keeps its own text, and each cell's index
+    among them.  Runs of equal cells are collapsed before the values are
+    sorted."""
     bits = column.view(np.uint64)
     starts = np.ones(len(bits), dtype=bool)
     np.not_equal(bits[1:], bits[:-1], out=starts[1:])
@@ -267,7 +281,7 @@ def _column_codes(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     distinct, index = np.unique(runs, return_inverse=True)
     if len(runs) < len(bits):  # spread each run's index over its cells
         index = index[np.cumsum(starts) - 1]
-    return distinct.view(np.float64), index
+    return _csv_texts(distinct.view(np.float64), fmt), index
 
 
 # A column fuses into the group to its left while the fused texts would
@@ -290,21 +304,30 @@ def format_csv_rows(table: np.ndarray, formats) -> str:
     the format, every finite cell reads back under load_population_csv's
     grammar to the same value.
 
-    Each column's format runs once per distinct value.  Walking left to
-    right, a column fuses into the group of columns before it when the
-    group's texts times the column's, times _ROWS_PER_FUSED_TEXT, are at
-    most the rows: the group's texts become every "group,column" pair, and
-    each row's code becomes that of its pair.  The groups' texts carry the
-    separators around them: the newline after the last group, and each ","
-    on the side of the neighbouring group with fewer texts, so that it is
-    attached to fewer texts.  The block is one join over the row-major
-    group matrix.
+    Each column's format runs once per distinct value (_csv_column), and
+    _join_csv_columns joins the columns' texts and codes."""
+    return _join_csv_columns(
+        [_csv_column(column, fmt) for fmt, column in zip(formats, table.T)]
+    )
+
+
+def _join_csv_columns(columns) -> str:
+    """The CSV lines of columns given as (texts, codes) pairs: cell (i, j)
+    is texts_j[codes_j[i]].  A caller that knows a column's texts passes
+    them straight in; the fewer texts a column has, the more it fuses.
+
+    Walking left to right, a column fuses into the group of columns before
+    it when the group's texts times the column's, times
+    _ROWS_PER_FUSED_TEXT, are at most the rows: the group's texts become
+    every "group,column" pair, and each row's code becomes that of its
+    pair.  The groups' texts carry the separators around them: the newline
+    after the last group, and each "," on the side of the neighbouring
+    group with fewer texts, so that it is attached to fewer texts.  The
+    block is one join over the row-major group matrix.
     """
-    rows = len(table)
+    rows = len(columns[0][1])
     groups = []
-    for fmt, column in zip(formats, table.T):
-        distinct, index = _column_codes(column)
-        text = np.array(list(map(fmt, distinct.tolist())), dtype=object)
+    for text, index in columns:
         if groups and len(groups[-1][0]) * len(text) * _ROWS_PER_FUSED_TEXT <= rows:
             texts, codes = groups[-1]
             groups[-1] = np.add.outer(texts + ",", text).ravel(), codes * len(text) + index

@@ -59,7 +59,8 @@ __all__ = [
     "surface_grid",
 ]
 
-# Most rows surface_grid builds in memory; the benchmark grid has 418 241.
+# Most rows a surface may have; the benchmark grid has 418 241.  Checked
+# before any row is evaluated, so also before the CLI opens its output.
 _GRID_BUDGET = 10_000_000
 
 
@@ -277,9 +278,84 @@ def _axis(bounds: tuple[float, float, float], what: str) -> tuple[float, float, 
     return start, step, int(math.floor(span)) + 1
 
 
-def _table(*columns) -> np.ndarray:
-    """Broadcast the columns against each other and flatten them into rows."""
-    return np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(-1, len(columns))
+# The region indicator's values: row codes 0 and 1 select them.
+_INDICATOR = np.array([0.0, 1.0])
+
+
+@dataclass(frozen=True)
+class _Surface:
+    """A checked surface grid, evaluated a block of rows at a time.
+
+    Row i sits at np.unravel_index(i, shape): shape is (alphas, betas, cs)
+    for DOMINANCE, (alphas, cs, 2 roots) for BIAS_FREE and (off-pole alphas,
+    cs) for AOE.  columns holds, per output column, the values the column
+    takes (the indicator's are 0.0 and 1.0), or None for beta where each
+    row computes its own.
+    """
+
+    kind: SurfaceKind
+    shape: tuple[int, ...]
+    columns: tuple[np.ndarray | None, ...]
+
+    @property
+    def rows(self) -> int:
+        return math.prod(self.shape)
+
+    def block(self, start: int, stop: int) -> list[np.ndarray]:
+        """Rows [start, stop): per column, each row's index into the
+        column's values, or the row's computed beta where it has none."""
+        alphas, betas, cs = self.columns[:3]
+        index = np.unravel_index(np.arange(start, stop), self.shape)
+        # Huge axis values overflow to inf and nan exactly as Python floats do.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.kind is SurfaceKind.DOMINANCE:
+                ia, ib, ic = index
+                a, b, c = alphas[ia], betas[ib], cs[ic]
+                flag = (
+                    dominates(Baseline.SAMPLE_MEAN, a, b, c)
+                    & dominates(Baseline.RATIO, a, b, c)
+                    & dominates(Baseline.PRODUCT, a, b, c)
+                )
+                return [ia, ib, ic, flag.astype(np.intp)]
+            ia, ic = index[:2]
+            a, c = alphas[ia], cs[ic]
+            if self.kind is SurfaceKind.BIAS_FREE:
+                trivial, sheet = biasfree_betas(a, c)
+                return [ia, np.where(index[2] == 0, trivial, sheet), ic]
+            return [ia, (1.0 - c / (1.0 - 2.0 * a)) / 2.0, ic]
+
+
+def _surface(
+    kind: SurfaceKind,
+    alpha_range: tuple[float, float, float],
+    c_range: tuple[float, float, float],
+    beta_range: tuple[float, float, float] | None = None,
+) -> _Surface:
+    """The grid surface_grid tabulates, with every range and the row budget
+    checked; no row is evaluated yet."""
+    axes = [_axis(alpha_range, "alpha"), _axis(c_range, "c")]
+    if kind is SurfaceKind.DOMINANCE:
+        if beta_range is None:
+            raise InvalidInputError("dominance region needs a beta range")
+        axes.append(_axis(beta_range, "beta"))
+    rows_wanted = math.prod(count for _, _, count in axes)
+    if kind is SurfaceKind.BIAS_FREE:
+        rows_wanted *= 2
+    if rows_wanted > _GRID_BUDGET:
+        raise TooLargeError(
+            f"surface of {rows_wanted} rows exceeds the {_GRID_BUDGET} row budget"
+        )
+    alphas, cs, *betas = (s + t * np.arange(n, dtype=float) for s, t, n in axes)
+    if kind is SurfaceKind.DOMINANCE:
+        (betas,) = betas
+        shape = (len(alphas), len(betas), len(cs))
+        return _Surface(kind, shape, (alphas, betas, cs, _INDICATOR))
+    if kind is SurfaceKind.BIAS_FREE:
+        return _Surface(kind, (len(alphas), len(cs), 2), (alphas, None, cs))
+    if kind is SurfaceKind.AOE:  # no hyperbola point at the alpha = 1/2 pole
+        alphas = alphas[np.abs(1.0 - 2.0 * alphas) >= 1e-12]
+        return _Surface(kind, (len(alphas), len(cs)), (alphas, None, cs))
+    raise InvalidInputError(f"unknown surface kind {kind!r}")
 
 
 def surface_grid(
@@ -302,37 +378,9 @@ def surface_grid(
     Grids of more than _GRID_BUDGET rows raise TooLargeError before any row
     is built.
     """
-    axes = [_axis(alpha_range, "alpha"), _axis(c_range, "c")]
-    if kind is SurfaceKind.DOMINANCE:
-        if beta_range is None:
-            raise InvalidInputError("dominance region needs a beta range")
-        axes.append(_axis(beta_range, "beta"))
-    rows_wanted = math.prod(count for _, _, count in axes)
-    if kind is SurfaceKind.BIAS_FREE:
-        rows_wanted *= 2
-    if rows_wanted > _GRID_BUDGET:
-        raise TooLargeError(
-            f"surface of {rows_wanted} rows exceeds the {_GRID_BUDGET} row budget"
-        )
-    alphas, cs, *betas = (s + t * np.arange(n, dtype=float) for s, t, n in axes)
-    # Huge axis values overflow to inf and nan exactly as Python floats do.
-    with np.errstate(over="ignore", invalid="ignore"):
-        if kind is SurfaceKind.BIAS_FREE:
-            a, c = alphas[:, None, None], cs[None, :, None]
-            trivial, sheet = biasfree_betas(a, c)
-            roots = np.concatenate([np.full_like(sheet, trivial), sheet], axis=-1)
-            return _table(a, roots, c)
-        if kind is SurfaceKind.AOE:
-            u = 1.0 - 2.0 * alphas
-            off_pole = np.abs(u) >= 1e-12
-            a, u = alphas[off_pole, None], u[off_pole, None]
-            return _table(a, (1.0 - cs / u) / 2.0, cs)
-        if kind is SurfaceKind.DOMINANCE:
-            a, b, c = alphas[:, None, None], betas[0][None, :, None], cs
-            flag = (
-                dominates(Baseline.SAMPLE_MEAN, a, b, c)
-                & dominates(Baseline.RATIO, a, b, c)
-                & dominates(Baseline.PRODUCT, a, b, c)
-            )
-            return _table(a, b, c, flag)
-    raise InvalidInputError(f"unknown surface kind {kind!r}")
+    grid = _surface(kind, alpha_range, c_range, beta_range)
+    block = grid.block(0, grid.rows)
+    return np.column_stack([
+        column if values is None else values[column]
+        for values, column in zip(grid.columns, block)
+    ])

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -16,6 +17,8 @@ from rpratio import cli
 from rpratio.cli import main
 from rpratio.errors import EstimationError
 from rpratio.population import _int_text
+from rpratio.theory import SurfaceKind, surface_grid
+from test_golden import REGION_ARGS
 
 BENCH_STATS = {
     "mean_y": 0.5832,
@@ -235,6 +238,16 @@ class TestAnalyze:
         assert rc == 2
         assert captured.out == ""
         assert captured.err == "error: the variance of y underflows double precision\n"
+
+    @pytest.mark.parametrize("column", ["1e-85,2e-85,4e-85", "1e100,2e100,4e100"])
+    def test_variance_product_beyond_doubles_gives_r_one(self, tmp_path, capsys, column):
+        # var_y * var_x underflows to 0 for the first and overflows for the second.
+        pop = tmp_path / "twin.csv"
+        pop.write_text("y,x\n" + "".join(f"{v},{v}\n" for v in column.split(",")))
+        rc = main(["analyze", str(pop)])
+        payload = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert (payload["r"], payload["c"]) == (1.0, 1.0)
 
 
 class TestPlan:
@@ -977,6 +990,74 @@ class TestSurface:
         assert rc == 2
         assert "budget" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "beta", ["0:1", "0:one:0.5", "1:0:0.5", "0:nan:0.5", "0:1:1e-12"]
+    )
+    def test_bad_beta_range_exit_2_leaves_no_out_file(self, beta, tmp_path, capsys):
+        out = tmp_path / "region.csv"
+        rc = main([
+            "surface", "--kind", "region", "--alpha", "0:1:0.5", "--c", "0.6:0.6:1",
+            f"--beta={beta}", "--out", str(out),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: ") and captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+    @pytest.mark.parametrize(
+        "kind, alpha, c, beta",
+        [
+            # 36 rows in alpha slabs of 3 betas x 4 cs = 12 rows.
+            (SurfaceKind.DOMINANCE, (-0.5, 0.5, 0.5), (0.3, 1.2, 0.3), (0.0, 0.4, 0.2)),
+            # 50 rows, both roots of each (alpha, c) node in turn.
+            (SurfaceKind.BIAS_FREE, (-1.0, 1.0, 0.5), (-0.5, 0.5, 0.25), None),
+            # 20 rows: four alphas beside the alpha = 1/2 pole, five cs.
+            (SurfaceKind.AOE, (0.0, 1.0, 0.25), (0.2, 1.4, 0.3), None),
+        ],
+        ids=["region", "biasfree", "aoe"],
+    )
+    def test_blocks_equal_a_per_row_writer(
+        self, kind, alpha, c, beta, to_file, tmp_path, monkeypatch, capsys
+    ):
+        # Blocks of 7 rows split alpha slabs and root pairs, and end short.
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 7)
+        rows = surface_grid(kind, alpha, c, beta).tolist()
+        assert len(rows) % 7
+        ranges = {"alpha": alpha, "c": c, "beta": beta}
+        argv = ["surface", "--kind", kind.value] + [
+            f"--{axis}=" + ":".join(map(repr, bounds)) for axis, bounds in ranges.items() if bounds
+        ]
+        header = "alpha,beta,c,indicator" if beta else "alpha,beta,c"
+        want = header + "\n" + "".join(
+            ",".join(map(repr, row[:3])) + (f",{int(row[3])}" if beta else "") + "\n"
+            for row in rows
+        )
+        out = tmp_path / "surface.csv"
+        assert main([*argv, "--out", str(out)] if to_file else argv) == 0
+        printed = capsys.readouterr().out
+        if to_file:
+            assert printed == f"{len(rows)} rows written to {out}\n"
+            assert out.read_text() == want
+        else:
+            assert printed == want
+
+    def test_region_grid_is_written_without_a_grid_sized_array(self, tmp_path, capsys):
+        # The benchmark grid's rows: held whole, one float column of them
+        # alone takes 418 241 * 8 bytes (3.3 MB), and the table 13.4 MB.
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert main(["surface", *REGION_ARGS, "--out", str(tmp_path / "region.csv")]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert capsys.readouterr().out.startswith("418241 rows written")
+        assert peak < 418_241 * 8
 
     def test_csv_blocks_equal_repr_of_every_value(self, monkeypatch):
         # Blocks of 3 rows split the table unevenly; -0.0 and 0.0 compare

@@ -1,5 +1,6 @@
 """Population container, summaries, CSV loading, and design constants."""
 import math
+import sys
 from dataclasses import astuple
 
 import numpy as np
@@ -166,6 +167,39 @@ class TestSummarize:
         cv_y, cv_x = math.sqrt(var_y) / mean_y, math.sqrt(var_x) / mean_x
         expected = (mean_y, mean_x, var_y, var_x, cov_xy, r, cv_y, cv_x, r * cv_y / cv_x)
         assert [v.hex() for v in astuple(stx)] == [v.hex() for v in expected]
+
+    @pytest.mark.parametrize("scale", [1e-85, 1e100], ids=["product-underflows", "product-overflows"])
+    def test_r_of_identical_columns_whose_variance_product_leaves_doubles(self, scale):
+        column = [scale, 2.0 * scale, 4.0 * scale]
+        stx = summarize(Population(y=column, x=column))
+        assert (stx.r, stx.c) == (1.0, 1.0)
+
+    @given(
+        data=st.lists(
+            st.tuples(st.floats(min_value=1.0, max_value=10.0), st.floats(min_value=1.0, max_value=10.0)),
+            min_size=2,
+            max_size=12,
+        ),
+        scale_y=st.integers(min_value=-500, max_value=500),
+        scale_x=st.integers(min_value=-500, max_value=500),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_r_keeps_its_bits_where_the_variance_product_is_normal(self, data, scale_y, scale_x):
+        # Powers of two scale each column exactly, so the product of the
+        # variances ranges from far below to far above the normal doubles.
+        y = np.ldexp([p[0] for p in data], scale_y)
+        x = np.ldexp([p[1] for p in data], scale_x)
+        try:
+            stx = summarize(Population(y=y, x=x))
+        except (DegenerateVarianceError, InvalidInputError):
+            return
+        var_y, var_x = _column_moments(y, "y")[2], _column_moments(x, "x")[2]
+        if sys.float_info.min <= var_y * var_x < math.inf:
+            r = max(-1.0, min(1.0, stx.cov_xy / math.sqrt(var_y * var_x)))
+            assert stx.r.hex() == r.hex()
+        elif min(var_y, var_x) >= sys.float_info.min:  # subnormal ones have lost digits
+            unscaled = summarize(Population(y=np.ldexp(y, -scale_y), x=np.ldexp(x, -scale_x)))
+            assert stx.r == pytest.approx(unscaled.r, rel=1e-12, abs=1e-12)
 
     def test_constant_column_with_inexact_mean_rejected(self):
         # The float mean of three copies of this value is not the value, so
