@@ -18,8 +18,6 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .errors import EstimationError, PoleAtHalfError
 from .estimators import (
@@ -32,14 +30,10 @@ from .estimators import (
 )
 from .population import (
     SummaryStats,
-    _csv_column,
-    _csv_texts,
-    _int_text,
-    _join_csv_columns,
-    format_csv_rows,
     load_population_csv,
     make_design,
     summarize,
+    write_csv,
 )
 from .sampling import _real, plan_sample_size
 from .simulation import SimConfig, run_simulation, write_estimates_csv
@@ -60,12 +54,6 @@ from .theory import (
 )
 
 __all__ = ["main", "run"]
-
-# Rows joined into one write by _write_csv_blocks and _write_surface.  At
-# 2^15 rows the region surface's per-block arrays and text came from fresh
-# pages (10 000 page faults a call); 2^13 measured faster than 2^12 and 2^15.
-_CSV_BLOCK_ROWS = 1 << 13
-
 
 def _dump_json(payload) -> str:
     try:
@@ -339,51 +327,16 @@ def _cmd_surface(args) -> int:
         _parse_range(args.c),
         _parse_range(args.beta) if args.beta else None,
     )
-    formats = [repr, repr, repr]
-    header = "alpha,beta,c"
-    if grid.kind is SurfaceKind.DOMINANCE:
-        formats.append(_int_text)
-        header += ",indicator"
+    # zip stops at the grid's columns: only DOMINANCE has the indicator.
+    columns = list(zip(grid.columns, (repr, repr, repr, str)))
+    header = ",".join(("alpha", "beta", "c", "indicator")[:len(columns)])
     if args.out:
         with open(args.out, "w") as fh:
-            _write_surface(fh, header, grid, formats)
+            write_csv(fh, header, grid.rows, columns, grid.block)
         sys.stdout.write(f"{grid.rows} rows written to {args.out}\n")
     else:
-        _write_surface(sys.stdout, header, grid, formats)
+        write_csv(sys.stdout, header, grid.rows, columns, grid.block)
     return 0
-
-
-def _write_surface(fh, header: str, grid, formats) -> None:
-    """Write a header line and one CSV line per grid row, evaluated and
-    joined _CSV_BLOCK_ROWS rows at a time.  Each value of a column that has
-    known values is formatted once per grid; only the computed beta of
-    biasfree and aoe is formatted per block."""
-    known = [
-        None if values is None else _csv_texts(values, fmt)
-        for values, fmt in zip(grid.columns, formats)
-    ]
-    fh.write(header + "\n")
-    for start in range(0, grid.rows, _CSV_BLOCK_ROWS):
-        columns = []
-        for texts, fmt, column in zip(
-            known, formats, grid.block(start, min(start + _CSV_BLOCK_ROWS, grid.rows))
-        ):
-            if texts is None:
-                columns.append(_csv_column(column, fmt))
-            else:
-                # Only the texts this block reaches, which lets the few alphas
-                # of a block fuse with the betas.
-                low = column.min()
-                columns.append((texts[low:column.max() + 1], column - low))
-        fh.write(_join_csv_columns(columns))
-
-
-def _write_csv_blocks(fh, header: str, table: np.ndarray, formats) -> None:
-    """Write a header line and one CSV line per row of a float table, in
-    blocks of _CSV_BLOCK_ROWS rows."""
-    fh.write(header + "\n")
-    for start in range(0, len(table), _CSV_BLOCK_ROWS):
-        fh.write(format_csv_rows(table[start:start + _CSV_BLOCK_ROWS], formats))
 
 
 def _cmd_generate(args) -> int:
@@ -396,7 +349,10 @@ def _cmd_generate(args) -> int:
     st = summarize(pop)
     out = Path(args.out)
     with open(out, "w", newline="") as fh:
-        _write_csv_blocks(fh, "y,x", np.column_stack((pop.y, pop.x)), [repr, repr])
+        write_csv(
+            fh, "y,x", pop.size, [(None, repr)] * 2,
+            lambda start, stop: [pop.y[start:stop], pop.x[start:stop]],
+        )
     _write_manifest(out, args, [str(out)], time.perf_counter() - started)
     sys.stdout.write(f"{pop.size} rows written to {out} (c={st.c!r})\n")
     return 0

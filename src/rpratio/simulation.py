@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidInputError, SingularDenominatorError, TooLargeError
 from .estimators import EstimatorSpec, Product, Ratio, SampleMean, estimator_token
-from .population import Population, _column_moments, _int_text, format_csv_rows
+from .population import Population, _column_moments, _int_text, write_csv
 from .sampling import _integer, confidence_interval, make_design, quartiles, srswor
 
 __all__ = [
@@ -37,12 +37,6 @@ __all__ = [
 PRNG_NAME = "splitmix64"
 _ENUMERATION_BUDGET = 1_000_000
 _GATHER_BYTES = 256 * 1024
-# Most rows one dump chunk formats.  A chunk's table and cell strings are
-# what the dump adds to peak RSS.  For 20 000 replications of nine
-# estimators (180 000 rows) the process peaked at 91.0 MB with all rows in
-# one chunk and 50.7 MB with 2^15-row chunks; 4096 rows keep it at the
-# 45.7 MB that run_simulation reaches without a dump.
-_DUMP_CHUNK_ROWS = 4096
 # Most replications one run holds estimates for; the benchmark runs 20 000.
 _REPS_BUDGET = 10_000_000
 
@@ -281,29 +275,26 @@ def _count_rows(rows: np.ndarray) -> dict[tuple[int, ...], int]:
 
 
 def write_estimates_csv(path, result: SimResult) -> None:
-    """One row per (replication, estimator) of a result; singular draws
-    carry nan.
-
-    The rows are written a chunk of replications at a time, each chunk as a
-    float table of rep, estimator index, estimate and covered that
-    format_csv_rows turns into text."""
+    """One row per (replication, estimator) of a result, written by
+    write_csv; singular draws carry nan.  InvalidInputError, before the
+    file is opened, when the result holds no estimates."""
+    if result.estimates is None:
+        raise InvalidInputError("the result holds no per-replication estimates to write")
     labels = result.meta["estimators"]
     true_mean, half_width = result.meta["true_mean_y"], result.meta["half_width"]
-    est, singular = result.estimates, result.singular
     k = len(labels)
-    formats = [_int_text, lambda j: labels[int(j)], repr, _int_text]
-    chunk = max(1, _DUMP_CHUNK_ROWS // k)
+    est, singular = result.estimates.reshape(-1), result.singular.reshape(-1)
+
+    def block(start, stop):
+        rep, j = np.divmod(np.arange(start, stop), k)
+        estimate = np.where(singular[start:stop], np.nan, est[start:stop])
+        with np.errstate(over="ignore"):
+            covered = np.abs(estimate - true_mean) <= half_width
+        return [rep.astype(float), j, estimate, covered.astype(np.intp)]
+
+    columns = [(None, _int_text), (labels, str), (None, repr), ([0, 1], str)]
     with open(path, "w", newline="") as fh:
-        fh.write("rep,estimator,estimate,covered\n")
-        for first in range(0, est.shape[0], chunk):
-            stop = min(first + chunk, est.shape[0])
-            table = np.empty((stop - first, k, 4))
-            table[:, :, 0] = np.arange(first, stop)[:, None]
-            table[:, :, 1] = np.arange(k)
-            table[:, :, 2] = np.where(singular[first:stop], np.nan, est[first:stop])
-            with np.errstate(over="ignore"):
-                table[:, :, 3] = np.abs(table[:, :, 2] - true_mean) <= half_width
-            fh.write(format_csv_rows(table.reshape(-1, 4), formats))
+        write_csv(fh, "rep,estimator,estimate,covered", len(est), columns, block)
 
 
 def exhaustive_oracle(pop: Population, n: int, spec: EstimatorSpec) -> ExactMoments:

@@ -279,7 +279,7 @@ def _axis(bounds: tuple[float, float, float], what: str) -> tuple[float, float, 
 
 
 # The region indicator's values: row codes 0 and 1 select them.
-_INDICATOR = np.array([0.0, 1.0])
+_INDICATOR = np.array([0, 1])
 
 
 @dataclass(frozen=True)
@@ -289,7 +289,7 @@ class _Surface:
     Row i sits at np.unravel_index(i, shape): shape is (alphas, betas, cs)
     for DOMINANCE, (alphas, cs, 2 roots) for BIAS_FREE and (off-pole alphas,
     cs) for AOE.  columns holds, per output column, the values the column
-    takes (the indicator's are 0.0 and 1.0), or None for beta where each
+    takes (the indicator's are 0 and 1), or None for beta where each
     row computes its own.
     """
 
@@ -332,11 +332,17 @@ def _surface(
     beta_range: tuple[float, float, float] | None = None,
 ) -> _Surface:
     """The grid surface_grid tabulates, with every range and the row budget
-    checked; no row is evaluated yet."""
+    checked; no row is evaluated yet.  A beta range is given if and only if
+    the kind is DOMINANCE: BIAS_FREE and AOE compute each row's beta."""
+    if not isinstance(kind, SurfaceKind):
+        raise InvalidInputError(f"unknown surface kind {kind!r}")
+    if (beta_range is None) == (kind is SurfaceKind.DOMINANCE):
+        raise InvalidInputError(
+            "the region surface needs a beta range" if beta_range is None
+            else f"the {kind.value} surface computes its beta and takes no beta range"
+        )
     axes = [_axis(alpha_range, "alpha"), _axis(c_range, "c")]
     if kind is SurfaceKind.DOMINANCE:
-        if beta_range is None:
-            raise InvalidInputError("dominance region needs a beta range")
         axes.append(_axis(beta_range, "beta"))
     rows_wanted = math.prod(count for _, _, count in axes)
     if kind is SurfaceKind.BIAS_FREE:
@@ -352,10 +358,9 @@ def _surface(
         return _Surface(kind, shape, (alphas, betas, cs, _INDICATOR))
     if kind is SurfaceKind.BIAS_FREE:
         return _Surface(kind, (len(alphas), len(cs), 2), (alphas, None, cs))
-    if kind is SurfaceKind.AOE:  # no hyperbola point at the alpha = 1/2 pole
-        alphas = alphas[np.abs(1.0 - 2.0 * alphas) >= 1e-12]
-        return _Surface(kind, (len(alphas), len(cs)), (alphas, None, cs))
-    raise InvalidInputError(f"unknown surface kind {kind!r}")
+    # AOE: no hyperbola point at the alpha = 1/2 pole.
+    alphas = alphas[np.abs(1.0 - 2.0 * alphas) >= 1e-12]
+    return _Surface(kind, (len(alphas), len(cs)), (alphas, None, cs))
 
 
 def surface_grid(
@@ -374,9 +379,10 @@ def surface_grid(
     rows (alpha, beta, c).  AOE emits the hyperbola point
     beta = (1 - c/(1 - 2*alpha)) / 2 per node, skipping the alpha = 1/2
     pole.  DOMINANCE walks (alpha, beta, c) nodes and appends an indicator
-    that the family member beats all three classical baselines at once.
-    Grids of more than _GRID_BUDGET rows raise TooLargeError before any row
-    is built.
+    that the family member beats all three classical baselines at once; it
+    alone takes beta_range, and any other kind given one raises
+    InvalidInputError.  Grids of more than _GRID_BUDGET rows raise
+    TooLargeError before any row is built.
     """
     grid = _surface(kind, alpha_range, c_range, beta_range)
     block = grid.block(0, grid.rows)

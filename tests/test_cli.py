@@ -1,6 +1,5 @@
 """End-to-end CLI behavior: exit codes, JSON payloads, manifests."""
 import hashlib
-import io
 import json
 import os
 import subprocess
@@ -9,14 +8,12 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import rpratio
-from rpratio import cli
+from rpratio import cli, population
 from rpratio.cli import main
 from rpratio.errors import EstimationError
-from rpratio.population import _int_text
 from rpratio.theory import SurfaceKind, surface_grid
 from test_golden import REGION_ARGS
 
@@ -90,7 +87,7 @@ class TestGenerate:
     def test_csv_equals_repr_of_every_row_across_blocks(self, tmp_path, monkeypatch, capsys):
         from rpratio.synthetic import MomentTargets, generate_population
 
-        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 7)
+        monkeypatch.setattr(population, "_CSV_BLOCK_ROWS", 7)
         out = tmp_path / "p.csv"
         rc = main([
             "generate", "--size", "53", "--mean-y", "1.0", "--mean-x", "2.0",
@@ -1005,6 +1002,18 @@ class TestSurface:
         assert captured.err.startswith("error: ") and captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["biasfree", "aoe"])
+    def test_beta_for_a_computed_beta_exit_2_leaves_no_out_file(self, kind, tmp_path, capsys):
+        out = tmp_path / "surface.csv"
+        rc = main([
+            "surface", "--kind", kind, "--alpha", "0:1:0.5", "--c", "0.6:0.6:1",
+            "--beta", "0:1:0.5", "--out", str(out),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == f"error: the {kind} surface computes its beta and takes no beta range\n"
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
     @pytest.mark.parametrize(
         "kind, alpha, c, beta",
@@ -1022,7 +1031,7 @@ class TestSurface:
         self, kind, alpha, c, beta, to_file, tmp_path, monkeypatch, capsys
     ):
         # Blocks of 7 rows split alpha slabs and root pairs, and end short.
-        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 7)
+        monkeypatch.setattr(population, "_CSV_BLOCK_ROWS", 7)
         rows = surface_grid(kind, alpha, c, beta).tolist()
         assert len(rows) % 7
         ranges = {"alpha": alpha, "c": c, "beta": beta}
@@ -1058,22 +1067,6 @@ class TestSurface:
                 tracemalloc.stop()
         assert capsys.readouterr().out.startswith("418241 rows written")
         assert peak < 418_241 * 8
-
-    def test_csv_blocks_equal_repr_of_every_value(self, monkeypatch):
-        # Blocks of 3 rows split the table unevenly; -0.0 and 0.0 compare
-        # equal but must keep their own text.
-        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 3)
-        rng = np.random.default_rng(5)
-        table = rng.choice([0.0, -0.0, 0.1, 1e-300, -2.5e16, 1.0 / 3.0], size=(8, 3))
-        formats = [repr, repr, _int_text]
-        table[:, 2] = rng.integers(0, 2, size=8)
-        fh = io.StringIO()
-        cli._write_csv_blocks(fh, "a,b,flag", table, formats)
-        want = ["a,b,flag"] + [
-            f"{float(a)!r},{float(b)!r},{int(flag)}" for a, b, flag in table
-        ]
-        assert fh.getvalue() == "\n".join(want) + "\n"
-        assert "-0.0" in fh.getvalue()
 
 
 class TestTopLevel:

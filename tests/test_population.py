@@ -1,11 +1,13 @@
 """Population container, summaries, CSV loading, and design constants."""
+import io
 import math
 import sys
 from dataclasses import astuple
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rpratio.errors import (
@@ -23,10 +25,10 @@ from rpratio.population import (
     _column_moments,
     _int_text,
     _mean,
-    format_csv_rows,
     load_population_csv,
     make_design,
     summarize,
+    write_csv,
 )
 from rpratio.sampling import confidence_interval
 from rpratio.theory import SurfaceKind, surface_grid
@@ -150,6 +152,9 @@ class TestSummarize:
             max_size=30,
         )
     )
+    # Both variances are near 4.6e-300, so their product underflows and r
+    # comes from the split square roots.
+    @example(data=[(0.0, 3.0293728813812616e-150), (3.0293728813812616e-150, 0.0)])
     @settings(max_examples=150, deadline=None)
     def test_fields_equal_the_inline_derivation(self, data):
         y = np.array([p[0] for p in data])
@@ -163,7 +168,13 @@ class TestSummarize:
         dy, dx = y - mean_y, x - mean_x
         var_y, var_x = float(dy @ dy) / (N - 1), float(dx @ dx) / (N - 1)
         cov_xy = float(dy @ dx) / (N - 1)
-        r = max(-1.0, min(1.0, cov_xy / math.sqrt(var_y * var_x)))
+        # summarize's documented rule: one square root of the product unless
+        # the product leaves the normal doubles, then the product of two.
+        if sys.float_info.min <= var_y * var_x < math.inf:
+            sd_product = math.sqrt(var_y * var_x)
+        else:
+            sd_product = math.sqrt(var_y) * math.sqrt(var_x)
+        r = max(-1.0, min(1.0, cov_xy / sd_product))
         cv_y, cv_x = math.sqrt(var_y) / mean_y, math.sqrt(var_x) / mean_x
         expected = (mean_y, mean_x, var_y, var_x, cov_xy, r, cv_y, cv_x, r * cv_y / cv_x)
         assert [v.hex() for v in astuple(stx)] == [v.hex() for v in expected]
@@ -580,18 +591,41 @@ def naive_csv_rows(table: np.ndarray, formats) -> str:
     )
 
 
+def csv_rows(table: np.ndarray, formats, known=(), block_rows=None) -> str:
+    """write_csv's lines for a float table, without the header line: column
+    j passes its floats, or for j in known its integral cells as indices
+    into LABELS.  block_rows, when given, replaces _CSV_BLOCK_ROWS."""
+    columns = [(LABELS, str) if j in known else (None, fmt) for j, fmt in enumerate(formats)]
+
+    def block(start, stop):
+        return [
+            table[start:stop, j].astype(np.intp) if j in known else table[start:stop, j]
+            for j in range(len(formats))
+        ]
+
+    fh = io.StringIO()
+    with mock.patch.object(rpratio.population, "_CSV_BLOCK_ROWS", block_rows or 1 << 13):
+        write_csv(fh, "h", len(table), columns, block)
+    text = fh.getvalue()
+    assert text.startswith("h\n")
+    return text[2:]
+
+
 @st.composite
 def csv_tables(draw):
-    """A float table and its formats: each column repeats a small pool of
-    values in runs, in cycles or in any order."""
+    """A float table, its formats and the label columns passed as known
+    values: each column repeats a small pool of values in runs, in cycles
+    or in any order."""
     rows = draw(st.integers(1, 80))
-    columns, formats = [], []
-    for _ in range(draw(st.integers(1, 5))):
+    columns, formats, known = [], [], set()
+    for j in range(draw(st.integers(1, 5))):
         fmt = draw(st.sampled_from([repr, _int_text, _label_text]))
         if fmt is repr:
             pool = draw(st.lists(st.sampled_from(SPECIAL) | st.floats(), min_size=1, max_size=6))
         else:
             pool = [float(i) for i in range(len(LABELS))]
+        if fmt is _label_text and draw(st.booleans()):
+            known.add(j)
         pool = np.array(pool)
         pattern = draw(st.sampled_from(["runs", "cycles", "any"]))
         if pattern == "runs":
@@ -603,33 +637,34 @@ def csv_tables(draw):
             column = pool[draw(picks)]
         columns.append(column)
         formats.append(fmt)
-    return np.column_stack(columns), formats
+    return np.column_stack(columns), formats, known
 
 
-class TestFormatCsvRows:
-    @given(csv_tables())
+class TestWriteCsv:
+    @given(csv_tables(), st.integers(1, 90))
     @settings(max_examples=300, deadline=None)
-    def test_matches_the_per_row_join(self, table_formats):
-        table, formats = table_formats
-        assert format_csv_rows(table, formats) == naive_csv_rows(table, formats)
+    def test_matches_the_per_row_join(self, table_formats_known, block_rows):
+        table, formats, known = table_formats_known
+        assert csv_rows(table, formats, known, block_rows) == naive_csv_rows(table, formats)
 
     def test_negative_zero_keeps_its_text_next_to_zero_and_non_finite_cells(self):
         column = [0.0, -0.0, -0.0, 0.0, math.nan, math.inf, -math.inf, math.nan, -0.0]
         table = np.column_stack([column, column[::-1]])
-        assert format_csv_rows(table, [repr, repr]) == (
+        assert csv_rows(table, [repr, repr]) == (
             "0.0,-0.0\n-0.0,nan\n-0.0,-inf\n0.0,inf\nnan,nan\n"
             "inf,0.0\n-inf,-0.0\nnan,-0.0\n-0.0,0.0\n"
         )
 
     def test_single_row(self):
         table = np.array([[1.5, 2.0, -0.0]])
-        assert format_csv_rows(table, [repr, _int_text, repr]) == "1.5,2,-0.0\n"
+        assert csv_rows(table, [repr, _int_text, repr]) == "1.5,2,-0.0\n"
 
     def test_single_column(self):
         table = np.array([[0.25], [0.25], [-1e300], [0.25]])
-        assert format_csv_rows(table, [repr]) == "0.25\n0.25\n-1e+300\n0.25\n"
+        assert csv_rows(table, [repr]) == "0.25\n0.25\n-1e+300\n0.25\n"
 
-    def test_repr_int_and_label_formats(self):
+    @pytest.mark.parametrize("known", [(), (1,)], ids=["label-floats", "label-known"])
+    def test_repr_int_and_label_formats(self, known):
         # The layout of the estimate dump: rep, estimator, estimate, covered.
         table = np.array([
             [0.0, 0.0, 0.5, 1.0],
@@ -638,7 +673,7 @@ class TestFormatCsvRows:
             [1.0, 0.0, 0.5, 1.0],
         ])
         formats = [_int_text, _label_text, repr, _int_text]
-        assert format_csv_rows(table, formats) == (
+        assert csv_rows(table, formats, known) == (
             "0,mean,0.5,1\n"
             "0,ratio,nan,0\n"
             '0,"rpr:0.5,0.5",0.30000000000000004,1\n'
@@ -646,7 +681,34 @@ class TestFormatCsvRows:
         )
 
     def test_no_rows_give_no_text(self):
-        assert format_csv_rows(np.empty((0, 3)), [repr, repr, repr]) == ""
+        assert csv_rows(np.empty((0, 3)), [repr, repr, repr]) == ""
+
+    def test_blocks_equal_repr_of_every_value(self):
+        # Blocks of 3 rows split the table unevenly; -0.0 and 0.0 compare
+        # equal but must keep their own text.
+        rng = np.random.default_rng(5)
+        table = rng.choice([0.0, -0.0, 0.1, 1e-300, -2.5e16, 1.0 / 3.0], size=(8, 3))
+        table[:, 2] = rng.integers(0, 2, size=8)
+        text = csv_rows(table, [repr, repr, _int_text], block_rows=3)
+        want = [f"{float(a)!r},{float(b)!r},{int(flag)}" for a, b, flag in table]
+        assert text == "\n".join(want) + "\n"
+        assert "-0.0" in text
+
+    def test_known_values_are_formatted_once_per_call(self):
+        # 10 rows in blocks of 3: each known value's text is made once,
+        # however many blocks reach it.
+        calls = []
+
+        def fmt(value):
+            calls.append(value)
+            return f"<{value}>"
+
+        index = np.array([0, 2, 2, 1, 0, 0, 2, 1, 1, 0])
+        fh = io.StringIO()
+        with mock.patch.object(rpratio.population, "_CSV_BLOCK_ROWS", 3):
+            write_csv(fh, "k", len(index), [(["a", "b", "c"], fmt)], lambda i, j: [index[i:j]])
+        assert sorted(calls) == ["a", "b", "c"]
+        assert fh.getvalue() == "k\n" + "".join(f"<{'abc'[i]}>\n" for i in index)
 
 
 def nested_grid(*axes: np.ndarray) -> np.ndarray:
@@ -667,7 +729,7 @@ class TestFusedColumns:
         flag = (grid[:, 0] * grid[:, 1] < grid[:, 2] - 1).astype(float)
         table = np.column_stack([grid, flag])
         formats = [repr, repr, repr, _int_text]
-        assert format_csv_rows(table, formats) == naive_csv_rows(table, formats)
+        assert csv_rows(table, formats) == naive_csv_rows(table, formats)
 
     @pytest.mark.parametrize("rows", [24, 23], ids=["product*4=rows", "product*4=rows+1"])
     def test_either_side_of_the_rule(self, rows):
@@ -678,7 +740,7 @@ class TestFusedColumns:
             np.arange(rows) / 7.0,
         ])
         formats = [repr, repr, repr]
-        assert format_csv_rows(table, formats) == naive_csv_rows(table, formats)
+        assert csv_rows(table, formats) == naive_csv_rows(table, formats)
 
     def test_negative_zero_and_non_finite_cells_in_fused_columns(self):
         grid = nested_grid(
@@ -687,7 +749,7 @@ class TestFusedColumns:
         # The first two columns fuse: 8 texts for 32 rows.
         table = np.column_stack([grid[:, :2], grid[:, 2] % 2])
         formats = [repr, repr, _int_text]
-        text = format_csv_rows(table, formats)
+        text = csv_rows(table, formats)
         assert text == naive_csv_rows(table, formats)
         assert text.startswith("0.0,nan,0\n0.0,nan,1\n0.0,nan,0\n")
         assert "-0.0,-inf,1\n" in text and "-0.0,-0.0,0\n" in text
@@ -698,12 +760,13 @@ class TestFusedColumns:
         grid = np.tile(nested_grid([1.0, 2.0], [0.0, 1.0], [0.25, 0.5, 0.75]), (4, 1))
         table = np.column_stack([grid, np.arange(48) * 1.5])
         formats = [repr, _int_text, repr, repr]
-        assert format_csv_rows(table, formats) == naive_csv_rows(table, formats)
+        assert csv_rows(table, formats) == naive_csv_rows(table, formats)
 
     def test_first_block_of_the_benchmark_region_grid(self):
-        # The axes of the benchmark's region surface (tests/test_golden.py).
+        # The axes of the benchmark's region surface (tests/test_golden.py);
+        # its first 2^15 rows, four of write_csv's blocks.
         axis = (-1.0, 1.0, 0.02)
         grid = surface_grid(SurfaceKind.DOMINANCE, axis, (0.0, 2.0, 0.05), axis)
         block = grid[: 1 << 15]
         formats = [repr, repr, repr, _int_text]
-        assert format_csv_rows(block, formats) == naive_csv_rows(block, formats)
+        assert csv_rows(block, formats) == naive_csv_rows(block, formats)

@@ -27,7 +27,7 @@ from rpratio.estimators import (
     estimate,
     estimator_token,
 )
-from rpratio import simulation
+from rpratio import population, simulation
 from rpratio.population import Population, make_design, summarize
 from rpratio.sampling import srswor
 from rpratio.synthetic import MomentTargets, generate_population
@@ -440,11 +440,12 @@ def reference_dump(path, labels, est, ok, true_mean, half_width) -> None:
 
 
 class TestDump:
-    @pytest.mark.parametrize("chunk_rows", [1, 2, 8, 4096])
+    @pytest.mark.parametrize("block_rows", [1, 2, 3, 7, 8, 4096])
     @pytest.mark.parametrize("true_mean", [0.25, -1e308])
-    def test_matches_reference_dump_byte_for_byte(self, tmp_path, monkeypatch, chunk_rows, true_mean):
-        # 7 replications of 3 estimators: chunks of 8 rows hold 2 of them
-        # and leave a partial chunk; chunks of 1 or 2 rows hold one.
+    def test_matches_reference_dump_byte_for_byte(self, tmp_path, monkeypatch, block_rows, true_mean):
+        # 7 replications of 3 estimators, 21 rows: blocks of 3 rows hold one
+        # replication each; blocks of 2, 7 or 8 rows split replications,
+        # the rpr: label's among them, and 2 or 8 leave a short last block.
         labels = ["mean", "rpr:0.25,-0.5", "ratio"]
         est = np.array([
             [0.25, -0.0, 0.0],
@@ -463,12 +464,18 @@ class TestDump:
             meta={"estimators": labels, "true_mean_y": true_mean, "half_width": half_width},
             estimates=est, singular=~ok,
         )
-        monkeypatch.setattr(simulation, "_DUMP_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(population, "_CSV_BLOCK_ROWS", block_rows)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             write_estimates_csv(tmp_path / "a.csv", result)
         reference_dump(tmp_path / "b.csv", labels, est, ok, true_mean, half_width)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_result_without_estimates_is_refused_before_the_file_opens(self, tmp_path):
+        result = SimResult((), RankingTable({}, 0), meta={"estimators": ["mean"]})
+        with pytest.raises(InvalidInputError, match="^the result holds no per-replication estimates"):
+            write_estimates_csv(tmp_path / "dump.csv", result)
+        assert not (tmp_path / "dump.csv").exists()
 
     def test_row_count_and_singular_rows(self, tmp_path):
         pop = Population(y=[1.0, 2.0, 3.0, 4.0, 5.0], x=[-1.0, -1.0, 1.0, 1.0, 1.0])

@@ -583,6 +583,8 @@ class TestSurfaceGrid:
     )
     @settings(max_examples=300, deadline=None)
     def test_matches_reference_property(self, kind, alpha, c, beta):
+        # Only the region surface takes a beta range.
+        beta = beta if kind is SurfaceKind.DOMINANCE else None
         assert_same_bits(
             surface_grid(kind, alpha, c, beta), reference_surface(kind, alpha, c, beta)
         )
@@ -648,6 +650,23 @@ class TestSurfaceGrid:
             surface_grid(
                 SurfaceKind.DOMINANCE, (0.0, 1.0, 0.5), (0.0, 1.0, 0.5), None
             )
+
+    @pytest.mark.parametrize("kind", [SurfaceKind.BIAS_FREE, SurfaceKind.AOE])
+    def test_beta_range_is_refused_where_beta_is_computed(self, kind):
+        with pytest.raises(
+            InvalidInputError,
+            match=f"^the {kind.value} surface computes its beta and takes no beta range$",
+        ):
+            surface_grid(kind, (0.0, 1.0, 0.5), (0.0, 1.0, 0.5), (0.0, 1.0, 0.5))
+
+    def test_region_needs_a_beta_range(self):
+        with pytest.raises(InvalidInputError, match="^the region surface needs a beta range$"):
+            surface_grid(SurfaceKind.DOMINANCE, (0.0, 1.0, 0.5), (0.0, 1.0, 0.5))
+
+    @pytest.mark.parametrize("beta", [None, (0.0, 1.0, 0.5)])
+    def test_unknown_kind_is_named(self, beta):
+        with pytest.raises(InvalidInputError, match="^unknown surface kind 'region'$"):
+            surface_grid("region", (0.0, 1.0, 0.5), (0.0, 1.0, 0.5), beta)
 
     @pytest.mark.parametrize(
         "kind, alpha, c, beta",
