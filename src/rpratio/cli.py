@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: analyze, plan, theory, simulate, surface, generate.  Exit code
-0 on success, 2 for input or usage problems, 3 for unexpected internal
-failures.  simulate and generate write a small run manifest next to their
-primary output; volatile facts (timestamp, wall time) live only there, so
-the reports themselves are byte-identical across reruns of one seed.
+0 on success, 1 when the reader closes standard output early, 2 for input
+or usage problems, 3 for unexpected internal failures.  simulate and
+generate write a small run manifest next to their primary output; volatile
+facts (timestamp, wall time) live only there, so the reports themselves are
+byte-identical across reruns of one seed.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -438,6 +440,13 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader closed stdout (as `| head` does).  Point stdout at
+        # devnull so that the flush at exit cannot fail again; say nothing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (EstimationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1086,19 +1086,36 @@ class TestEntryPoint:
     """cli.run, the console entry point, in a fresh interpreter."""
 
     @staticmethod
-    def run_module(*argv):
-        # The child imports the package under test, wherever it was found.
+    def child(*argv):
+        """The command and environment of a child that imports the package
+        under test, wherever it was found."""
         src = str(Path(rpratio.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        return subprocess.run(
-            [sys.executable, "-m", "rpratio.cli", *argv],
-            capture_output=True, text=True, timeout=60, env=env,
-        )
+        return [sys.executable, "-m", "rpratio.cli", *argv], env
+
+    @classmethod
+    def run_module(cls, *argv):
+        command, env = cls.child(*argv)
+        return subprocess.run(command, capture_output=True, text=True, timeout=60, env=env)
 
     def test_version(self):
         proc = self.run_module("--version")
         assert (proc.returncode, proc.stdout) == (0, "0.1.0\n")
+
+    def test_closed_stdout_exits_1_quietly(self):
+        # As `rpratio surface ... | head -1` does: read one line, then close
+        # the pipe while the CLI still has megabytes to write.
+        command, env = self.child(
+            "surface", "--kind", "region", "--alpha=-1:1:0.02", "--beta=-1:1:0.02", "--c=0:2:0.05"
+        )
+        with subprocess.Popen(
+            command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        ) as proc:
+            assert proc.stdout.readline() == b"alpha,beta,c,indicator\n"
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert (proc.wait(timeout=60), stderr) == (1, b"")
 
     @pytest.mark.parametrize(
         "column, what", [("1e308,1.5e308,1.7e308", "mean"), ("1e160,-1e160,2e160", "variance")]

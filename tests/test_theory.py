@@ -5,12 +5,14 @@ high-precision scalar script (50-digit arithmetic) before this package
 existed; they are frozen here on purpose.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from rpratio import theory
 from rpratio.errors import (
     DegenerateMseError,
     InvalidInputError,
@@ -46,6 +48,7 @@ from rpratio.theory import (
     mse1_rpr,
     relative_efficiency,
     _axis,
+    _surface,
     surface_grid,
 )
 
@@ -680,3 +683,113 @@ class TestSurfaceGrid:
     def test_over_budget_grids_rejected_before_building(self, kind, alpha, c, beta):
         with pytest.raises(TooLargeError):
             surface_grid(kind, alpha, c, beta)
+
+
+def reference_block(grid, start, stop):
+    """Rows [start, stop) of a grid, evaluated row by row: each row's axis
+    indices from np.unravel_index, its alpha, beta and c gathered, and the
+    computed column from those gathered values."""
+    alphas, betas, cs = grid.columns[:3]
+    index = np.unravel_index(np.arange(start, stop), grid.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if grid.kind is SurfaceKind.DOMINANCE:
+            ia, ib, ic = index
+            a, b, c = alphas[ia], betas[ib], cs[ic]
+            flag = (
+                dominates(Baseline.SAMPLE_MEAN, a, b, c)
+                & dominates(Baseline.RATIO, a, b, c)
+                & dominates(Baseline.PRODUCT, a, b, c)
+            )
+            return [ia, ib, ic, flag.astype(np.intp)]
+        ia, ic = index[:2]
+        a, c = alphas[ia], cs[ic]
+        if grid.kind is SurfaceKind.BIAS_FREE:
+            trivial, sheet = biasfree_betas(a, c)
+            return [ia, np.where(index[2] == 0, trivial, sheet), ic]
+        return [ia, (1.0 - c / (1.0 - 2.0 * a)) / 2.0, ic]
+
+
+def assert_same_columns(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
+
+
+@st.composite
+def block_axis(draw):
+    """A small surface axis: a fixed range (signed zeros, the alpha = 1/2
+    pole hit exactly or missed by an ulp, values whose products overflow)
+    or a drawn one."""
+    fixed = st.sampled_from([
+        (-0.0, -0.0, 1.0),
+        (-0.0, 1.0, 0.5),
+        (0.0, 1.0, 0.25),
+        (0.5, 0.5, 1.0),
+        (-1.0, 1.0, 0.05),
+        (-8e307, 8e307, 4e307),
+        (1e300, 4e306, 1e306),
+        (-1e200, 1e200, 1e200),
+    ])
+    return draw(st.one_of(fixed, grid_range(max_count=5)))
+
+
+class TestSurfaceBlock:
+    @given(
+        kind=st.sampled_from(list(SurfaceKind)),
+        alpha=block_axis(),
+        c=block_axis(),
+        beta=block_axis(),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_block_matches_row_by_row_reference(self, kind, alpha, c, beta, data):
+        grid = _surface(kind, alpha, c, beta if kind is SurfaceKind.DOMINANCE else None)
+        blocks = [(0, grid.rows)]
+        for _ in range(4):
+            start = data.draw(st.integers(0, grid.rows))
+            blocks.append((start, data.draw(st.integers(start, grid.rows))))
+        for start, stop in blocks:
+            assert_same_columns(grid.block(start, stop), reference_block(grid, start, stop))
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 41, 83, 5000, 8192])
+    def test_consecutive_blocks_match_reference(self, size):
+        grid = _surface(SurfaceKind.DOMINANCE, (-1.0, 1.0, 0.1), (0.0, 2.0, 0.05), (-1.0, 1.0, 0.1))
+        for start in range(0, grid.rows, size):
+            stop = min(start + size, grid.rows)
+            assert_same_columns(grid.block(start, stop), reference_block(grid, start, stop))
+
+    # 500 001 c values: a block of 2^13 rows that straddles two nodes must
+    # not evaluate the whole c axis of either.
+    LONG_C = (0.0, 500_000.0, 1.0)
+    STRADDLE = (500_001 - 4096, 500_001 + 4096)
+
+    def test_straddling_region_block_evaluates_its_rows_only(self, monkeypatch):
+        grid = _surface(SurfaceKind.DOMINANCE, (0.0, 0.0, 1.0), self.LONG_C, (0.0, 1.0, 1.0))
+        assert grid.shape == (1, 2, 500_001)
+        start, stop = self.STRADDLE
+        sizes = []
+
+        def counting(over, alpha, beta, c):
+            sizes.append(np.broadcast(alpha, beta, c).size)
+            return dominates(over, alpha, beta, c)
+
+        monkeypatch.setattr(theory, "dominates", counting)
+        got = grid.block(start, stop)
+        monkeypatch.undo()
+        assert_same_columns(got, reference_block(grid, start, stop))
+        assert sizes and max(sizes) <= 3 * (stop - start)
+
+    def test_straddling_aoe_block_allocates_for_its_rows_only(self):
+        grid = _surface(SurfaceKind.AOE, (0.0, 0.25, 0.25), self.LONG_C)
+        assert grid.shape == (2, 500_001)
+        start, stop = self.STRADDLE
+        tracemalloc.start()
+        try:
+            got = grid.block(start, stop)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_same_columns(got, reference_block(grid, start, stop))
+        # Less than one array of 3 * (stop - start) doubles per column.
+        assert peak <= len(got) * 3 * (stop - start) * 8
