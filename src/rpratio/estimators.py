@@ -24,6 +24,7 @@ expansion coefficients.  ESTIMATOR_KINDS maps token names to the classes.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 from typing import ClassVar, Union, get_args
@@ -114,11 +115,19 @@ class _PowerTransform(_Kind):
     math.pow fails for 0**negative, for a negative base with fractional
     exponent and on overflow; each means the transform has left its domain
     for that draw, which is marked by a nan power (k is finite, so math.pow
-    never returns one).  (np.power may differ from math.pow in the last bit.)
+    never returns one).  The powers stream from the base array into the
+    result array (an np.float64 is a float, so each is math.pow's to the
+    bit); only when a draw fails is the array redone through _pow.
+    (np.power may differ from math.pow in the last bit.)
     """
 
     def _power(self, xb, Xb) -> tuple[np.ndarray, np.ndarray]:
-        values = np.reshape([_pow(b, self.k) for b in np.ravel(xb / Xb).tolist()], xb.shape)
+        bases = np.ravel(xb / Xb)
+        try:
+            values = np.fromiter(map(math.pow, bases, itertools.repeat(self.k)), float, len(bases))
+        except (ValueError, ZeroDivisionError, OverflowError):
+            values = np.fromiter(map(_pow, bases, itertools.repeat(self.k)), float, len(bases))
+        values = values.reshape(xb.shape)
         return values, np.isnan(values)
 
 

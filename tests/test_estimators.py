@@ -20,6 +20,7 @@ from rpratio.estimators import (
     SinghRatioProduct,
     SrivastavaPower,
     UnbiasedAOE,
+    _pow,
     estimate,
     estimator_token,
     parse_estimator,
@@ -409,3 +410,64 @@ class TestArrayEvaluator:
             Ratio().evaluate([1.0, math.inf], [1.0, 1.0], 1.0)
         with pytest.raises(InvalidInputError):
             Ratio().evaluate([1.0], [1.0], 0.0)
+
+
+class TestPowerStreaming:
+    """The streamed powers against math.pow taken one base at a time
+    through _pow, bit for bit, with and without a failing base."""
+
+    EXPONENTS = [-2.0, -0.6, 0.6, 3.0]
+
+    @staticmethod
+    def bases(k, bad=None):
+        # Inside the domain of k: base 0 only for k > 0, negative bases
+        # only for a whole k.  A bad base goes near the end.
+        bases = np.random.default_rng(7).uniform(-3.0, 3.0, size=5000)
+        bases[:3] = [0.0 if k > 0 else 1.5, -2.0, 1.0]
+        if k != int(k):
+            bases = np.abs(bases)
+        if bad is not None:
+            bases[4990] = bad
+        return bases
+
+    @staticmethod
+    def check(spec, bases):
+        want = np.array([_pow(b, spec.k) for b in bases.tolist()])
+        values, singular = spec._power(bases, 1.0)
+        assert values.dtype == float and values.shape == bases.shape
+        assert (values.view(np.uint64) == want.view(np.uint64)).all()
+        assert (singular == np.isnan(want)).all()
+        return singular
+
+    @pytest.mark.parametrize("k", EXPONENTS)
+    @pytest.mark.parametrize("kind", [SrivastavaPower, SahaiTransformed])
+    def test_matches_per_element_pow(self, kind, k):
+        assert not self.check(kind(k), self.bases(k)).any()
+
+    @pytest.mark.parametrize(
+        "bad, k, error",
+        [
+            (0.0, -2.0, ValueError),        # 0 ** negative
+            (0.0, -0.6, ValueError),
+            (-0.5, 0.6, ValueError),        # negative ** fractional
+            (-0.5, -0.6, ValueError),
+            (1e200, 3.0, OverflowError),    # the power overflows
+        ],
+    )
+    @pytest.mark.parametrize("kind", [SrivastavaPower, SahaiTransformed])
+    def test_failing_base_late_in_the_array(self, kind, bad, k, error):
+        with pytest.raises(error):
+            math.pow(bad, k)
+        singular = self.check(kind(k), self.bases(k, bad))
+        assert np.flatnonzero(singular).tolist() == [4990]
+
+    @pytest.mark.parametrize("kind", [SrivastavaPower, SahaiTransformed])
+    def test_empty_and_single_draw(self, kind):
+        values, singular = kind(-0.6).evaluate([], [], 2.0)
+        assert values.shape == singular.shape == (0,)
+        assert values.dtype == float and singular.dtype == bool
+        power = _pow(0.7 / 2.0, -0.6)
+        want = 1.5 * power if kind is SrivastavaPower else 1.5 * (2.0 - power)
+        assert same_float(estimate(kind(-0.6), SampleSummary(1.5, 0.7, 2.0)), want)
+        with pytest.raises(SingularDenominatorError):
+            estimate(kind(-0.6), SampleSummary(1.5, 0.0, 2.0))

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import itertools
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -26,6 +27,7 @@ from rpratio.estimators import (
     UnbiasedAOE,
     estimate,
     estimator_token,
+    parse_estimator,
 )
 from rpratio import population, simulation
 from rpratio.population import Population, make_design, summarize
@@ -548,6 +550,86 @@ class TestCountRows:
         assert sum(got.values()) == reps
         if reps == 500 and k > 1:
             assert max(got.values()) > 1 and len(got) > 1
+
+
+class TestClosenessOrders:
+    """The blocked ranking codes against the whole-matrix argsort they
+    replace, both tallied by _count_rows."""
+
+    @staticmethod
+    def reference(est, clean, m):
+        return simulation._count_rows(np.argsort(np.abs(est - m), axis=1, kind="stable")[clean])
+
+    @pytest.mark.parametrize("gather_rows", [None, 7, 1])
+    @pytest.mark.parametrize("k", [1, 2, 9, 300])
+    @pytest.mark.parametrize("reps", [0, 1, 500])
+    def test_tally_matches_whole_matrix_argsort(self, monkeypatch, gather_rows, k, reps):
+        # Rounded estimates tie often, and resampling the rows with
+        # replacement repeats some; 7-row or 1-row blocks end mid-array.
+        if gather_rows is not None:
+            monkeypatch.setattr(simulation, "_GATHER_BYTES", gather_rows * 8 * k)
+        rng = np.random.default_rng(k * 1000 + reps)
+        est = np.round(rng.normal(size=(reps, k)), 1)
+        est = est[rng.integers(0, reps, size=reps)] if reps else est
+        m = 0.05
+        for clean in (rng.random(reps) < 0.8, np.zeros(reps, dtype=bool)):
+            codes = simulation._closeness_orders(est, clean, m)
+            assert codes.dtype == (np.uint16 if k == 300 else np.uint8)
+            assert codes.shape == (int(clean.sum()), k)
+            got, want = simulation._count_rows(codes), self.reference(est, clean, m)
+            assert got == want
+            assert list(got) == list(want)
+            assert all(type(j) is int for key in got for j in key)
+            assert all(type(c) is int for c in got.values())
+            if reps == 500 and clean.any():
+                assert max(got.values()) > 1
+
+    def test_singular_nan_rows_are_skipped(self):
+        est = np.array([[np.nan, 1.0], [2.0, 0.5], [0.5, 0.5], [1.0, np.nan]])
+        clean = ~np.isnan(est).any(axis=1)
+        codes = simulation._closeness_orders(est, clean, 0.5)
+        assert codes.tolist() == [[1, 0], [0, 1]]
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory it traced beyond what was held
+    before the call."""
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
+class TestMemoryBound:
+    """A run's transient memory stays near its (reps, k) estimate matrix:
+    no reps-sized float, int64 or list temporary besides those of one
+    estimator column at a time."""
+
+    ALL_KINDS = tuple(parse_estimator(t) for t in (
+        "mean", "ratio", "product", "rpr:-0.3349,0.3176", "aoe:0.6092",
+        "srivastava:-0.6", "reddy:0.6", "sahai:0.6", "singh:0.6",
+    ))
+    POP = generate_population(MomentTargets(40, 1.0, 1.5, 0.3, 0.2, 0.8), 5)
+
+    def test_simulation_peak_within_three_estimate_matrices(self):
+        cfg = SimConfig(reps=50_000, n=8, seed=3, estimators=self.ALL_KINDS)
+        res, peak = traced_peak(run_simulation, self.POP, cfg)
+        assert res.estimates.shape == (50_000, 9)
+        assert sum(res.ranking.counts.values()) > 45_000
+        assert peak <= 3 * res.estimates.nbytes
+
+    @pytest.mark.parametrize("token", ["srivastava:-0.6", "sahai:0.6"])
+    def test_oracle_power_kind_peak_near_ratio(self, token):
+        pop = Population(y=self.POP.y[:20], x=self.POP.x[:20])
+        _, ratio_peak = traced_peak(exhaustive_oracle, pop, 6, Ratio())
+        _, power_peak = traced_peak(exhaustive_oracle, pop, 6, parse_estimator(token))
+        assert power_peak <= 1.1 * ratio_peak
 
 
 class TestEstimateMatrix:
