@@ -81,10 +81,13 @@ def _finite_float(text: str) -> float:
 _NOT_INPUTS = frozenset({"command", "func", "seed", "out", "dump_estimates"})
 
 
-def _write_manifest(out_path: Path, args, outputs: list[str], wall_time_s: float) -> Path:
+def _manifest_path(out_path: Path) -> Path:
+    return out_path.with_name(out_path.stem + ".manifest.json")
+
+
+def _write_manifest(out_path: Path, args, outputs: list[str], wall_time_s: float) -> None:
     """Write <out stem>.manifest.json: the command, its seed, every other
     parsed value as an input, in parser order, and the outputs."""
-    path = out_path.with_name(out_path.stem + ".manifest.json")
     payload = {
         "command": args.command,
         "version": __version__,
@@ -94,8 +97,7 @@ def _write_manifest(out_path: Path, args, outputs: list[str], wall_time_s: float
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "wall_time_s": round(wall_time_s, 3),
     }
-    path.write_text(_dump_json(payload))
-    return path
+    _manifest_path(out_path).write_text(_dump_json(payload))
 
 
 def _split_estimators(text: str) -> list[str]:
@@ -294,6 +296,12 @@ def _report_payload(result) -> dict:
 
 def _cmd_simulate(args) -> int:
     started = time.perf_counter()
+    out = Path(args.out)
+    outputs = [str(out), *([args.dump_estimates] if args.dump_estimates else [])]
+    # A file written twice would lose an output that the manifest lists.
+    paths = [*outputs, str(_manifest_path(out))]
+    if len(set(map(os.path.realpath, paths))) < len(paths):
+        raise EstimationError(f"the outputs must be different files: {', '.join(paths)}")
     pop = load_population_csv(args.population)
     specs = tuple(parse_estimator(tok) for tok in _split_estimators(args.estimators))
     cfg = SimConfig(
@@ -301,11 +309,8 @@ def _cmd_simulate(args) -> int:
         confidence=args.confidence, estimators=specs,
     )
     result = run_simulation(pop, cfg)
-    out = Path(args.out)
-    outputs = [str(out)]
     if args.dump_estimates:
         write_estimates_csv(args.dump_estimates, result)
-        outputs.append(str(args.dump_estimates))
     out.write_text(_dump_json(_report_payload(result)))
     _write_manifest(out, args, outputs, time.perf_counter() - started)
     width = max(len(rep.label) for rep in result.reports)
@@ -329,15 +334,13 @@ def _cmd_surface(args) -> int:
         _parse_range(args.c),
         _parse_range(args.beta) if args.beta else None,
     )
-    # zip stops at the grid's columns: only DOMINANCE has the indicator.
-    columns = list(zip(grid.columns, (repr, repr, repr, str)))
-    header = ",".join(("alpha", "beta", "c", "indicator")[:len(columns)])
+    header = ",".join(("alpha", "beta", "c", "indicator")[:len(grid.columns)])
     if args.out:
         with open(args.out, "w") as fh:
-            write_csv(fh, header, grid.rows, columns, grid.block)
+            write_csv(fh, header, grid.rows, grid.columns, grid.block)
         sys.stdout.write(f"{grid.rows} rows written to {args.out}\n")
     else:
-        write_csv(sys.stdout, header, grid.rows, columns, grid.block)
+        write_csv(sys.stdout, header, grid.rows, grid.columns, grid.block)
     return 0
 
 
@@ -352,7 +355,7 @@ def _cmd_generate(args) -> int:
     out = Path(args.out)
     with open(out, "w", newline="") as fh:
         write_csv(
-            fh, "y,x", pop.size, [(None, repr)] * 2,
+            fh, "y,x", pop.size, [None, None],
             lambda start, stop: [pop.y[start:stop], pop.x[start:stop]],
         )
     _write_manifest(out, args, [str(out)], time.perf_counter() - started)

@@ -268,24 +268,26 @@ def load_population_csv(path) -> Population:
     return Population(y=np.array(ys), x=np.array(xs))
 
 
-def _csv_texts(values, fmt) -> np.ndarray:
-    """fmt of each value, as an object array of texts."""
-    return np.array(list(map(fmt, np.asarray(values).tolist())), dtype=object)
+def _csv_texts(values) -> np.ndarray:
+    """repr of each value of a float array, else str of each, as texts."""
+    values = np.asarray(values)
+    fmt = repr if values.dtype.kind == "f" else str
+    return np.array(list(map(fmt, values.tolist())), dtype=object)
 
 
-def _csv_column(column: np.ndarray, fmt) -> tuple[np.ndarray, np.ndarray]:
-    """A float column's texts and codes: fmt of each distinct value, keyed
-    by bit pattern so that -0.0 keeps its own text, and each cell's index
-    among them.  Runs of equal cells are collapsed before the values are
-    sorted."""
-    bits = column.view(np.uint64)
+def _csv_column(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A numeric column's texts and codes: the text of each distinct value,
+    keyed by the bits of the column's own dtype so that -0.0 keeps its own
+    text, and each cell's index among them.  Runs of equal cells are
+    collapsed before the values are sorted."""
+    bits = column.view(f"u{column.itemsize}")
     starts = np.ones(len(bits), dtype=bool)
     np.not_equal(bits[1:], bits[:-1], out=starts[1:])
     runs = bits[starts]
     distinct, index = np.unique(runs, return_inverse=True)
     if len(runs) < len(bits):  # spread each run's index over its cells
         index = index[np.cumsum(starts) - 1]
-    return _csv_texts(distinct.view(np.float64), fmt), index
+    return _csv_texts(distinct.view(column.dtype)), index
 
 
 # A column fuses into the group to its left while the fused texts would
@@ -295,11 +297,6 @@ def _csv_column(column: np.ndarray, fmt) -> tuple[np.ndarray, np.ndarray]:
 # it, the region grid's (alpha, beta) and (c, indicator) pairs fuse, and
 # neither the dump nor a generated population does.
 _ROWS_PER_FUSED_TEXT = 4
-
-
-def _int_text(value: float) -> str:
-    """The text of an integral float cell, such as a count or a 0/1 flag."""
-    return str(int(value))
 
 
 # Rows formatted and joined into one write by write_csv.  At 2^15 rows the
@@ -312,21 +309,19 @@ _CSV_BLOCK_ROWS = 1 << 13
 
 def write_csv(fh, header: str, rows: int, columns, block) -> None:
     """Write a header line and one CSV line per row, _CSV_BLOCK_ROWS rows
-    at a time.  columns holds one (values, fmt) pair per column: values are
-    the column's known values, or None.  block(start, stop) returns one
-    array per column for rows [start, stop): each row's index into values,
-    or its float where values is None.  fmt runs once per known value per
-    call and once per distinct float per block; repr's text of a finite
+    at a time.  columns holds each column's known values, or None.
+    block(start, stop) returns one array per column for rows [start, stop):
+    each row's index into the known values, else its value.  Texts are repr
+    of a float and str of an integer or label, made once per known value per
+    call and once per distinct value per block; repr's text of a finite
     float reads back under load_population_csv's grammar to the same value."""
-    known = [None if values is None else _csv_texts(values, fmt) for values, fmt in columns]
+    known = [None if values is None else _csv_texts(values) for values in columns]
     fh.write(header + "\n")
     for start in range(0, rows, _CSV_BLOCK_ROWS):
         parts = []
-        for texts, (_, fmt), column in zip(
-            known, columns, block(start, min(start + _CSV_BLOCK_ROWS, rows))
-        ):
+        for texts, column in zip(known, block(start, min(start + _CSV_BLOCK_ROWS, rows))):
             if texts is None:
-                parts.append(_csv_column(column, fmt))
+                parts.append(_csv_column(column))
             else:
                 # Only the texts this block reaches, which lets a column whose
                 # block holds few of its values fuse with its neighbour.

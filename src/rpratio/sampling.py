@@ -264,9 +264,10 @@ class SplitMix64:
 _GOLDEN_U64 = np.uint64(_GOLDEN)
 _S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 _M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
-# Most bytes of either large array of one read-ahead block: the
-# (pop_size, count) index matrix, of the narrowest unsigned type that
-# holds pop_size - 1, and the (count, n) uint64 swap targets, so count =
+# Most bytes of a block's largest array, here and in simulation's gather
+# and ranking.  Here either of a read-ahead block's: the (pop_size, count)
+# index matrix, of the narrowest unsigned type that holds pop_size - 1, and
+# the (count, n) uint64 swap targets, so count =
 # max(1, _BLOCK_BYTES // max(itemsize * pop_size, 8 * n)): 292 streams at
 # N = 365, n = 112, 359 at n = 8, and 1 at every N > 65 536.
 # Peak RSS of one 10 000-rep simulate process: 40.2 MB at N = 365,

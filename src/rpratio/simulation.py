@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import InvalidInputError, SingularDenominatorError, TooLargeError
 from .estimators import EstimatorSpec, Product, Ratio, SampleMean, estimator_token
-from .population import Population, _column_moments, _int_text, write_csv
-from .sampling import _integer, confidence_interval, make_design, quartiles, srswor
+from .population import Population, _column_moments, write_csv
+from .sampling import _BLOCK_BYTES, _integer, confidence_interval, make_design, quartiles, srswor
 
 __all__ = [
     "SimConfig",
@@ -36,7 +36,6 @@ __all__ = [
 
 PRNG_NAME = "splitmix64"
 _ENUMERATION_BUDGET = 1_000_000
-_GATHER_BYTES = 256 * 1024
 # Most replications one run holds estimates for; the benchmark runs 20 000.
 # A run holds the (reps, k) estimate matrix, its mask, the two sample-mean
 # arrays and the ranking's one-byte codes, and otherwise only per-column
@@ -150,10 +149,10 @@ def _shape(devs: np.ndarray) -> tuple[float | None, float | None]:
 
 def _sample_means(pop: Population, samples, count: int, n: int):
     """The y and x means of the count size-n index samples that the iterator
-    samples yields, gathered in blocks whose int64 indices fill _GATHER_BYTES.
+    samples yields, gathered in blocks whose int64 indices fill _BLOCK_BYTES.
     Row means reduce along contiguous rows, so each is pop.y[sample].mean() to the bit."""
     ybar, xbar = np.empty(count), np.empty(count)
-    block = max(1, _GATHER_BYTES // (8 * n))
+    block = max(1, _BLOCK_BYTES // (8 * n))
     for first in range(0, count, block):
         idx = np.array(list(itertools.islice(samples, block)))
         ybar[first:first + len(idx)] = pop.y[idx].mean(axis=1)
@@ -267,12 +266,12 @@ def _closeness_orders(est: np.ndarray, clean: np.ndarray, true_mean: float) -> n
     """The estimator positions of each clean row of est, closest to
     true_mean first with ties in column order: the rows of
     np.argsort(np.abs(est - true_mean), axis=1, kind="stable")[clean].
-    They are ranked in blocks of rows whose floats fill _GATHER_BYTES and
+    They are ranked in blocks of rows whose floats fill _BLOCK_BYTES and
     held as the smallest unsigned codes that fit (uint8 up to 256
     estimators), so no temporary spans every replication."""
     k = est.shape[1]
     orders = np.empty((int(clean.sum()), k), dtype=np.min_scalar_type(k - 1))
-    block = max(1, _GATHER_BYTES // (8 * k))
+    block = max(1, _BLOCK_BYTES // (8 * k))
     done = 0
     for first in range(0, len(est), block):
         rows = est[first:first + block][clean[first:first + block]]
@@ -312,9 +311,9 @@ def write_estimates_csv(path, result: SimResult) -> None:
         estimate = np.where(singular[start:stop], np.nan, est[start:stop])
         with np.errstate(over="ignore"):
             covered = np.abs(estimate - true_mean) <= half_width
-        return [rep.astype(float), j, estimate, covered.astype(np.intp)]
+        return [rep, j, estimate, covered.astype(np.intp)]
 
-    columns = [(None, _int_text), (labels, str), (None, repr), ([0, 1], str)]
+    columns = [None, labels, None, [0, 1]]
     with open(path, "w", newline="") as fh:
         write_csv(fh, "rep,estimator,estimate,covered", len(est), columns, block)
 
@@ -342,10 +341,9 @@ def exhaustive_oracle(pop: Population, n: int, spec: EstimatorSpec) -> ExactMome
         raise SingularDenominatorError(
             f"{label} is singular on the subset of units {subset}"
         )
-    values = est.tolist()
     try:
-        expectation = math.fsum(values) / total
-        mse = math.fsum((v - Ybar) ** 2 for v in values) / total
+        expectation = math.fsum(map(float, est)) / total
+        mse = math.fsum((v - Ybar) ** 2 for v in map(float, est)) / total
     except (OverflowError, ValueError):  # a sum or square overflowed, or inf - inf
         expectation = mse = math.nan
     bias = expectation - Ybar

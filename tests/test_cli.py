@@ -592,6 +592,50 @@ class TestSimulate:
         assert not out.exists()
         assert not (tmp_path / "r.manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "out, dump",
+        [
+            ("r2.json", "r2.manifest.json"),
+            ("same.csv", "same.csv"),
+            ("./r.json", "r.json"),
+            ("sub/../r.json", "./r.manifest.json"),
+        ],
+        ids=["dump-is-manifest", "dump-is-report", "dot-slash", "parent-dirs"],
+    )
+    def test_colliding_outputs_exit_2_and_touch_nothing(
+        self, pop_csv, tmp_path, monkeypatch, capsys, out, dump
+    ):
+        # Checked before the population is read: the files already there
+        # keep their bytes and no other file is made.
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "r.json").write_text("an earlier report\n")
+        (tmp_path / "same.csv").write_text("an earlier dump\n")
+        monkeypatch.chdir(tmp_path)
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        rc = main([
+            "simulate", "--population", str(pop_csv),
+            "--reps", "20", "--n", "5", "--seed", "3",
+            "--out", out, "--dump-estimates", dump,
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: the outputs must be different files: ")
+        assert captured.out == ""
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    def test_differently_spelled_distinct_outputs_run(self, pop_csv, tmp_path, monkeypatch, capsys):
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path)
+        rc = main([
+            "simulate", "--population", str(pop_csv),
+            "--reps", "20", "--n", "5", "--seed", "3",
+            "--out", "./sub/../r.json", "--dump-estimates", "./r.csv",
+        ])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "r.manifest.json").read_text())
+        assert manifest["outputs"] == ["sub/../r.json", "./r.csv"]
+        assert (tmp_path / "r.json").exists() and (tmp_path / "r.csv").exists()
+
     def test_power_overflow_is_a_singular_draw(self, tmp_path, capsys):
         # Any pair holding the x = 20 unit has xbar/Xbar > 3, and 3**5000
         # overflows; every other pair underflows to zero harmlessly.

@@ -471,3 +471,47 @@ class TestPowerStreaming:
         assert same_float(estimate(kind(-0.6), SampleSummary(1.5, 0.7, 2.0)), want)
         with pytest.raises(SingularDenominatorError):
             estimate(kind(-0.6), SampleSummary(1.5, 0.0, 2.0))
+
+
+DELTA = 1e-4
+STENCIL = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+
+
+def check_coefficients(spec) -> bool:
+    """Whether coefficients() gives w = -h'(1) and q = h''(1)/2 to 1e-6,
+    relative to max(1, |.|), where h(z) = spec.evaluate(1, z, 1) and the
+    derivatives come from 5-point stencils of step DELTA.  False when h is
+    singular or not finite at a stencil point, where no check is made."""
+    h, singular = spec.evaluate(np.ones(5), 1.0 + DELTA * STENCIL, 1.0)
+    if singular.any() or not np.isfinite(h).all():
+        return False
+    m2, m1, h0, p1, p2 = h.tolist()
+    slope = (m2 - 8.0 * m1 + 8.0 * p1 - p2) / (12.0 * DELTA)
+    curve = (-m2 + 16.0 * m1 - 30.0 * h0 + 16.0 * p1 - p2) / (12.0 * DELTA * DELTA)
+    w, q = spec.coefficients()
+    assert abs(w + slope) <= 1e-6 * max(1.0, abs(w)), (spec, w, -slope)
+    assert abs(q - curve / 2.0) <= 1e-6 * max(1.0, abs(q)), (spec, q, curve / 2.0)
+    return True
+
+
+class TestCoefficients:
+    """coefficients() against numeric derivatives of each kind's evaluator:
+    with ybar = Xbar = 1, an estimator is 1 - w*e + q*e^2 + ... at xbar = 1 + e."""
+
+    @pytest.mark.parametrize("kind", list(ESTIMATOR_KINDS.values()), ids=list(ESTIMATOR_KINDS))
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_match_stencil_derivatives(self, kind, data):
+        values = st.floats(min_value=-2.5, max_value=2.5)
+        spec = kind(*(data.draw(values, label=f.name) for f in fields(kind)))
+        assume(check_coefficients(spec))
+
+    def test_an_off_q_is_caught(self):
+        class OffQ(Reddy):
+            def coefficients(self):
+                w, q = super().coefficients()
+                return w, q + 1e-3
+
+        assert check_coefficients(Reddy(0.6))
+        with pytest.raises(AssertionError):
+            check_coefficients(OffQ(0.6))

@@ -23,7 +23,8 @@ from rpratio.population import (
     SamplingDesign,
     SummaryStats,
     _column_moments,
-    _int_text,
+    _csv_column,
+    _csv_texts,
     _mean,
     load_population_csv,
     make_design,
@@ -581,6 +582,10 @@ LABELS = ["mean", "ratio", '"rpr:0.5,0.5"']
 SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf]
 
 
+def _int_text(value: float) -> str:
+    return str(int(value))
+
+
 def _label_text(value: float) -> str:
     return LABELS[int(value)]
 
@@ -592,15 +597,24 @@ def naive_csv_rows(table: np.ndarray, formats) -> str:
 
 
 def csv_rows(table: np.ndarray, formats, known=(), block_rows=None) -> str:
-    """write_csv's lines for a float table, without the header line: column
-    j passes its floats, or for j in known its integral cells as indices
-    into LABELS.  block_rows, when given, replaces _CSV_BLOCK_ROWS."""
-    columns = [(LABELS, str) if j in known else (None, fmt) for j, fmt in enumerate(formats)]
+    """write_csv's lines for a float table, without the header line.  Each
+    column's format names the dtype it is passed as: a repr column passes
+    its floats, an _int_text column its cells as int64, or for j in known
+    as indices into the integers 0, 1, 2, and a _label_text column its
+    cells as indices into LABELS.  block_rows, when given, replaces
+    _CSV_BLOCK_ROWS."""
+    columns = [
+        LABELS if fmt is _label_text
+        else list(range(len(LABELS))) if j in known
+        else None
+        for j, fmt in enumerate(formats)
+    ]
 
     def block(start, stop):
         return [
-            table[start:stop, j].astype(np.intp) if j in known else table[start:stop, j]
-            for j in range(len(formats))
+            table[start:stop, j] if fmt is repr
+            else table[start:stop, j].astype(np.int64 if values is None else np.intp)
+            for j, (fmt, values) in enumerate(zip(formats, columns))
         ]
 
     fh = io.StringIO()
@@ -613,7 +627,7 @@ def csv_rows(table: np.ndarray, formats, known=(), block_rows=None) -> str:
 
 @st.composite
 def csv_tables(draw):
-    """A float table, its formats and the label columns passed as known
+    """A float table, its formats and the integer columns passed as known
     values: each column repeats a small pool of values in runs, in cycles
     or in any order."""
     rows = draw(st.integers(1, 80))
@@ -624,7 +638,7 @@ def csv_tables(draw):
             pool = draw(st.lists(st.sampled_from(SPECIAL) | st.floats(), min_size=1, max_size=6))
         else:
             pool = [float(i) for i in range(len(LABELS))]
-        if fmt is _label_text and draw(st.booleans()):
+        if fmt is _int_text and draw(st.booleans()):
             known.add(j)
         pool = np.array(pool)
         pattern = draw(st.sampled_from(["runs", "cycles", "any"]))
@@ -663,8 +677,8 @@ class TestWriteCsv:
         table = np.array([[0.25], [0.25], [-1e300], [0.25]])
         assert csv_rows(table, [repr]) == "0.25\n0.25\n-1e+300\n0.25\n"
 
-    @pytest.mark.parametrize("known", [(), (1,)], ids=["label-floats", "label-known"])
-    def test_repr_int_and_label_formats(self, known):
+    @pytest.mark.parametrize("known", [(), (0, 3)], ids=["ints", "ints-known"])
+    def test_int_and_label_columns(self, known):
         # The layout of the estimate dump: rep, estimator, estimate, covered.
         table = np.array([
             [0.0, 0.0, 0.5, 1.0],
@@ -695,20 +709,50 @@ class TestWriteCsv:
         assert "-0.0" in text
 
     def test_known_values_are_formatted_once_per_call(self):
-        # 10 rows in blocks of 3: each known value's text is made once,
-        # however many blocks reach it.
-        calls = []
-
-        def fmt(value):
-            calls.append(value)
-            return f"<{value}>"
-
+        # 10 rows in blocks of 3: the known values' texts are made once,
+        # however many blocks reach them.
         index = np.array([0, 2, 2, 1, 0, 0, 2, 1, 1, 0])
         fh = io.StringIO()
-        with mock.patch.object(rpratio.population, "_CSV_BLOCK_ROWS", 3):
-            write_csv(fh, "k", len(index), [(["a", "b", "c"], fmt)], lambda i, j: [index[i:j]])
-        assert sorted(calls) == ["a", "b", "c"]
-        assert fh.getvalue() == "k\n" + "".join(f"<{'abc'[i]}>\n" for i in index)
+        with mock.patch.object(rpratio.population, "_CSV_BLOCK_ROWS", 3), mock.patch.object(
+            rpratio.population, "_csv_texts", wraps=_csv_texts
+        ) as texts:
+            write_csv(fh, "k", len(index), [["a", "b", "c"]], lambda i, j: [index[i:j]])
+        assert [c.args for c in texts.call_args_list] == [(["a", "b", "c"],)]
+        assert fh.getvalue() == "k\n" + "".join(f"{'abc'[i]}\n" for i in index)
+
+
+class TestCsvTexts:
+    """One text rule: repr of a float, str of anything else."""
+
+    def test_float_values_take_repr(self):
+        values = [0.0, -0.0, 2.0, 0.1 + 0.2, -1e300, 5e-324, math.nan, math.inf, -math.inf]
+        texts = _csv_texts(np.array(values))
+        assert texts.dtype == object
+        assert texts.tolist() == list(map(repr, values))
+        assert _csv_texts([1.0, 2]).tolist() == ["1.0", "2.0"]  # a float array
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.intp, np.uint8, np.int32])
+    def test_integer_values_take_str(self, dtype):
+        assert _csv_texts(np.array([0, 1, 7], dtype=dtype)).tolist() == ["0", "1", "7"]
+
+    def test_python_integers_and_labels_take_str(self):
+        assert _csv_texts([0, 1]).tolist() == ["0", "1"]
+        labels = ["mean", "rpr:-0.3349,0.3176", "1.5"]
+        assert _csv_texts(labels).tolist() == labels
+
+    def test_int64_column_keeps_every_digit(self):
+        # Past 2^53 a float round trip would change the digits.
+        column = np.array([2**62 + 1, -(2**63), 3, 2**62 + 1, 0, 3], dtype=np.int64)
+        texts, codes = _csv_column(column)
+        assert texts[codes].tolist() == [str(v) for v in column.tolist()]
+        assert len(texts) == 4
+
+    def test_int64_and_float_columns_in_one_file(self):
+        reps = np.repeat(np.arange(3, dtype=np.int64), 2)
+        values = np.array([0.5, -0.0, 2.0, 2.0, math.nan, 1e16])
+        fh = io.StringIO()
+        write_csv(fh, "rep,v", len(reps), [None, None], lambda i, j: [reps[i:j], values[i:j]])
+        assert fh.getvalue() == "rep,v\n0,0.5\n0,-0.0\n1,2.0\n1,2.0\n2,nan\n2,1e+16\n"
 
 
 def nested_grid(*axes: np.ndarray) -> np.ndarray:

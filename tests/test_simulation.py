@@ -132,7 +132,7 @@ class TestExhaustiveOracle:
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_matches_the_scalar_enumeration_bit_for_bit(self, tiny_pop, spec, n, monkeypatch):
         # Small chunks make the enumeration span several of them.
-        monkeypatch.setattr(simulation, "_GATHER_BYTES", 5 * 8 * n)
+        monkeypatch.setattr(simulation, "_BLOCK_BYTES", 5 * 8 * n)
         y, x = tiny_pop.y.tolist(), tiny_pop.x.tolist()
         Xbar, Ybar = float(tiny_pop.x.mean()), float(tiny_pop.y.mean())
         values = [
@@ -177,7 +177,7 @@ class TestExhaustiveOracle:
     def test_singular_subset_past_the_first_gather_block(self, per_block, monkeypatch):
         # (0, 4) is the fourth subset in enumeration order, the first whose
         # x averages to 0.
-        monkeypatch.setattr(simulation, "_GATHER_BYTES", per_block * 8 * 2)
+        monkeypatch.setattr(simulation, "_BLOCK_BYTES", per_block * 8 * 2)
         pop = Population(y=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0], x=[-1.0, -3.0, 2.0, 2.0, 1.0, 1.0])
         with pytest.raises(SingularDenominatorError, match=r"^ratio is singular .*\(0, 4\)$"):
             exhaustive_oracle(pop, 2, Ratio())
@@ -240,7 +240,7 @@ class TestDeterminism:
         cfg = SimConfig(reps=401, n=3, seed=8)
         whole = run_simulation(tiny_pop, cfg)
         write_estimates_csv(tmp_path / "a.csv", whole)
-        monkeypatch.setattr(simulation, "_GATHER_BYTES", 7 * 8 * cfg.n)
+        monkeypatch.setattr(simulation, "_BLOCK_BYTES", 7 * 8 * cfg.n)
         blocked = run_simulation(tiny_pop, cfg)
         write_estimates_csv(tmp_path / "b.csv", blocked)
         assert comparable(blocked) == comparable(whole)
@@ -567,7 +567,7 @@ class TestClosenessOrders:
         # Rounded estimates tie often, and resampling the rows with
         # replacement repeats some; 7-row or 1-row blocks end mid-array.
         if gather_rows is not None:
-            monkeypatch.setattr(simulation, "_GATHER_BYTES", gather_rows * 8 * k)
+            monkeypatch.setattr(simulation, "_BLOCK_BYTES", gather_rows * 8 * k)
         rng = np.random.default_rng(k * 1000 + reps)
         est = np.round(rng.normal(size=(reps, k)), 1)
         est = est[rng.integers(0, reps, size=reps)] if reps else est
@@ -630,6 +630,13 @@ class TestMemoryBound:
         _, ratio_peak = traced_peak(exhaustive_oracle, pop, 6, Ratio())
         _, power_peak = traced_peak(exhaustive_oracle, pop, 6, parse_estimator(token))
         assert power_peak <= 1.1 * ratio_peak
+
+    def test_oracle_peak_near_its_estimates(self):
+        # C(22, 7) = 170 544 subsets.  The sums read the estimate array
+        # itself: a list of its floats would add some 4 times its bytes.
+        pop = Population(y=self.POP.y[:22], x=self.POP.x[:22])
+        _, peak = traced_peak(exhaustive_oracle, pop, 7, Ratio())
+        assert peak <= 4.6 * 8 * math.comb(22, 7)
 
 
 class TestEstimateMatrix:
