@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -23,11 +22,11 @@ from pathlib import Path
 from . import __version__
 from .errors import EstimationError, PoleAtHalfError
 from .estimators import (
-    ESTIMATOR_KINDS,
     Product,
     Ratio,
     SampleMean,
     UnbiasedAOE,
+    _split_estimators,
     parse_estimator,
 )
 from .population import (
@@ -98,20 +97,6 @@ def _write_manifest(out_path: Path, args, outputs: list[str], wall_time_s: float
         "wall_time_s": round(wall_time_s, 3),
     }
     _manifest_path(out_path).write_text(_dump_json(payload))
-
-
-def _split_estimators(text: str) -> list[str]:
-    """Split a comma-separated token list: a piece 'name:...' naming an
-    estimator kind starts a token of as many pieces as the kind has fields,
-    so rpr:<alpha>,<beta> keeps its comma.  Empty tokens are dropped."""
-    pieces = (p.strip() for p in text.split(","))
-    tokens = []
-    for piece in pieces:
-        name, sep, _ = piece.partition(":")
-        kind = ESTIMATOR_KINDS.get(name) if sep else None
-        more = max(len(dataclasses.fields(kind)), 1) - 1 if kind else 0
-        tokens.append(",".join([piece, *itertools.islice(pieces, more)]))
-    return [t for t in tokens if t]
 
 
 def _parse_design(text: str):
@@ -334,7 +319,7 @@ def _cmd_surface(args) -> int:
         _parse_range(args.c),
         _parse_range(args.beta) if args.beta else None,
     )
-    header = ",".join(("alpha", "beta", "c", "indicator")[:len(grid.columns)])
+    header = ",".join(grid.names)
     if args.out:
         with open(args.out, "w") as fh:
             write_csv(fh, header, grid.rows, grid.columns, grid.block)

@@ -333,6 +333,20 @@ def estimator_token(spec: EstimatorSpec) -> str:
     return _token(spec.name, args)
 
 
+def _split_estimators(text: str) -> list[str]:
+    """Split a comma-separated token list: a piece 'name:...' naming an
+    estimator kind starts a token of as many pieces as the kind has fields,
+    so rpr:<alpha>,<beta> keeps its comma.  Empty tokens are dropped."""
+    pieces = (p.strip() for p in text.split(","))
+    tokens = []
+    for piece in pieces:
+        name, sep, _ = piece.partition(":")
+        kind = ESTIMATOR_KINDS.get(name) if sep else None
+        more = max(len(fields(kind)), 1) - 1 if kind else 0
+        tokens.append(",".join([piece, *itertools.islice(pieces, more)]))
+    return [t for t in tokens if t]
+
+
 def parse_estimator(token: str) -> EstimatorSpec:
     """Parse a command-line estimator token such as ``rpr:-0.3349,0.3176``."""
     name, sep, arg = token.strip().partition(":")

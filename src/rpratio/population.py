@@ -278,15 +278,8 @@ def _csv_texts(values) -> np.ndarray:
 def _csv_column(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A numeric column's texts and codes: the text of each distinct value,
     keyed by the bits of the column's own dtype so that -0.0 keeps its own
-    text, and each cell's index among them.  Runs of equal cells are
-    collapsed before the values are sorted."""
-    bits = column.view(f"u{column.itemsize}")
-    starts = np.ones(len(bits), dtype=bool)
-    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
-    runs = bits[starts]
-    distinct, index = np.unique(runs, return_inverse=True)
-    if len(runs) < len(bits):  # spread each run's index over its cells
-        index = index[np.cumsum(starts) - 1]
+    text, and each cell's index among them."""
+    distinct, index = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
     return _csv_texts(distinct.view(column.dtype)), index
 
 

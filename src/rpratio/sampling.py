@@ -411,11 +411,22 @@ def srswor(pop_size: int, n: int, seed: int, stream: int = 0) -> np.ndarray:
 
 def quartiles(values) -> tuple[float, float, float]:
     """(q1, median, q3) with linear interpolation between order statistics
-    (fractional position p * (len - 1) from the sorted values)."""
+    (fractional position p * (len - 1) from the sorted values).
+
+    np.percentile interpolates between order statistics a and b as
+    a + (b - a) * t, and b - a overflows when they are huge and of opposite
+    signs.  Such a quartile is a * (1 - t) + b * t, whose terms cannot."""
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise EmptyDataError("quartiles of an empty collection")
     if not np.isfinite(arr).all():
         raise InvalidInputError("quartiles need finite values")
-    q1, med, q3 = np.percentile(arr, [25.0, 50.0, 75.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.percentile(arr, [25.0, 50.0, 75.0])
+        if not np.isfinite(q).all():
+            arr = np.sort(arr)
+            t, lo = np.modf(np.array([0.25, 0.5, 0.75]) * (len(arr) - 1))
+            lo = lo.astype(np.intp)
+            q = np.where(np.isfinite(q), q, arr[lo] * (1.0 - t) + arr[lo + 1] * t)
+    q1, med, q3 = q
     return float(q1), float(med), float(q3)

@@ -291,7 +291,7 @@ class _Surface:
     cs) for AOE.  A node is a point of every axis but the last, and its
     rows run along the last axis.  columns holds, per output column, the
     values the column takes (the indicator's are 0 and 1), or None for
-    beta where each row computes its own.
+    beta where each row computes its own; names holds the columns' names.
     """
 
     kind: SurfaceKind
@@ -301,6 +301,10 @@ class _Surface:
     @property
     def rows(self) -> int:
         return math.prod(self.shape)
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return ("alpha", "beta", "c", "indicator")[:len(self.columns)]
 
     def block(self, start: int, stop: int) -> list[np.ndarray]:
         """Rows [start, stop): per column, each row's index into the
@@ -378,8 +382,10 @@ def _surface(
         return _Surface(kind, shape, (alphas, betas, cs, _INDICATOR))
     if kind is SurfaceKind.BIAS_FREE:
         return _Surface(kind, (len(alphas), len(cs), 2), (alphas, None, cs))
-    # AOE: no hyperbola point at the alpha = 1/2 pole.
-    alphas = alphas[np.abs(1.0 - 2.0 * alphas) >= 1e-12]
+    # AOE: no hyperbola point at the alpha = 1/2 pole.  1 - 2 * alpha is
+    # -inf for a huge alpha, which is kept.
+    with np.errstate(over="ignore"):
+        alphas = alphas[np.abs(1.0 - 2.0 * alphas) >= 1e-12]
     return _Surface(kind, (len(alphas), len(cs)), (alphas, None, cs))
 
 

@@ -926,40 +926,6 @@ class TestUndecodableInput:
         )
 
 
-class TestEstimatorListSplitting:
-    def test_rpr_comma_survives_anywhere(self):
-        from rpratio.cli import _split_estimators
-
-        assert _split_estimators("mean,ratio,product") == [
-            "mean", "ratio", "product",
-        ]
-        assert _split_estimators("mean,rpr:-0.3,0.4,ratio") == [
-            "mean", "rpr:-0.3,0.4", "ratio",
-        ]
-        assert _split_estimators("rpr:0.1,0.2,rpr:0.3,0.4") == [
-            "rpr:0.1,0.2", "rpr:0.3,0.4",
-        ]
-        assert _split_estimators(" mean , aoe:0.6 ") == ["mean", "aoe:0.6"]
-
-    @pytest.mark.parametrize(
-        "text, tokens",
-        [
-            ("bogus:1,mean", ["bogus:1", "mean"]),
-            ("rpr,mean", ["rpr", "mean"]),
-            ("rpr:0.5", ["rpr:0.5"]),
-            ("rpr:,0.5", ["rpr:,0.5"]),
-            ("rpr:0.5,,0.6", ["rpr:0.5,", "0.6"]),
-            ("ratio:1,2", ["ratio:1", "2"]),
-            ("mean,,ratio", ["mean", "ratio"]),
-            ("rpr:0.1,rpr:0.2,0.3", ["rpr:0.1,rpr:0.2", "0.3"]),
-        ],
-    )
-    def test_each_kind_takes_as_many_pieces_as_it_has_fields(self, text, tokens):
-        from rpratio.cli import _split_estimators
-
-        assert _split_estimators(text) == tokens
-
-
 class TestSurface:
     def test_aoe_to_stdout(self, capsys):
         rc = main([
@@ -1178,6 +1144,15 @@ class TestEntryPoint:
             assert (proc.returncode, proc.stdout) == (2, "")
             assert proc.stderr == f"error: the {what} of y overflows double precision\n"
         assert not out.exists()
+
+    def test_huge_alpha_aoe_surface_writes_no_warning(self):
+        # 1 - 2 * alpha overflows to -inf at the larger alphas, which stay.
+        proc = self.run_module("surface", "--kind", "aoe", "--alpha=0:1e308:2e307", "--c=0:1:1")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "alpha,beta,c\n0.0,0.5,0.0\n0.0,0.0,1.0\n" + "".join(
+            f"{alpha},0.5,{c}\n" for alpha in ["2e+307", "4e+307", "6e+307", "8e+307", "1e+308"]
+            for c in ["0.0", "1.0"]
+        )
 
     def test_missing_population_exit_2(self, tmp_path):
         missing = tmp_path / "absent.csv"

@@ -21,6 +21,7 @@ from rpratio.estimators import (
     SrivastavaPower,
     UnbiasedAOE,
     _pow,
+    _split_estimators,
     estimate,
     estimator_token,
     parse_estimator,
@@ -335,6 +336,44 @@ kind_params = st.sampled_from([0.0, 0.5, 1.0, -0.5, 2.0, -0.6, 5000.0, -5000.0])
 any_spec = st.sampled_from(list(ESTIMATOR_KINDS.values())).flatmap(
     lambda kind: st.builds(kind, *(kind_params for _ in fields(kind)))
 )
+
+
+class TestEstimatorListSplitting:
+    def test_rpr_comma_survives_anywhere(self):
+        assert _split_estimators("mean,ratio,product") == [
+            "mean", "ratio", "product",
+        ]
+        assert _split_estimators("mean,rpr:-0.3,0.4,ratio") == [
+            "mean", "rpr:-0.3,0.4", "ratio",
+        ]
+        assert _split_estimators("rpr:0.1,0.2,rpr:0.3,0.4") == [
+            "rpr:0.1,0.2", "rpr:0.3,0.4",
+        ]
+        assert _split_estimators(" mean , aoe:0.6 ") == ["mean", "aoe:0.6"]
+
+    @pytest.mark.parametrize(
+        "text, tokens",
+        [
+            ("bogus:1,mean", ["bogus:1", "mean"]),
+            ("rpr,mean", ["rpr", "mean"]),
+            ("rpr:0.5", ["rpr:0.5"]),
+            ("rpr:,0.5", ["rpr:,0.5"]),
+            ("rpr:0.5,,0.6", ["rpr:0.5,", "0.6"]),
+            ("ratio:1,2", ["ratio:1", "2"]),
+            ("mean,,ratio", ["mean", "ratio"]),
+            ("rpr:0.1,rpr:0.2,0.3", ["rpr:0.1,rpr:0.2", "0.3"]),
+        ],
+    )
+    def test_each_kind_takes_as_many_pieces_as_it_has_fields(self, text, tokens):
+        assert _split_estimators(text) == tokens
+
+    @given(specs=st.lists(any_spec, min_size=1, max_size=6), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_joined_tokens_split_back_into_their_specs(self, specs, data):
+        pieces = ",".join(estimator_token(spec) for spec in specs).split(",")
+        pad = st.sampled_from(["", " ", "  "])
+        text = ",".join(data.draw(pad) + piece + data.draw(pad) for piece in pieces)
+        assert [parse_estimator(t) for t in _split_estimators(text)] == specs
 
 
 @st.composite

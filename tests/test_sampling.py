@@ -740,6 +740,33 @@ class TestQuartiles:
     def test_order_invariance(self):
         assert quartiles([5, 1, 4, 2, 3]) == quartiles([1, 2, 3, 4, 5])
 
+    @pytest.mark.parametrize(
+        "values, want",
+        [
+            ([-1e308, 1e308, 1e308, 1e308], (5e307, 1e308, 1e308)),
+            ([-1e308, -1e308, 1e308, 1e308, 1e308], (-1e308, 1e308, 1e308)),
+            ([-1e308, 1e308], (-5e307, 0.0, 5e307)),
+        ],
+    )
+    def test_opposite_huge_values_stay_finite(self, values, want):
+        # b - a overflows between these order statistics.
+        assert quartiles(values) == pytest.approx(want, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[0.0, 5e-324], [5e-324, 1e-323, 1.5e-323], [-5e-324, 0.0, 0.0, 1e-323], [1e308, 1.7e308]],
+    )
+    def test_finite_percentiles_keep_their_bits(self, values):
+        # [0, 5e-324]: a convex combination would give a median of 0.0.
+        want = np.percentile(values, [25.0, 50.0, 75.0])
+        assert list(map(repr, quartiles(values))) == list(map(repr, want.tolist()))
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=9))
+    @settings(max_examples=500, deadline=None)
+    def test_finite_values_give_ordered_finite_quartiles(self, values):
+        q1, med, q3 = quartiles(values)
+        assert min(values) <= q1 <= med <= q3 <= max(values)
+
     def test_errors(self):
         with pytest.raises(EmptyDataError):
             quartiles([])

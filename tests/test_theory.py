@@ -619,6 +619,12 @@ class TestSurfaceGrid:
         # The alpha = 1/2 pole never emits a row.
         assert all(abs(a - 0.5) > 1e-9 for a, _, _ in rows)
 
+    def test_aoe_keeps_huge_alphas_without_a_warning(self):
+        # 1 - 2 * alpha overflows to -inf, which is off the pole.
+        rows = surface_grid(SurfaceKind.AOE, (0.0, 1e308, 2e307), (0.0, 1.0, 1.0))
+        assert rows[::2, 0].tolist() == [0.0, 2e307, 4e307, 6e307, 8e307, 1e308]
+        assert rows[:, 1].tolist() == [0.5, 0.0] + [0.5] * 10
+
     def test_dominance_empty_at_c_zero(self):
         rows = surface_grid(
             SurfaceKind.DOMINANCE,
