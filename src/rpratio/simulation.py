@@ -37,9 +37,10 @@ __all__ = [
 PRNG_NAME = "splitmix64"
 _ENUMERATION_BUDGET = 1_000_000
 # Most replications one run holds estimates for; the benchmark runs 20 000.
-# A run holds the (reps, k) estimate matrix, its mask, the two sample-mean
-# arrays and the ranking's one-byte codes, and otherwise only per-column
-# and per-block temporaries: its traced peak is ~2.3 times the matrix.
+# A run holds the (reps, k) estimate matrix, the two sample-mean arrays and
+# the ranking's one-byte codes, and otherwise only per-column and per-block
+# temporaries: its traced peak is ~2.27 times the matrix (50 000 reps of
+# all nine kinds, at the aoe kind's evaluation).
 _REPS_BUDGET = 10_000_000
 
 
@@ -112,9 +113,8 @@ class SimResult:
     # Volatile by nature, so kept out of meta and out of equality: the
     # serialized report must be byte-identical across reruns.
     wall_time_s: float = field(default=0.0, compare=False)
-    # (reps, k) estimates, nan where singular, and the singular mask.
+    # (reps, k) estimates, nan exactly where a draw was singular.
     estimates: np.ndarray | None = field(default=None, compare=False)
-    singular: np.ndarray | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -188,9 +188,10 @@ def run_simulation(pop: Population, cfg: SimConfig) -> SimResult:
 
     Per replication r the indices come from stream r of the seeded
     generator; every estimator sees the same draw.  The sample means are
-    gathered block by block, and each estimator is then evaluated once over
-    the arrays of all replications.  The plain sample mean is always the
-    efficiency baseline, whether or not it appears in cfg.estimators.
+    gathered block by block.  Each estimator in turn is then evaluated once
+    over the arrays of all replications, into its column of the estimate
+    matrix, and summarized.  The plain sample mean is always the efficiency
+    baseline, whether or not it appears in cfg.estimators.
     Raises InvalidInputError naming an estimator whose non-singular
     estimates, or the moments of their deviations, overflow a double, or
     whose moments underflow one, an MSE of 0.0 from nonzero deviations
@@ -211,14 +212,13 @@ def run_simulation(pop: Population, cfg: SimConfig) -> SimResult:
     base, xbars = _sample_means(pop, draws, reps, cfg.n)
 
     est = np.empty((reps, len(specs)))
-    singular = np.empty((reps, len(specs)), dtype=bool)
-    for j, spec in enumerate(specs):
-        est[:, j], singular[:, j] = spec.evaluate(base, xbars, mean_x)
+    clean = np.ones(reps, dtype=bool)  # rows where no estimator is singular
     base_mse = float(np.mean((base - true_mean) ** 2))
-
     reports = []
-    for j, label in enumerate(labels):
-        vals = est[~singular[:, j], j]
+    for j, (spec, label) in enumerate(zip(specs, labels)):
+        est[:, j], singular = spec.evaluate(base, xbars, mean_x)
+        clean &= ~singular
+        vals = est[~singular, j]
         n_singular = reps - vals.size
         if vals.size == 0:  # zero rates; every moment-shape field undefined
             reports.append(EstimatorReport(label, 0.0, 0.0, 0.0, *[None] * 7, n_singular))
@@ -237,7 +237,6 @@ def run_simulation(pop: Population, cfg: SimConfig) -> SimResult:
             label, coverage, neg, pos, q1, med, q3, mse, re, skew, kurt, n_singular
         ))
 
-    clean = ~singular.any(axis=1)
     ranking = RankingTable(
         counts={
             tuple(labels[j] for j in row): count
@@ -257,9 +256,7 @@ def run_simulation(pop: Population, cfg: SimConfig) -> SimResult:
         "true_mean_y": true_mean,
         "estimators": labels,
     }
-    return SimResult(
-        tuple(reports), ranking, meta, time.perf_counter() - started, est, singular
-    )
+    return SimResult(tuple(reports), ranking, meta, time.perf_counter() - started, est)
 
 
 def _closeness_orders(est: np.ndarray, clean: np.ndarray, true_mean: float) -> np.ndarray:
@@ -297,18 +294,19 @@ def _count_rows(rows: np.ndarray) -> dict[tuple[int, ...], int]:
 
 def write_estimates_csv(path, result: SimResult) -> None:
     """One row per (replication, estimator) of a result, written by
-    write_csv; singular draws carry nan.  InvalidInputError, before the
-    file is opened, when the result holds no estimates."""
+    write_csv with each estimate as the result holds it, so singular draws
+    read nan, 0.  InvalidInputError, before the file is opened, when the
+    result holds no estimates."""
     if result.estimates is None:
         raise InvalidInputError("the result holds no per-replication estimates to write")
     labels = result.meta["estimators"]
     true_mean, half_width = result.meta["true_mean_y"], result.meta["half_width"]
     k = len(labels)
-    est, singular = result.estimates.reshape(-1), result.singular.reshape(-1)
+    est = result.estimates.reshape(-1)
 
     def block(start, stop):
         rep, j = np.divmod(np.arange(start, stop), k)
-        estimate = np.where(singular[start:stop], np.nan, est[start:stop])
+        estimate = est[start:stop]
         with np.errstate(over="ignore"):
             covered = np.abs(estimate - true_mean) <= half_width
         return [rep, j, estimate, covered.astype(np.intp)]

@@ -272,10 +272,24 @@ def _axis(bounds: tuple[float, float, float], what: str) -> tuple[float, float, 
     step = _real(step, f"{what} step")
     if step <= 0.0 or stop < start:
         raise InvalidInputError(f"{what} needs stop >= start and step > 0")
-    span = (stop - start) / step + 1e-9
+    span = stop - start
+    # A span past the largest double is counted from its finite half.
+    span = span / step if math.isfinite(span) else (stop / 2 - start / 2) / step * 2
+    span += 1e-9
     if not span < _GRID_BUDGET:
         raise TooLargeError(f"{what} range exceeds the {_GRID_BUDGET} row budget")
     return start, step, int(math.floor(span)) + 1
+
+
+def _axis_values(start: float, step: float, count: int) -> np.ndarray:
+    """start + i*step for i < count; where that overflows although the
+    value itself is a double, 2*(start/2 + i*(step/2)) instead."""
+    i = np.arange(count, dtype=float)
+    with np.errstate(over="ignore"):
+        values = start + i * step
+    over = np.isinf(values)
+    values[over] = 2.0 * (start / 2 + i[over] * (step / 2))
+    return values
 
 
 # The region indicator's values: row codes 0 and 1 select them.
@@ -375,7 +389,7 @@ def _surface(
         raise TooLargeError(
             f"surface of {rows_wanted} rows exceeds the {_GRID_BUDGET} row budget"
         )
-    alphas, cs, *betas = (s + t * np.arange(n, dtype=float) for s, t, n in axes)
+    alphas, cs, *betas = (_axis_values(*axis) for axis in axes)
     if kind is SurfaceKind.DOMINANCE:
         (betas,) = betas
         shape = (len(alphas), len(betas), len(cs))

@@ -1154,6 +1154,21 @@ class TestEntryPoint:
             for c in ["0.0", "1.0"]
         )
 
+    @pytest.mark.parametrize(
+        "argv, column, want",
+        [
+            (["--kind", "region", "--alpha=0:1:1", "--c=0:1:1", "--beta=-1e308:1e308:5e307"],
+             1, ["-1e+308", "-5e+307", "0.0", "5e+307", "1e+308"]),
+            (["--kind", "aoe", "--alpha=-1e308:1e308:1e308", "--c=0:1:1"],
+             0, ["-1e+308", "0.0", "1e+308"]),
+        ],
+    )
+    def test_range_whose_span_overflows_ends_at_its_stop(self, argv, column, want):
+        proc = self.run_module("surface", *argv)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
+        assert list(dict.fromkeys(row[column] for row in rows)) == want
+
     def test_missing_population_exit_2(self, tmp_path):
         missing = tmp_path / "absent.csv"
         proc = self.run_module(

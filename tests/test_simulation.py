@@ -9,6 +9,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rpratio.errors import (
     InvalidDesignError,
@@ -20,6 +22,7 @@ from rpratio.estimators import (
     Product,
     Ratio,
     RatioProductRatio,
+    Reddy,
     SampleMean,
     SampleSummary,
     SinghRatioProduct,
@@ -342,7 +345,7 @@ class TestReports:
                  rep.skewness, rep.kurtosis)
         assert shape == (None,) * 7
         assert res.ranking == RankingTable(counts={}, excluded_draws=10)
-        assert res.singular.all()
+        assert np.isnan(res.estimates).all()
 
     @pytest.mark.parametrize(
         "spec",
@@ -464,7 +467,7 @@ class TestDump:
         result = SimResult(
             (), RankingTable({}, 0),
             meta={"estimators": labels, "true_mean_y": true_mean, "half_width": half_width},
-            estimates=est, singular=~ok,
+            estimates=np.where(ok, est, np.nan),
         )
         monkeypatch.setattr(population, "_CSV_BLOCK_ROWS", block_rows)
         with warnings.catch_warnings():
@@ -472,6 +475,25 @@ class TestDump:
             write_estimates_csv(tmp_path / "a.csv", result)
         reference_dump(tmp_path / "b.csv", labels, est, ok, true_mean, half_width)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_writes_each_estimate_as_the_result_holds_it(self, tmp_path):
+        # No mask beside the estimates: a nan cell is written nan,0 and any
+        # other cell, -0.0 and inf among them, as its repr.
+        labels = ["rpr:0.25,-0.5", "mean"]
+        est = np.array([[-0.0, math.nan], [math.inf, 0.5], [math.nan, -math.inf], [0.1 + 0.2, 3.0]])
+        result = SimResult(
+            (), RankingTable({}, 0),
+            meta={"estimators": labels, "true_mean_y": 0.5, "half_width": 1.0},
+            estimates=est,
+        )
+        write_estimates_csv(tmp_path / "dump.csv", result)
+        want = ["rep,estimator,estimate,covered"]
+        for rep, row in enumerate(est.tolist()):
+            for label, value in zip(labels, row):
+                cell = "nan,0" if math.isnan(value) else f"{value!r},{int(abs(value - 0.5) <= 1.0)}"
+                want.append(f"{rep},{label},{cell}")
+        assert (tmp_path / "dump.csv").read_text() == "\n".join(want) + "\n"
+        assert "0,rpr:0.25,-0.5,-0.0,1" in want and "1,rpr:0.25,-0.5,inf,0" in want
 
     def test_result_without_estimates_is_refused_before_the_file_opens(self, tmp_path):
         result = SimResult((), RankingTable({}, 0), meta={"estimators": ["mean"]})
@@ -650,14 +672,26 @@ class TestEstimateMatrix:
 
     def test_shape_and_nan_exactly_where_singular(self):
         res = self.run()
-        assert res.estimates.shape == res.singular.shape == (300, len(self.SPECS))
-        assert res.estimates.dtype == float and res.singular.dtype == bool
-        assert res.singular.any()
-        assert (np.isnan(res.estimates) == res.singular).all()
+        assert res.estimates.shape == (300, len(self.SPECS))
+        assert res.estimates.dtype == float
+        singular = np.isnan(res.estimates)
+        assert singular.any()
+        # The draws the scalar formulas refuse, recomputed one at a time.
+        N, Xbar = self.POP.size, float(self.POP.x.mean())
+        want = np.zeros_like(singular)
+        for r in range(300):
+            idx = srswor(N, 2, 8, stream=r)
+            s = SampleSummary(float(self.POP.y[idx].mean()), float(self.POP.x[idx].mean()), Xbar)
+            for j, spec in enumerate(self.SPECS):
+                try:
+                    estimate(spec, s)
+                except SingularDenominatorError:
+                    want[r, j] = True
+        assert (singular == want).all()
 
     def test_column_sums_are_singular_counts(self):
         res = self.run()
-        counts = res.singular.sum(axis=0).tolist()
+        counts = np.isnan(res.estimates).sum(axis=0).tolist()
         assert counts == [rep.singular_count for rep in res.reports]
         assert counts[1] > 0
 
@@ -671,9 +705,34 @@ class TestEstimateMatrix:
                 try:
                     want = estimate(spec, s)
                 except SingularDenominatorError:
-                    assert res.singular[r, j] and math.isnan(res.estimates[r, j])
+                    assert math.isnan(res.estimates[r, j])
                     continue
-                assert not res.singular[r, j] and res.estimates[r, j] == want
+                assert res.estimates[r, j] == want
+
+    # Kinds whose singular draws differ: a zero xbar, a zero denominator or
+    # bracket, Xbar + k * (xbar - Xbar) = 0, and a negative xbar / Xbar.
+    SINGULAR_KINDS = (
+        Ratio(), RatioProductRatio(0.25, -0.5), RatioProductRatio(1.0, 2.0),
+        Reddy(0.6), Reddy(2.0), SrivastavaPower(-0.6), SrivastavaPower(0.5),
+    )
+
+    @given(
+        x=st.lists(st.integers(-3, 3), min_size=3, max_size=7),
+        specs=st.lists(
+            st.sampled_from(SINGULAR_KINDS), min_size=2, max_size=4, unique_by=estimator_token
+        ),
+        n=st.integers(1, 6),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_singular_counts_follow_the_nan_cells(self, x, specs, n, seed):
+        assume(min(x) < 0 < max(x) and sum(x) != 0 and n < len(x))
+        pop = Population(y=np.arange(1.0, len(x) + 1), x=np.array(x, dtype=float))
+        res = run_simulation(pop, SimConfig(reps=40, n=n, seed=seed, estimators=tuple(specs)))
+        nan = np.isnan(res.estimates)
+        assert res.ranking.excluded_draws == int(nan.any(axis=1).sum())
+        assert [rep.singular_count for rep in res.reports] == nan.sum(axis=0).tolist()
+        assert sum(res.ranking.counts.values()) + res.ranking.excluded_draws == 40
 
     def test_arrays_left_out_of_equality(self):
         a, b = self.run(), self.run()

@@ -625,6 +625,21 @@ class TestSurfaceGrid:
         assert rows[::2, 0].tolist() == [0.0, 2e307, 4e307, 6e307, 8e307, 1e308]
         assert rows[:, 1].tolist() == [0.5, 0.0] + [0.5] * 10
 
+    def test_range_whose_span_overflows_ends_at_its_stop(self):
+        # stop - start overflows a double: the count comes from the halved
+        # span, and a value whose start + i*step overflows is built halved.
+        with np.errstate(all="raise"):
+            region = surface_grid(
+                SurfaceKind.DOMINANCE, (0.0, 1.0, 1.0), (0.0, 1.0, 1.0), (-1e308, 1e308, 5e307)
+            )
+            aoe = surface_grid(SurfaceKind.AOE, (-1e308, 1e308, 1e308), (0.0, 1.0, 1.0))
+        assert region[:10:2, 1].tolist() == [-1e308, -5e307, 0.0, 5e307, 1e308]
+        assert len(region) == 2 * 5 * 2
+        assert aoe[::2, 0].tolist() == [-1e308, 0.0, 1e308]
+        for c_range in [(0.0, 1.0, 1e-300), (-1e308, 1e308, 1e-300)]:
+            with pytest.raises(TooLargeError, match="^c range exceeds"):
+                surface_grid(SurfaceKind.AOE, (0.0, 1.0, 1.0), c_range)
+
     def test_dominance_empty_at_c_zero(self):
         rows = surface_grid(
             SurfaceKind.DOMINANCE,
