@@ -17,7 +17,6 @@ from .errors import (
     InfeasibleTargetsError,
     InvalidDesignError,
     InvalidInputError,
-    NonRealParametersError,
     OutOfRangeError,
     ParseError,
     PoleAtHalfError,
@@ -44,15 +43,14 @@ from .estimators import (
 )
 from .population import (
     Population,
-    SamplingDesign,
     SummaryStats,
     load_population_csv,
-    make_design,
     summarize,
 )
 from .sampling import (
     ConfidenceInterval,
     SamplePlan,
+    SamplingDesign,
     SplitMix64,
     confidence_interval,
     plan_sample_size,
@@ -79,14 +77,11 @@ from .theory import (
     SurfaceKind,
     aoe_bias1,
     aoe_parameters,
-    bias1_rpr,
     biasfree_betas,
     dominates,
     family_theory,
     minimal_mse1,
-    mse1_classical,
     mse1_grad,
-    mse1_rpr,
     relative_efficiency,
     surface_grid,
 )

@@ -24,6 +24,7 @@ from .errors import EstimationError, PoleAtHalfError
 from .estimators import (
     Product,
     Ratio,
+    RatioProductRatio,
     SampleMean,
     UnbiasedAOE,
     _split_estimators,
@@ -32,11 +33,10 @@ from .estimators import (
 from .population import (
     SummaryStats,
     load_population_csv,
-    make_design,
     summarize,
     write_csv,
 )
-from .sampling import _real, plan_sample_size
+from .sampling import SamplingDesign, _real, plan_sample_size
 from .simulation import SimConfig, run_simulation, write_estimates_csv
 from .synthetic import MomentTargets, generate_population
 from .theory import (
@@ -45,12 +45,11 @@ from .theory import (
     SurfaceKind,
     _surface,
     aoe_parameters,
-    bias1_rpr,
     biasfree_betas,
     dominates,
+    family_theory,
     minimal_mse1,
     mse1_grad,
-    mse1_rpr,
     relative_efficiency,
 )
 
@@ -102,7 +101,7 @@ def _write_manifest(out_path: Path, args, outputs: list[str], wall_time_s: float
 def _parse_design(text: str):
     try:
         n_text, N_text = text.split(",")
-        return make_design(int(n_text), int(N_text))
+        return SamplingDesign(int(n_text), int(N_text))
     except ValueError:
         raise EstimationError(
             f"bad design {text!r}; expected 'n,N' such as '112,365'"
@@ -209,6 +208,11 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_theory(args) -> int:
+    if (args.alpha is None) != (args.beta is None):
+        given, missing = ("--alpha", "--beta") if args.beta is None else ("--beta", "--alpha")
+        raise EstimationError(f"theory {given} needs {missing}")
+    if args.re and not args.stats:
+        raise EstimationError("theory --re needs --stats")
     st = _load_stats(args.stats) if args.stats else None
     if args.c is not None:
         c = args.c
@@ -230,8 +234,9 @@ def _cmd_theory(args) -> int:
         }
         payload["biasfree_betas"] = list(biasfree_betas(alpha, c))
         if st is not None and d is not None:
-            payload["bias1"] = bias1_rpr(alpha, beta, st, d)
-            payload["mse1"] = mse1_rpr(alpha, beta, st, d)
+            first = family_theory(RatioProductRatio(alpha, beta), st, d)
+            payload["bias1"] = first.bias1
+            payload["mse1"] = first.mse1
             payload["gradient"] = list(mse1_grad(alpha, beta, st, d))
             payload["minimal_mse1"] = minimal_mse1(st, d)
 
@@ -253,7 +258,7 @@ def _cmd_theory(args) -> int:
     if (everything or args.re) and st is not None:
         # The fpc factor cancels in every MSE ratio, so any valid design
         # serves when the caller supplied none.
-        d_re = d if d is not None else make_design(1, 2)
+        d_re = d if d is not None else SamplingDesign(1, 2)
         payload["re_vs_sample_mean_percent"] = {
             "ratio": 100.0 * relative_efficiency(SampleMean(), Ratio(), st, d_re),
             "product": 100.0 * relative_efficiency(SampleMean(), Product(), st, d_re),

@@ -11,7 +11,6 @@ __all__ = [
     "DegenerateVarianceError",
     "InvalidDesignError",
     "SingularDenominatorError",
-    "NonRealParametersError",
     "PoleAtHalfError",
     "DegenerateMseError",
     "OutOfRangeError",
@@ -51,10 +50,6 @@ class SingularDenominatorError(EstimationError):
     def __init__(self, message: str, denominator: float = 0.0):
         super().__init__(message)
         self.denominator = denominator
-
-
-class NonRealParametersError(EstimationError):
-    """Real optimal parameters were demanded inside the complex region."""
 
 
 class PoleAtHalfError(EstimationError):

@@ -208,12 +208,24 @@ class UnbiasedAOE(_Kind):
     name = "aoe"
 
     def _values(self, yb, xb, Xb):
+        # Three draw-sized arrays, worked in place in the formula's order of
+        # operations, so each value is the formula's to the bit: den =
+        # 4*Xb*xb - t*gap*gap reuses gap's array, and num = 2(c+1)*Xb*Xb -
+        # 2(c-1)*xb*xb + t*gap*gap becomes the result.
         c = self.c
         t = 2.0 * c * c - c - 1.0
-        gap = Xb - xb
-        den = 4.0 * Xb * xb - t * gap * gap
-        num = 2.0 * (c + 1.0) * Xb * Xb - 2.0 * (c - 1.0) * xb * xb + t * gap * gap
-        return num / den * yb, den == 0.0
+        gap = np.subtract(Xb, xb, out=np.empty_like(xb))
+        tgg = np.multiply(t, gap, out=np.empty_like(xb))
+        tgg *= gap
+        den = np.multiply(4.0 * Xb, xb, out=gap)
+        den -= tgg
+        num = np.multiply(2.0 * (c - 1.0), xb, out=np.empty_like(xb))
+        num *= xb
+        np.subtract(2.0 * (c + 1.0) * Xb * Xb, num, out=num)
+        num += tgg
+        num /= den
+        num *= yb
+        return num, den == 0.0
 
     def coefficients(self):
         return self.c, self.c * self.c

@@ -26,16 +26,14 @@ from .errors import (
     ParseError,
     ZeroMeanError,
 )
-from .sampling import SamplingDesign, _real, make_design
+from .sampling import _real
 
 __all__ = [
     "Population",
     "SummaryStats",
-    "SamplingDesign",
     "summarize",
     "load_population_csv",
     "write_csv",
-    "make_design",
 ]
 
 
@@ -80,8 +78,6 @@ class Population:
     @property
     def size(self) -> int:
         return len(self.y)
-
-    N = size
 
 
 @dataclass(frozen=True)

@@ -169,10 +169,6 @@ class SamplingDesign:
         return (1.0 - self.f) / self.n
 
 
-# make_design(n, N) is the design's older spelling.
-make_design = SamplingDesign
-
-
 @dataclass(frozen=True)
 class ConfidenceInterval:
     lo: float

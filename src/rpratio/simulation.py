@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InvalidInputError, SingularDenominatorError, TooLargeError
 from .estimators import EstimatorSpec, Product, Ratio, SampleMean, estimator_token
 from .population import Population, _column_moments, write_csv
-from .sampling import _BLOCK_BYTES, _integer, confidence_interval, make_design, quartiles, srswor
+from .sampling import _BLOCK_BYTES, SamplingDesign, _integer, confidence_interval, quartiles, srswor
 
 __all__ = [
     "SimConfig",
@@ -39,8 +39,8 @@ _ENUMERATION_BUDGET = 1_000_000
 # Most replications one run holds estimates for; the benchmark runs 20 000.
 # A run holds the (reps, k) estimate matrix, the two sample-mean arrays and
 # the ranking's one-byte codes, and otherwise only per-column and per-block
-# temporaries: its traced peak is ~2.27 times the matrix (50 000 reps of
-# all nine kinds, at the aoe kind's evaluation).
+# temporaries: its traced peak is ~2.30 times the matrix (50 000 reps of
+# all nine kinds, at the rpr kind's evaluation).
 _REPS_BUDGET = 10_000_000
 
 
@@ -324,7 +324,7 @@ def exhaustive_oracle(pop: Population, n: int, spec: EstimatorSpec) -> ExactMome
     double precision, as run_simulation does."""
     label = estimator_token(spec)
     N = pop.size
-    make_design(n, N)
+    SamplingDesign(n, N)
     total = math.comb(N, n)
     if total > _ENUMERATION_BUDGET:
         raise TooLargeError(

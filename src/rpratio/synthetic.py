@@ -59,10 +59,6 @@ class MomentTargets:
         if not -1.0 < self.r < 1.0:
             raise InvalidInputError(f"correlation {self.r} outside (-1, 1)")
 
-    @property
-    def N(self) -> int:
-        return self.size
-
 
 def _lognormal_sigma(cv: float) -> float:
     # Base CV of 1.8x the target leaves headroom for the mixing step.

@@ -17,8 +17,9 @@ Every other estimator in :mod:`rpratio.estimators` expands the same way
 with its own linear coefficient w in place of u*v and its own quadratic
 coefficient q, so a single pair (w, q) per estimator yields all the
 first-order comparisons used here.  family_theory holds the only copy of
-the expansion; bias1_rpr and mse1_rpr read it with the family's
-(w, q) = (u*v, v*(1 - alpha - beta)).
+the expansion and is its one entry point: the family member at
+(alpha, beta) is RatioProductRatio(alpha, beta), whose (w, q) is
+(u*v, v*(1 - alpha - beta)).
 """
 from __future__ import annotations
 
@@ -31,7 +32,6 @@ import numpy as np
 from .errors import (
     DegenerateMseError,
     InvalidInputError,
-    NonRealParametersError,
     PoleAtHalfError,
     TooLargeError,
 )
@@ -45,10 +45,7 @@ __all__ = [
     "SurfaceKind",
     "AOESolution",
     "FirstOrderResult",
-    "bias1_rpr",
-    "mse1_rpr",
     "mse1_grad",
-    "mse1_classical",
     "minimal_mse1",
     "biasfree_betas",
     "aoe_parameters",
@@ -101,20 +98,10 @@ class FirstOrderResult:
     mse1: float
 
 
-def bias1_rpr(alpha: float, beta: float, st: SummaryStats, d: SamplingDesign) -> float:
-    """First-order bias of the family member at (alpha, beta)."""
-    return family_theory(RatioProductRatio(alpha, beta), st, d).bias1
-
-
-def mse1_rpr(alpha: float, beta: float, st: SummaryStats, d: SamplingDesign) -> float:
-    """First-order MSE of the family member at (alpha, beta)."""
-    return family_theory(RatioProductRatio(alpha, beta), st, d).mse1
-
-
 def mse1_grad(
     alpha: float, beta: float, st: SummaryStats, d: SamplingDesign
 ) -> tuple[float, float]:
-    """Gradient of mse1_rpr in (alpha, beta):
+    """Gradient of the family's mse1 in (alpha, beta):
 
         -4 * fpc * Ybar^2 * cv_x^2 * (u*v - c) * (v, u)
 
@@ -143,11 +130,6 @@ def family_theory(
     return FirstOrderResult(bias1=bias1, mse1=mse1)
 
 
-def mse1_classical(spec: EstimatorSpec, st: SummaryStats, d: SamplingDesign) -> float:
-    """First-order MSE of an estimator spec, such as the three classical ones."""
-    return family_theory(spec, st, d).mse1
-
-
 def minimal_mse1(st: SummaryStats, d: SamplingDesign) -> float:
     """fpc * S_y^2 * (1 - r^2), the value of mse1 anywhere on u*v = c."""
     return d.fpc_rate * st.var_y * (1.0 - st.r**2)
@@ -166,11 +148,7 @@ def biasfree_betas(alpha: float, c: float) -> tuple[float, float]:
     return 0.5, 1.0 - alpha - c + 2.0 * alpha * c
 
 
-def aoe_parameters(
-    c: float,
-    branch: Branch = Branch.MINUS_MINUS,
-    require_real: bool = False,
-) -> AOESolution:
+def aoe_parameters(c: float, branch: Branch = Branch.MINUS_MINUS) -> AOESolution:
     """Solve jointly for zero first-order bias and minimal first-order MSE.
 
     The alpha radical is sqrt(c / (2c - 1)); ``branch`` picks its sign, and
@@ -179,18 +157,13 @@ def aoe_parameters(
     negative.  PLUS_PLUS returns the point reflection of MINUS_MINUS.
 
     Inside 0 < c < 1/2 the radicand is negative: the solution is flagged
-    is_real=False (NaN parameters) unless ``require_real`` asks for an
-    error.  At c = 1/2 exactly the radicand has a pole and PoleAtHalfError
-    is always raised.
+    is_real=False, with NaN parameters, and callers read is_real.  At
+    c = 1/2 exactly the radicand has a pole and PoleAtHalfError is raised.
     """
     c = _real(c, "c")
     if c == 0.5:
         raise PoleAtHalfError("optimal parameters undefined at c = 1/2")
     if 0.0 < c < 0.5:
-        if require_real:
-            raise NonRealParametersError(
-                f"optimal parameters are complex for c = {c!r} in (0, 1/2)"
-            )
         return AOESolution(math.nan, math.nan, branch, False)
     if c == 0.0:
         # Degenerate hyperbola: the unique bias-free minimum is the center.

@@ -8,7 +8,8 @@ high-precision scalar script before the package was written.
 import numpy as np
 import pytest
 
-from rpratio.population import Population, SummaryStats, make_design
+from rpratio.population import Population, SummaryStats
+from rpratio.sampling import SamplingDesign
 
 BENCH_MEAN_Y = 0.5832
 BENCH_MEAN_X = 0.6277
@@ -32,7 +33,7 @@ def bench_stats() -> SummaryStats:
 
 @pytest.fixture(scope="session")
 def bench_design():
-    return make_design(112, 365)
+    return SamplingDesign(112, 365)
 
 
 @pytest.fixture(scope="session")

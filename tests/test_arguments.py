@@ -10,8 +10,8 @@ import pytest
 
 from rpratio.errors import EstimationError
 from rpratio.estimators import SampleSummary
-from rpratio.population import Population, SamplingDesign, SummaryStats
-from rpratio.sampling import confidence_interval, plan_sample_size
+from rpratio.population import Population, SummaryStats
+from rpratio.sampling import SamplingDesign, confidence_interval, plan_sample_size
 from rpratio.simulation import SimConfig, exhaustive_oracle
 from rpratio.theory import (
     Baseline,

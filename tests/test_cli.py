@@ -381,6 +381,22 @@ class TestTheory:
         assert rc == 2
 
     @pytest.mark.parametrize(
+        "argv, missing",
+        [
+            (["theory", "--c", "0.6", "--alpha", "0.3"], "--beta"),
+            (["theory", "--c", "0.6", "--beta", "0.3"], "--alpha"),
+            (["theory", "--c", "0.6", "--re"], "--stats"),
+        ],
+        ids=["alpha-alone", "beta-alone", "re-without-stats"],
+    )
+    def test_unusable_input_exits_2_naming_the_missing_flag(self, argv, missing, capsys):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"needs {missing}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["theory", "--c", "nan", "--aoe"],

@@ -1,5 +1,6 @@
 """Point-estimator identities, singularities, and token round-trips."""
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -449,6 +450,53 @@ class TestArrayEvaluator:
             Ratio().evaluate([1.0, math.inf], [1.0, 1.0], 1.0)
         with pytest.raises(InvalidInputError):
             Ratio().evaluate([1.0], [1.0], 0.0)
+
+
+class TestUnbiasedAOEInPlace:
+    """The aoe kind works in three draw-sized arrays, in place, and keeps
+    each value of the plain expression to the bit."""
+
+    XBAR = 0.6277
+
+    @staticmethod
+    def draws(size):
+        rng = np.random.default_rng(11)
+        ybar, xbar = rng.normal(0.6, 0.3, size), rng.normal(0.6, 0.5, size)
+        xbar[::97] = 0.0
+        xbar[5::97] = -0.0
+        return ybar, xbar
+
+    @staticmethod
+    def expression(c, yb, xb, Xb):
+        t = 2.0 * c * c - c - 1.0
+        gap = Xb - xb
+        den = 4.0 * Xb * xb - t * gap * gap
+        num = 2.0 * (c + 1.0) * Xb * Xb - 2.0 * (c - 1.0) * xb * xb + t * gap * gap
+        return np.where(den == 0.0, np.nan, num / den * yb), den == 0.0
+
+    # c = 1 and c = -0.5 zero 2c^2 - c - 1, so their xbar = 0 draws are singular.
+    @pytest.mark.parametrize("c", [0.6092, -0.3, 0.5, 2.0, 1e-3, 1e150, 1.0, -0.5])
+    def test_values_equal_the_expression_bit_for_bit(self, c):
+        ybar, xbar = self.draws(2000)
+        values, singular = UnbiasedAOE(c).evaluate(ybar, xbar, self.XBAR)
+        with np.errstate(all="ignore"):
+            want, want_singular = self.expression(c, ybar, xbar, self.XBAR)
+        assert (values.view(np.uint64) == want.view(np.uint64)).all()
+        assert (singular == want_singular).all()
+        assert singular.any() == (c in (1.0, -0.5))
+        one, one_singular = UnbiasedAOE(c).evaluate(ybar[0], xbar[0], self.XBAR)
+        assert one.shape == () and one.view(np.uint64) == want[:1].view(np.uint64)[0]
+        assert one_singular == want_singular[0]
+
+    def test_evaluate_peak_within_three_and_a_quarter_inputs(self):
+        ybar, xbar = self.draws(200_000)
+        tracemalloc.start()
+        try:
+            UnbiasedAOE(0.6092).evaluate(ybar, xbar, self.XBAR)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.25 * xbar.nbytes
 
 
 class TestPowerStreaming:

@@ -1,6 +1,9 @@
 """Every name a module of the package imports is used there or exported,
-and every private module-level name of the package is read somewhere."""
+every private module-level name of the package is read somewhere, and
+every public function, class and property has one name."""
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -116,3 +119,71 @@ def test_checker_would_flag_a_leftover_helper():
     sources["population.py"] += "\n\ndef _int_text(value):\n    return str(int(value))\n"
     sources["simulation.py"] += "\n_GATHER_BYTES = 256 * 1024\n"
     assert dead_private_names(sources) == ["population.py:_int_text", "simulation.py:_GATHER_BYTES"]
+
+
+# Every public fact of the package has one name: no alias of a function,
+# class or property.
+PACKAGE_MODULES = [
+    importlib.import_module(f"rpratio.{p.stem}") for p in MODULES
+]
+
+
+def _aliases(names: dict[str, object]) -> list[tuple[str, ...]]:
+    """The groups of two or more names bound to one object."""
+    groups: dict[int, list[str]] = {}
+    for name, value in names.items():
+        groups.setdefault(id(value), []).append(name)
+    return sorted(tuple(group) for group in groups.values() if len(group) > 1)
+
+
+def test_no_two_public_names_of_the_package_share_an_object():
+    public = {n: v for n, v in vars(rpratio).items() if not n.startswith("_")}
+    assert _aliases(public) == []
+
+
+@pytest.mark.parametrize("module", PACKAGE_MODULES, ids=[m.__name__ for m in PACKAGE_MODULES])
+def test_each_exported_class_or_function_is_defined_in_its_module(module):
+    foreign = [
+        name for name in getattr(module, "__all__", [])
+        if inspect.isclass(obj := getattr(module, name)) or inspect.isfunction(obj)
+        if obj.__module__ != module.__name__
+    ]
+    assert foreign == []
+
+
+def test_no_public_class_binds_one_property_or_method_twice():
+    classes = {
+        f"{module.__name__}.{name}": value
+        for module in PACKAGE_MODULES
+        for name, value in vars(module).items()
+        if inspect.isclass(value) and value.__module__ == module.__name__
+        and not name.startswith("_")
+    }
+    assert classes
+    twice = {
+        name: groups
+        for name, cls in classes.items()
+        if (groups := _aliases({
+            attr: value for attr, value in vars(cls).items()
+            if isinstance(value, (property, staticmethod, classmethod))
+            or inspect.isfunction(value)
+        }))
+    }
+    assert twice == {}
+
+
+def test_alias_checker_finds_an_alias():
+    class Sized:
+        @property
+        def size(self):
+            return 3
+
+        N = size
+
+    def spelling():
+        return 0
+
+    assert _aliases({"spelling": spelling, "older": spelling, "other": len}) == [
+        ("spelling", "older")
+    ]
+    assert _aliases(dict(vars(Sized))) == [("size", "N")]

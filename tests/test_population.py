@@ -20,18 +20,16 @@ from rpratio.errors import (
 import rpratio
 from rpratio.population import (
     Population,
-    SamplingDesign,
     SummaryStats,
     _column_moments,
     _csv_column,
     _csv_texts,
     _mean,
     load_population_csv,
-    make_design,
     summarize,
     write_csv,
 )
-from rpratio.sampling import confidence_interval
+from rpratio.sampling import SamplingDesign, confidence_interval
 from rpratio.theory import SurfaceKind, surface_grid
 
 finite_values = st.floats(
@@ -49,10 +47,10 @@ class TestPopulation:
         with pytest.raises(ValueError):
             pop.y[0] = 5.0
 
-    def test_size_and_alias(self):
+    def test_size_has_one_name(self):
         pop = Population(y=np.ones(4) + np.arange(4), x=np.arange(4.0))
         assert pop.size == 4
-        assert pop.N == 4
+        assert not hasattr(pop, "N")
 
     def test_accepts_plain_sequences(self):
         pop = Population(y=[1.0, 2.0], x=[2.0, 1.0])
@@ -370,28 +368,28 @@ class TestFromMoments:
         assert stx.cv_x == 1e154
 
 
-class TestMakeDesign:
+class TestSamplingDesign:
     def test_benchmark_design_constants(self):
-        d = make_design(112, 365)
+        d = SamplingDesign(112, 365)
         assert d.f == pytest.approx(0.30685, abs=5e-6)
         assert d.fpc_rate == pytest.approx(0.0061888, abs=5e-8)
         assert d.f == 112 / 365
         assert d.fpc_rate == (1.0 - 112 / 365) / 112
 
     def test_smallest_design(self):
-        d = make_design(1, 2)
+        d = SamplingDesign(1, 2)
         assert d.f == 0.5
         assert d.fpc_rate == 0.5
 
     @pytest.mark.parametrize("n, N", [(365, 365), (366, 365), (0, 10), (-1, 10)])
     def test_rejects_degenerate(self, n, N):
         with pytest.raises(InvalidDesignError):
-            make_design(n, N)
+            SamplingDesign(n, N)
 
     @pytest.mark.parametrize("kind", [np.int32, np.int64, np.uint16])
     def test_numpy_integer_sizes(self, kind):
-        d = make_design(kind(112), kind(365))
-        assert d == make_design(112, 365)
+        d = SamplingDesign(kind(112), kind(365))
+        assert d == SamplingDesign(112, 365)
         assert type(d.n) is int and type(d.N) is int
 
     @pytest.mark.parametrize("n, N", [(200, 100), (365, 365), (0, 100), (-1, 10)])
@@ -407,8 +405,8 @@ class TestMakeDesign:
         assert type(d.n) is int and type(d.N) is int
 
     def test_the_design_lives_in_sampling(self):
-        assert rpratio.population.SamplingDesign is rpratio.sampling.SamplingDesign
-        assert rpratio.population.make_design is rpratio.sampling.make_design
+        assert not hasattr(rpratio.population, "SamplingDesign")
+        assert not hasattr(rpratio.population, "make_design")
         assert rpratio.SamplingDesign is rpratio.sampling.SamplingDesign
 
     @pytest.mark.parametrize("n", [0, 50, 51])
@@ -427,7 +425,7 @@ class TestMakeDesign:
     )
     def test_non_integer_sizes_are_named(self, name, n, N):
         with pytest.raises(InvalidInputError, match=f"^{name} must be an integer"):
-            make_design(n, N)
+            SamplingDesign(n, N)
 
 
 class TestLoadCsv:

@@ -21,7 +21,8 @@ def test_library_quick_tour_runs(tmp_path, monkeypatch):
     assert (ns["plan"].n0, ns["plan"].n) == (160, 112)
     assert ns["result"].estimates.shape == (10000, 4)
     sol, stats, design = ns["sol"], ns["stats"], ns["design"]
-    assert ns["mse1_rpr"](sol.alpha_star, sol.beta_star, stats, design) == pytest.approx(
+    family = ns["RatioProductRatio"](sol.alpha_star, sol.beta_star)
+    assert ns["family_theory"](family, stats, design).mse1 == pytest.approx(
         ns["minimal_mse1"](stats, design), rel=1e-12
     )
     assert (tmp_path / "per_rep.csv").exists()

@@ -33,8 +33,8 @@ from rpratio.estimators import (
     parse_estimator,
 )
 from rpratio import population, simulation
-from rpratio.population import Population, make_design, summarize
-from rpratio.sampling import srswor
+from rpratio.population import Population, summarize
+from rpratio.sampling import SamplingDesign, srswor
 from rpratio.synthetic import MomentTargets, generate_population
 from rpratio.simulation import (
     RankingTable,
@@ -57,7 +57,7 @@ class TestExhaustiveOracle:
         ybar = float(tiny_pop.y.mean())
         assert abs(out.bias) <= 1e-14 * abs(ybar)
         stx = summarize(tiny_pop)
-        d = make_design(3, tiny_pop.size)
+        d = SamplingDesign(3, tiny_pop.size)
         assert out.mse == pytest.approx(d.fpc_rate * stx.var_y, rel=1e-12)
 
     def test_beta_half_family_matches_sample_mean(self, tiny_pop):
@@ -109,8 +109,8 @@ class TestExhaustiveOracle:
         # 15% of the exact enumeration near the minimizing hyperbola
         # (measured agreement is ~0.2%, the bound is the contract).
         stx = summarize(low_cv_pop)
-        d = make_design(4, low_cv_pop.size)
-        from rpratio.theory import bias1_rpr, mse1_rpr
+        d = SamplingDesign(4, low_cv_pop.size)
+        from rpratio.theory import family_theory
 
         c = stx.c
         for beta in (0.25, 0.30, 0.35):
@@ -118,8 +118,8 @@ class TestExhaustiveOracle:
             for da in (0.0, 0.02, -0.02):
                 alpha = (1.0 - c / v) / 2.0 + da
                 exact = exhaustive_oracle(low_cv_pop, 4, RatioProductRatio(alpha, beta))
-                b1 = bias1_rpr(alpha, beta, stx, d)
-                m1 = mse1_rpr(alpha, beta, stx, d)
+                first = family_theory(RatioProductRatio(alpha, beta), stx, d)
+                b1, m1 = first.bias1, first.mse1
                 assert abs(b1 - exact.bias) <= 0.15 * abs(exact.bias)
                 assert abs(m1 - exact.mse) <= 0.15 * exact.mse
 

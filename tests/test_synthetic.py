@@ -80,8 +80,9 @@ class TestDeterminism:
 
 
 class TestTargetsValidation:
-    def test_size_alias(self):
-        assert BENCH_TARGETS.N == BENCH_TARGETS.size == 365
+    def test_size_has_one_name(self):
+        assert BENCH_TARGETS.size == 365
+        assert not hasattr(BENCH_TARGETS, "N")
 
     @pytest.mark.parametrize(
         "kwargs",

@@ -16,7 +16,6 @@ from rpratio import theory
 from rpratio.errors import (
     DegenerateMseError,
     InvalidInputError,
-    NonRealParametersError,
     PoleAtHalfError,
     TooLargeError,
 )
@@ -31,21 +30,19 @@ from rpratio.estimators import (
     SrivastavaPower,
     UnbiasedAOE,
 )
-from rpratio.population import SummaryStats, make_design
+from rpratio.population import SummaryStats
+from rpratio.sampling import SamplingDesign
 from rpratio.theory import (
     Baseline,
     Branch,
     SurfaceKind,
     aoe_bias1,
     aoe_parameters,
-    bias1_rpr,
     biasfree_betas,
     dominates,
     family_theory,
     minimal_mse1,
-    mse1_classical,
     mse1_grad,
-    mse1_rpr,
     relative_efficiency,
     _axis,
     _surface,
@@ -55,6 +52,16 @@ from rpratio.theory import (
 # Pinned optimal parameters for c = 0.6092 (MinusMinus sign choice).
 ALPHA_STAR = -0.335071447449
 BETA_STAR = 0.317620395877
+
+
+def bias1(alpha, beta, stats, d):
+    """First-order bias of the family member at (alpha, beta)."""
+    return family_theory(RatioProductRatio(alpha, beta), stats, d).bias1
+
+
+def mse1(alpha, beta, stats, d):
+    """First-order MSE of the family member at (alpha, beta)."""
+    return family_theory(RatioProductRatio(alpha, beta), stats, d).mse1
 
 
 @st.composite
@@ -73,7 +80,7 @@ def stats_strategy(draw, r_bound=0.95):
 def design_strategy(draw):
     n = draw(st.integers(min_value=2, max_value=300))
     extra = draw(st.integers(min_value=1, max_value=500))
-    return make_design(n, n + extra)
+    return SamplingDesign(n, n + extra)
 
 
 def stats_with_c(c: float, cv_x: float = 0.9, r_mag: float = 0.6) -> SummaryStats:
@@ -86,19 +93,19 @@ def stats_with_c(c: float, cv_x: float = 0.9, r_mag: float = 0.6) -> SummaryStat
 
 
 def fd_grad(alpha, beta, stx, d, h=1e-6):
-    da = (mse1_rpr(alpha + h, beta, stx, d) - mse1_rpr(alpha - h, beta, stx, d)) / (2 * h)
-    db = (mse1_rpr(alpha, beta + h, stx, d) - mse1_rpr(alpha, beta - h, stx, d)) / (2 * h)
+    da = (mse1(alpha + h, beta, stx, d) - mse1(alpha - h, beta, stx, d)) / (2 * h)
+    db = (mse1(alpha, beta + h, stx, d) - mse1(alpha, beta - h, stx, d)) / (2 * h)
     return da, db
 
 
 class TestBias:
     def test_beta_half_kills_bias(self, bench_stats, bench_design):
         for alpha in (-2.0, 0.0, 0.3, 0.5, 1.7):
-            assert bias1_rpr(alpha, 0.5, bench_stats, bench_design) == 0.0
+            assert bias1(alpha, 0.5, bench_stats, bench_design) == 0.0
 
     def test_ratio_corner_value(self, bench_stats, bench_design):
         # pinned: fpc * (1 - c) * cv_x^2 * mean_y
-        value = bias1_rpr(0.0, 0.0, bench_stats, bench_design)
+        value = bias1(0.0, 0.0, bench_stats, bench_design)
         assert value == pytest.approx(0.0018670183, rel=1e-7)
 
     @given(
@@ -108,14 +115,14 @@ class TestBias:
     )
     @settings(max_examples=120, deadline=None)
     def test_biasfree_roots_zero_the_bias(self, alpha, c, stx):
-        d = make_design(112, 365)
+        d = SamplingDesign(112, 365)
         stx = SummaryStats.from_moments(
             stx.mean_y, stx.mean_x, stx.sd_y, stx.sd_x, stx.r
         )
         trivial, sheet = biasfree_betas(alpha, stx.c)
         assert trivial == 0.5
-        assert abs(bias1_rpr(alpha, trivial, stx, d)) == 0.0
-        assert abs(bias1_rpr(alpha, sheet, stx, d)) <= 1e-12 * abs(stx.mean_y)
+        assert abs(bias1(alpha, trivial, stx, d)) == 0.0
+        assert abs(bias1(alpha, sheet, stx, d)) <= 1e-12 * abs(stx.mean_y)
 
     def test_biasfree_sheet_value(self):
         assert biasfree_betas(0.0, 0.6092) == (0.5, pytest.approx(0.3908))
@@ -128,28 +135,28 @@ class TestBias:
     )
     @settings(max_examples=120, deadline=None)
     def test_reflection_invariance(self, alpha, beta, stx):
-        d = make_design(20, 100)
-        b1 = bias1_rpr(alpha, beta, stx, d)
-        b2 = bias1_rpr(1.0 - alpha, 1.0 - beta, stx, d)
+        d = SamplingDesign(20, 100)
+        b1 = bias1(alpha, beta, stx, d)
+        b2 = bias1(1.0 - alpha, 1.0 - beta, stx, d)
         assert b2 == pytest.approx(b1, rel=1e-10, abs=1e-15)
-        m1 = mse1_rpr(alpha, beta, stx, d)
-        m2 = mse1_rpr(1.0 - alpha, 1.0 - beta, stx, d)
+        m1 = mse1(alpha, beta, stx, d)
+        m2 = mse1(1.0 - alpha, 1.0 - beta, stx, d)
         assert m2 == pytest.approx(m1, rel=1e-10, abs=1e-15)
 
 
 class TestMse:
     def test_center_equals_sample_mean_mse(self, bench_stats, bench_design):
-        center = mse1_rpr(0.5, 0.5, bench_stats, bench_design)
-        assert center == mse1_classical(SampleMean(), bench_stats, bench_design)
+        center = mse1(0.5, 0.5, bench_stats, bench_design)
+        assert center == family_theory(SampleMean(), bench_stats, bench_design).mse1
         assert center == pytest.approx(0.001242126, rel=1e-6)
 
     def test_corner_equals_classical_ratio_exactly(self, bench_stats, bench_design):
-        assert mse1_rpr(0.0, 0.0, bench_stats, bench_design) == mse1_classical(
+        assert mse1(0.0, 0.0, bench_stats, bench_design) == family_theory(
             Ratio(), bench_stats, bench_design
-        )
-        assert mse1_rpr(1.0, 0.0, bench_stats, bench_design) == mse1_classical(
+        ).mse1
+        assert mse1(1.0, 0.0, bench_stats, bench_design) == family_theory(
             Product(), bench_stats, bench_design
-        )
+        ).mse1
 
     def test_hyperbola_attains_pinned_minimum(self, bench_stats, bench_design):
         minimum = minimal_mse1(bench_stats, bench_design)
@@ -158,7 +165,7 @@ class TestMse:
         for u in (0.3, -0.8, 1.6698):
             v = c / u
             alpha, beta = (1.0 - u) / 2.0, (1.0 - v) / 2.0
-            value = mse1_rpr(alpha, beta, bench_stats, bench_design)
+            value = mse1(alpha, beta, bench_stats, bench_design)
             assert value == pytest.approx(minimum, rel=1e-12)
 
     @given(
@@ -168,27 +175,27 @@ class TestMse:
         beta=st.floats(min_value=-3.0, max_value=4.0),
     )
     @settings(max_examples=300, deadline=None)
-    def test_wrappers_keep_their_closed_forms_bit_for_bit(self, stx, d, alpha, beta):
+    def test_family_theory_keeps_the_closed_forms_bit_for_bit(self, stx, d, alpha, beta):
         base = d.fpc_rate * stx.mean_y**2
         w = (1.0 - 2.0 * alpha) * (1.0 - 2.0 * beta)
-        assert mse1_rpr(alpha, beta, stx, d) == base * (
+        assert mse1(alpha, beta, stx, d) == base * (
             stx.cv_y**2 + stx.cv_x**2 * w * (w - 2.0 * stx.c)
         )
-        assert mse1_classical(SampleMean(), stx, d) == base * stx.cv_y**2
-        assert mse1_classical(Ratio(), stx, d) == base * (
+        assert family_theory(SampleMean(), stx, d).mse1 == base * stx.cv_y**2
+        assert family_theory(Ratio(), stx, d).mse1 == base * (
             stx.cv_y**2 + stx.cv_x**2 * (1.0 - 2.0 * stx.c)
         )
-        assert mse1_classical(Product(), stx, d) == base * (
+        assert family_theory(Product(), stx, d).mse1 == base * (
             stx.cv_y**2 + stx.cv_x**2 * (1.0 + 2.0 * stx.c)
         )
 
     def test_classical_ratio_product_coincide_at_c_zero(self):
         stx = stats_with_c(0.0)
-        d = make_design(10, 50)
-        lhs = mse1_classical(Ratio(), stx, d)
-        rhs = mse1_classical(Product(), stx, d)
+        d = SamplingDesign(10, 50)
+        lhs = family_theory(Ratio(), stx, d).mse1
+        rhs = family_theory(Product(), stx, d).mse1
         assert lhs == rhs
-        base = mse1_classical(SampleMean(), stx, d)
+        base = family_theory(SampleMean(), stx, d).mse1
         extra = d.fpc_rate * stx.mean_y**2 * stx.cv_x**2
         assert lhs == pytest.approx(base + extra, rel=1e-12)
 
@@ -199,18 +206,18 @@ class TestMse:
     )
     @settings(max_examples=200, deadline=None)
     def test_global_floor(self, alpha, beta, stx):
-        d = make_design(112, 365)
-        value = mse1_rpr(alpha, beta, stx, d)
+        d = SamplingDesign(112, 365)
+        value = mse1(alpha, beta, stx, d)
         assert value >= minimal_mse1(stx, d) - 1e-12
 
     def test_saddle_has_both_directions(self, bench_stats, bench_design):
         # At radius 1e-3 around (1/2, 1/2): moving along the diagonal
         # (u = v = t) lowers the MSE for c > 0, while the anti-diagonal
         # (u = -v = t) raises it.  That is the saddle signature.
-        center = mse1_rpr(0.5, 0.5, bench_stats, bench_design)
+        center = mse1(0.5, 0.5, bench_stats, bench_design)
         t = 1e-3
-        down = mse1_rpr(0.5 - t / 2, 0.5 - t / 2, bench_stats, bench_design)
-        up = mse1_rpr(0.5 - t / 2, 0.5 + t / 2, bench_stats, bench_design)
+        down = mse1(0.5 - t / 2, 0.5 - t / 2, bench_stats, bench_design)
+        up = mse1(0.5 - t / 2, 0.5 + t / 2, bench_stats, bench_design)
         assert down < center < up
 
 
@@ -230,9 +237,9 @@ class TestGradient:
         # MSE falls as u*v shrinks; a small step against the gradient must
         # lower mse1.
         ga, gb = mse1_grad(0.0, 0.0, bench_stats, bench_design)
-        before = mse1_rpr(0.0, 0.0, bench_stats, bench_design)
+        before = mse1(0.0, 0.0, bench_stats, bench_design)
         step = 1e-3 / math.hypot(ga, gb)
-        after = mse1_rpr(-step * ga, -step * gb, bench_stats, bench_design)
+        after = mse1(-step * ga, -step * gb, bench_stats, bench_design)
         assert after < before
 
     @given(
@@ -287,15 +294,11 @@ class TestOptimalParameters:
     def test_pole_at_half(self):
         with pytest.raises(PoleAtHalfError):
             aoe_parameters(0.5)
-        with pytest.raises(PoleAtHalfError):
-            aoe_parameters(0.5, require_real=True)
 
     def test_complex_region_flagged(self):
         sol = aoe_parameters(0.25)
         assert not sol.is_real
         assert math.isnan(sol.alpha_star) and math.isnan(sol.beta_star)
-        with pytest.raises(NonRealParametersError):
-            aoe_parameters(0.25, require_real=True)
 
     @given(
         c=st.floats(min_value=-5.0, max_value=0.0)
@@ -366,7 +369,7 @@ class TestOptimalParameters:
 class TestBiasAlongHyperbola:
     def test_zero_at_trivial_point(self):
         stx = stats_with_c(0.0)
-        d = make_design(10, 40)
+        d = SamplingDesign(10, 40)
         assert aoe_bias1(0.5, 0.0, stx, d) == 0.0
 
     def test_vanishes_at_optimal_beta(self, bench_stats, bench_design):
@@ -415,13 +418,13 @@ class TestDominance:
     @settings(max_examples=300, deadline=None)
     def test_flag_is_sign_of_mse_difference(self, alpha, beta, c, over):
         stx = stats_with_c(c)
-        d = make_design(25, 80)
+        d = SamplingDesign(25, 80)
         spec = {
             Baseline.SAMPLE_MEAN: SampleMean(),
             Baseline.RATIO: Ratio(),
             Baseline.PRODUCT: Product(),
         }[over]
-        diff = mse1_classical(spec, stx, d) - mse1_rpr(alpha, beta, stx, d)
+        diff = family_theory(spec, stx, d).mse1 - mse1(alpha, beta, stx, d)
         scale = d.fpc_rate * stx.mean_y**2 * stx.cv_x**2
         assume(abs(diff) > 1e-12 * scale)
         assert dominates(over, alpha, beta, c) == (diff > 0)
@@ -437,28 +440,34 @@ class TestRelativeEfficiency:
         assert re(UnbiasedAOE(bench_stats.c)) == pytest.approx(597.5724, abs=5e-4)
 
     def test_design_independence(self, bench_stats):
-        a = relative_efficiency(SampleMean(), Ratio(), bench_stats, make_design(5, 17))
-        b = relative_efficiency(SampleMean(), Ratio(), bench_stats, make_design(112, 365))
+        a = relative_efficiency(SampleMean(), Ratio(), bench_stats, SamplingDesign(5, 17))
+        b = relative_efficiency(SampleMean(), Ratio(), bench_stats, SamplingDesign(112, 365))
         assert a == pytest.approx(b, rel=1e-14)
 
     def test_degenerate_denominator(self):
         stx = SummaryStats.from_moments(1.0, 1.0, 1.0, 1.0, 1.0)
-        d = make_design(4, 9)
+        d = SamplingDesign(4, 9)
         with pytest.raises(DegenerateMseError):
             relative_efficiency(SampleMean(), UnbiasedAOE(stx.c), stx, d)
 
 
 class TestFamilyTheory:
-    def test_rpr_spec_agrees_with_dedicated_functions(self, bench_stats, bench_design):
+    def test_rpr_spec_gives_the_family_closed_forms(self, bench_stats, bench_design):
+        stats, d = bench_stats, bench_design
         for alpha, beta in [(0.1, 0.2), (-0.5, 0.9), (1.3, -0.4)]:
-            out = family_theory(RatioProductRatio(alpha, beta), bench_stats, bench_design)
-            assert out.bias1 == bias1_rpr(alpha, beta, bench_stats, bench_design)
-            assert out.mse1 == mse1_rpr(alpha, beta, bench_stats, bench_design)
+            out = family_theory(RatioProductRatio(alpha, beta), stats, d)
+            u, v = 1.0 - 2.0 * alpha, 1.0 - 2.0 * beta
+            assert out.bias1 == d.fpc_rate * stats.cv_x**2 * stats.mean_y * (
+                (1.0 - alpha - beta) * v - u * v * stats.c
+            )
+            assert out.mse1 == d.fpc_rate * stats.mean_y**2 * (
+                stats.cv_y**2 + stats.cv_x**2 * (u * v) * (u * v - 2.0 * stats.c)
+            )
 
     @given(stx=stats_strategy())
     @settings(max_examples=120, deadline=None)
     def test_display_bias_formulas(self, stx):
-        d = make_design(30, 120)
+        d = SamplingDesign(30, 120)
         c = stx.c
         scale = d.fpc_rate * stx.cv_x**2 * stx.mean_y
         cases = [
@@ -479,7 +488,7 @@ class TestFamilyTheory:
     @given(stx=stats_strategy())
     @settings(max_examples=120, deadline=None)
     def test_tuned_members_share_minimal_mse(self, stx):
-        d = make_design(30, 120)
+        d = SamplingDesign(30, 120)
         c = stx.c
         floor = minimal_mse1(stx, d)
         members = [
@@ -610,7 +619,7 @@ class TestSurfaceGrid:
             local = SummaryStats.from_moments(
                 stx.mean_y, stx.mean_x, stx.sd_y, stx.sd_x, c * stx.cv_x / stx.cv_y
             )
-            assert abs(bias1_rpr(alpha, beta, local, bench_design)) <= 1e-12
+            assert abs(bias1(alpha, beta, local, bench_design)) <= 1e-12
 
     def test_aoe_rows_satisfy_constraint(self):
         rows = surface_grid(SurfaceKind.AOE, (-1.0, 1.0, 0.1), (0.6092, 0.6092, 1.0))
