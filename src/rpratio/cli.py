@@ -208,24 +208,24 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    if (args.alpha is None) != (args.beta is None):
-        given, missing = ("--alpha", "--beta") if args.beta is None else ("--beta", "--alpha")
-        raise EstimationError(f"theory {given} needs {missing}")
-    if args.re and not args.stats:
-        raise EstimationError("theory --re needs --stats")
-    st = _load_stats(args.stats) if args.stats else None
-    if args.c is not None:
-        c = args.c
-    elif st is not None:
-        c = st.c
-    else:
-        raise EstimationError("theory needs --stats and/or --c")
     everything = not (args.aoe or args.re)
+    for unusable, message in (
+        (args.beta is None and args.alpha is not None, "--alpha needs --beta"),
+        (args.alpha is None and args.beta is not None, "--beta needs --alpha"),
+        (args.re and not args.stats, "--re needs --stats"),
+        (args.design is not None and not args.stats, "--design needs --stats"),
+        (args.alpha is not None and not everything, "--alpha/--beta are unused with --aoe or --re"),
+        (args.design is not None and args.aoe and not args.re, "--design is unused with --aoe"),
+        (args.c is None and not args.stats, "needs --stats and/or --c"),
+    ):
+        if unusable:
+            raise EstimationError(f"theory {message}")
+    st = _load_stats(args.stats) if args.stats else None
+    c = args.c if args.c is not None else st.c
     payload: dict = {"c": c}
 
-    d = _parse_design(args.design) if args.design else None
-    have_point = args.alpha is not None and args.beta is not None
-    if everything and have_point:
+    d = _parse_design(args.design) if args.design is not None else None
+    if args.alpha is not None:  # a point comes with --beta and without --aoe or --re
         alpha, beta = args.alpha, args.beta
         payload["alpha"] = alpha
         payload["beta"] = beta
@@ -233,7 +233,7 @@ def _cmd_theory(args) -> int:
             over.value: dominates(over, alpha, beta, c) for over in Baseline
         }
         payload["biasfree_betas"] = list(biasfree_betas(alpha, c))
-        if st is not None and d is not None:
+        if d is not None:  # a design comes with --stats
             first = family_theory(RatioProductRatio(alpha, beta), st, d)
             payload["bias1"] = first.bias1
             payload["mse1"] = first.mse1
@@ -287,6 +287,8 @@ def _report_payload(result) -> dict:
 def _cmd_simulate(args) -> int:
     started = time.perf_counter()
     out = Path(args.out)
+    if not out.name:  # "" or "/", which leave the manifest no name
+        raise EstimationError(f"--out {args.out!r} names no file")
     outputs = [str(out), *([args.dump_estimates] if args.dump_estimates else [])]
     # A file written twice would lose an output that the manifest lists.
     paths = [*outputs, str(_manifest_path(out))]

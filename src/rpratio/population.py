@@ -26,7 +26,7 @@ from .errors import (
     ParseError,
     ZeroMeanError,
 )
-from .sampling import _real
+from .sampling import _BLOCK_BYTES, _real
 
 __all__ = [
     "Population",
@@ -142,6 +142,8 @@ class SummaryStats:
     def _derive(cls, mean_y, mean_x, sd_y, sd_x, var_y, var_x, cov_xy, r):
         """The summary of these moments, with its CVs and c derived."""
         cv_y, cv_x = sd_y / mean_y, sd_x / mean_x
+        if cv_x == 0.0:  # c would divide by it
+            raise InvalidInputError(f"cv_x = {sd_x!r} / {mean_x!r} underflows double precision")
         return cls(mean_y, mean_x, var_y, var_x, cov_xy, r, cv_y, cv_x, r * cv_y / cv_x)
 
 
@@ -288,27 +290,21 @@ def _csv_column(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _ROWS_PER_FUSED_TEXT = 4
 
 
-# Rows formatted and joined into one write by write_csv.  At 2^15 rows the
-# region surface's per-block arrays and text came from fresh pages (10 000
-# page faults a call).  In two 12-second benchmark runs per size on 2 vCPUs,
-# 2^12 / 2^13 / 2^14 gave surface_region 0.25 / 0.22 / 0.24 reference
-# units, and simulate_wide 1.16 / 1.19 / 1.26 units at 48.0 / 48.0 / 48.5 MB.
-_CSV_BLOCK_ROWS = 1 << 13
-
-
 def write_csv(fh, header: str, rows: int, columns, block) -> None:
-    """Write a header line and one CSV line per row, _CSV_BLOCK_ROWS rows
-    at a time.  columns holds each column's known values, or None.
-    block(start, stop) returns one array per column for rows [start, stop):
-    each row's index into the known values, else its value.  Texts are repr
-    of a float and str of an integer or label, made once per known value per
-    call and once per distinct value per block; repr's text of a finite
-    float reads back under load_population_csv's grammar to the same value."""
+    """Write a header line and one CSV line per row, in blocks of
+    max(1, _BLOCK_BYTES // (8 * len(columns))) rows, as if of 8-byte cells.
+    columns holds each column's known values, or None.  block(start, stop)
+    returns one array per column for rows [start, stop): each row's index
+    into the known values, else its value.  Texts are repr of a float and
+    str of an integer or label, made once per known value per call and once
+    per distinct value per block; repr's text of a finite float reads back
+    under load_population_csv's grammar to the same value."""
     known = [None if values is None else _csv_texts(values) for values in columns]
+    size = max(1, _BLOCK_BYTES // (8 * len(columns)))
     fh.write(header + "\n")
-    for start in range(0, rows, _CSV_BLOCK_ROWS):
+    for start in range(0, rows, size):
         parts = []
-        for texts, column in zip(known, block(start, min(start + _CSV_BLOCK_ROWS, rows))):
+        for texts, column in zip(known, block(start, min(start + size, rows))):
             if texts is None:
                 parts.append(_csv_column(column))
             else:

@@ -94,7 +94,9 @@ def z_quantile(confidence: float) -> float:
     """Two-sided normal critical value: Phi^-1((1 + confidence) / 2)."""
     if not (isinstance(confidence, numbers.Real) and 0.0 < confidence < 1.0):
         raise OutOfRangeError(f"confidence {confidence!r} outside (0, 1)")
-    return _norm_ppf(0.5 * (1.0 + confidence))
+    p = 0.5 * (1.0 + confidence)
+    # p rounds to 1.0 within 2^-53 of 1, where the upper tail is exact.
+    return _norm_ppf(p) if p < 1.0 else -_norm_ppf(0.5 * (1.0 - confidence))
 
 
 @dataclass(frozen=True)
@@ -260,8 +262,11 @@ class SplitMix64:
 _GOLDEN_U64 = np.uint64(_GOLDEN)
 _S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
 _M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
-# Most bytes of a block's largest array, here and in simulation's gather
-# and ranking.  Here either of a read-ahead block's: the (pop_size, count)
+# Most bytes of a block's largest array, here, in simulation's gather and
+# ranking and in population.write_csv.  A CSV block of 2^15 four-column rows
+# page-faulted; on 2 vCPUs 2^12 / 2^13 / 2^14 rows gave surface_region
+# 0.25 / 0.22 / 0.24 and simulate_wide 1.16 / 1.19 / 1.26 reference units.
+# Here either of a read-ahead block's: the (pop_size, count)
 # index matrix, of the narrowest unsigned type that holds pop_size - 1, and
 # the (count, n) uint64 swap targets, so count =
 # max(1, _BLOCK_BYTES // max(itemsize * pop_size, 8 * n)): 292 streams at

@@ -212,12 +212,10 @@ def run_simulation(pop: Population, cfg: SimConfig) -> SimResult:
     base, xbars = _sample_means(pop, draws, reps, cfg.n)
 
     est = np.empty((reps, len(specs)))
-    clean = np.ones(reps, dtype=bool)  # rows where no estimator is singular
     base_mse = float(np.mean((base - true_mean) ** 2))
     reports = []
     for j, (spec, label) in enumerate(zip(specs, labels)):
         est[:, j], singular = spec.evaluate(base, xbars, mean_x)
-        clean &= ~singular
         vals = est[~singular, j]
         n_singular = reps - vals.size
         if vals.size == 0:  # zero rates; every moment-shape field undefined
@@ -237,13 +235,9 @@ def run_simulation(pop: Population, cfg: SimConfig) -> SimResult:
             label, coverage, neg, pos, q1, med, q3, mse, re, skew, kurt, n_singular
         ))
 
-    ranking = RankingTable(
-        counts={
-            tuple(labels[j] for j in row): count
-            for row, count in _count_rows(_closeness_orders(est, clean, true_mean)).items()
-        },
-        excluded_draws=reps - int(clean.sum()),
-    )
+    orders = _closeness_orders(est, true_mean)
+    counts = {tuple(labels[j] for j in row): count for row, count in _count_rows(orders).items()}
+    ranking = RankingTable(counts, excluded_draws=reps - len(orders))
 
     meta = {
         "prng": PRNG_NAME,
@@ -259,22 +253,23 @@ def run_simulation(pop: Population, cfg: SimConfig) -> SimResult:
     return SimResult(tuple(reports), ranking, meta, time.perf_counter() - started, est)
 
 
-def _closeness_orders(est: np.ndarray, clean: np.ndarray, true_mean: float) -> np.ndarray:
-    """The estimator positions of each clean row of est, closest to
-    true_mean first with ties in column order: the rows of
-    np.argsort(np.abs(est - true_mean), axis=1, kind="stable")[clean].
-    They are ranked in blocks of rows whose floats fill _BLOCK_BYTES and
-    held as the smallest unsigned codes that fit (uint8 up to 256
-    estimators), so no temporary spans every replication."""
+def _closeness_orders(est: np.ndarray, true_mean: float) -> np.ndarray:
+    """The estimator positions of each row of est that holds no nan (no
+    singular draw), closest to true_mean first with ties in column order:
+    the rows of np.argsort(np.abs(est - true_mean), axis=1, kind="stable")
+    without a nan.  They are ranked in blocks of rows whose floats fill
+    _BLOCK_BYTES and held as the smallest unsigned codes that fit (uint8 up
+    to 256 estimators), so no temporary spans every replication."""
     k = est.shape[1]
-    orders = np.empty((int(clean.sum()), k), dtype=np.min_scalar_type(k - 1))
+    orders = np.empty(est.shape, dtype=np.min_scalar_type(k - 1))
     block = max(1, _BLOCK_BYTES // (8 * k))
     done = 0
     for first in range(0, len(est), block):
-        rows = est[first:first + block][clean[first:first + block]]
+        rows = est[first:first + block]
+        rows = rows[~np.isnan(rows).any(axis=1)]
         orders[done:done + len(rows)] = np.argsort(np.abs(rows - true_mean), axis=1, kind="stable")
         done += len(rows)
-    return orders
+    return orders[:done]
 
 
 def _count_rows(rows: np.ndarray) -> dict[tuple[int, ...], int]:

@@ -87,7 +87,7 @@ class TestGenerate:
     def test_csv_equals_repr_of_every_row_across_blocks(self, tmp_path, monkeypatch, capsys):
         from rpratio.synthetic import MomentTargets, generate_population
 
-        monkeypatch.setattr(population, "_CSV_BLOCK_ROWS", 7)
+        monkeypatch.setattr(population, "_BLOCK_BYTES", 7 * 8 * 2)
         out = tmp_path / "p.csv"
         rc = main([
             "generate", "--size", "53", "--mean-y", "1.0", "--mean-x", "2.0",
@@ -307,6 +307,17 @@ class TestPlan:
         assert rc == 0
         assert (payload["n0"], payload["n"]) == (1, 1)
 
+    def test_confidence_next_below_one(self, capsys):
+        # 0.5 * (1 + confidence) rounds to 1.0 here.
+        rc = main([
+            "plan", "--sigma2", "1", "--margin", "0.1",
+            "--confidence", "0.9999999999999999", "--population-size", "100",
+        ])
+        payload = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert payload["z"] == 8.292361075813595
+        assert (payload["n0"], payload["n"]) == (6877, 99)
+
     def test_nonpositive_margin_exit_2(self, capsys):
         rc = main([
             "plan", "--sigma2", "0.2", "--margin", "0",
@@ -395,6 +406,37 @@ class TestTheory:
         assert rc == 2
         assert f"needs {missing}" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "extra, unused",
+        [
+            (["--c", "0.6", "--alpha", "0.1", "--beta", "0.2", "--aoe"], "--alpha/--beta"),
+            (["--alpha", "0.1", "--beta", "0.2", "--stats", "S", "--re"], "--alpha/--beta"),
+            (["--alpha", "0.1", "--beta", "0.2", "--stats", "S", "--aoe", "--re"],
+             "--alpha/--beta"),
+            (["--c", "0.6", "--design", "5,17"], "--design needs --stats"),
+            (["--c", "0.6", "--design", "5,17", "--aoe"], "--design needs --stats"),
+            (["--stats", "S", "--design", "5,17", "--aoe"], "--design is unused"),
+        ],
+        ids=["point-with-aoe", "point-with-re", "point-with-both", "design-alone",
+             "design-with-aoe", "design-with-stats-and-aoe"],
+    )
+    def test_unused_input_exits_2_naming_the_flag(self, stats_json, extra, unused, capsys):
+        argv = ["theory"] + [str(stats_json) if a == "S" else a for a in extra]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith(f"error: theory {unused}")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("extra", [[], ["--re"], ["--aoe", "--re"]])
+    def test_stats_with_design_keeps_the_re_table(self, stats_json, extra, capsys):
+        # Any design gives the same relative efficiencies: the fpc cancels.
+        tables = []
+        for design in (["--design", "5,17"], []):
+            assert main(["theory", "--stats", str(stats_json), *design, *extra]) == 0
+            tables.append(json.loads(capsys.readouterr().out)["re_vs_sample_mean_percent"])
+        assert tables[0] == tables[1]
 
     @pytest.mark.parametrize(
         "argv",
@@ -527,6 +569,13 @@ class TestSimulate:
         assert rc == 0
         return out.read_bytes()
 
+    def test_confidence_next_below_one(self, pop_csv, tmp_path, capsys):
+        report = json.loads(self.run_once(
+            pop_csv, tmp_path, "r.json", ["--confidence", "0.9999999999999999"]
+        ))
+        assert report["meta"]["confidence"] == 0.9999999999999999
+        assert report["meta"]["half_width"] > 0.0
+
     def test_reports_byte_identical(self, pop_csv, tmp_path, capsys):
         a = self.run_once(pop_csv, tmp_path, "r1.json")
         b = self.run_once(pop_csv, tmp_path, "r2.json")
@@ -638,6 +687,17 @@ class TestSimulate:
         assert captured.err.startswith("error: the outputs must be different files: ")
         assert captured.out == ""
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("out", ["", "/"])
+    def test_out_naming_no_file_exits_2(self, pop_csv, tmp_path, capsys, out):
+        rc = main([
+            "simulate", "--population", str(pop_csv), "--reps", "20", "--n", "5",
+            "--seed", "3", "--out", out, "--dump-estimates", str(tmp_path / "d.csv"),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == f"error: --out {out!r} names no file\n"
+        assert not any(tmp_path.iterdir())
 
     def test_differently_spelled_distinct_outputs_run(self, pop_csv, tmp_path, monkeypatch, capsys):
         (tmp_path / "sub").mkdir()
@@ -1057,7 +1117,7 @@ class TestSurface:
         self, kind, alpha, c, beta, to_file, tmp_path, monkeypatch, capsys
     ):
         # Blocks of 7 rows split alpha slabs and root pairs, and end short.
-        monkeypatch.setattr(population, "_CSV_BLOCK_ROWS", 7)
+        monkeypatch.setattr(population, "_BLOCK_BYTES", 7 * 8 * (4 if beta else 3))
         rows = surface_grid(kind, alpha, c, beta).tolist()
         assert len(rows) % 7
         ranges = {"alpha": alpha, "c": c, "beta": beta}

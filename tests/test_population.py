@@ -363,6 +363,12 @@ class TestFromMoments:
         with pytest.raises(InvalidInputError, match=f"{field} = .* too large"):
             SummaryStats.from_moments(**moments)
 
+    @pytest.mark.parametrize("sd_x, mean_x", [(1e-308, -1e308), (5e-324, 2.0)])
+    def test_underflowing_cv_x_rejected(self, sd_x, mean_x):
+        # c = r * cv_y / cv_x would divide by zero.
+        with pytest.raises(InvalidInputError, match="^cv_x = .* underflows double precision"):
+            SummaryStats.from_moments(1.0, mean_x, 1.0, sd_x, 0.5)
+
     def test_largest_squares_accepted(self):
         stx = SummaryStats.from_moments(1e154, 1.0, 1e154, 1e154, 0.5)
         assert stx.cv_x == 1e154
@@ -381,25 +387,16 @@ class TestSamplingDesign:
         assert d.f == 0.5
         assert d.fpc_rate == 0.5
 
-    @pytest.mark.parametrize("n, N", [(365, 365), (366, 365), (0, 10), (-1, 10)])
+    @pytest.mark.parametrize(
+        "n, N", [(365, 365), (366, 365), (200, 100), (0, 10), (0, 100), (-1, 10)]
+    )
     def test_rejects_degenerate(self, n, N):
-        with pytest.raises(InvalidDesignError):
-            SamplingDesign(n, N)
-
-    @pytest.mark.parametrize("kind", [np.int32, np.int64, np.uint16])
-    def test_numpy_integer_sizes(self, kind):
-        d = SamplingDesign(kind(112), kind(365))
-        assert d == SamplingDesign(112, 365)
-        assert type(d.n) is int and type(d.N) is int
-
-    @pytest.mark.parametrize("n, N", [(200, 100), (365, 365), (0, 100), (-1, 10)])
-    def test_direct_construction_checks_the_design(self, n, N):
         with pytest.raises(InvalidDesignError) as err:
             SamplingDesign(n, N)
         assert str(err.value) == f"need 1 <= n < N, got n={n}, N={N}"
 
     @pytest.mark.parametrize("kind", [np.int32, np.int64, np.uint16])
-    def test_direct_construction_stores_numpy_sizes_as_int(self, kind):
+    def test_numpy_integer_sizes(self, kind):
         d = SamplingDesign(kind(112), kind(365))
         assert d == SamplingDesign(112, 365)
         assert type(d.n) is int and type(d.N) is int
@@ -599,8 +596,8 @@ def csv_rows(table: np.ndarray, formats, known=(), block_rows=None) -> str:
     column's format names the dtype it is passed as: a repr column passes
     its floats, an _int_text column its cells as int64, or for j in known
     as indices into the integers 0, 1, 2, and a _label_text column its
-    cells as indices into LABELS.  block_rows, when given, replaces
-    _CSV_BLOCK_ROWS."""
+    cells as indices into LABELS.  Blocks hold block_rows rows, 8 192 when
+    it is not given, set through _BLOCK_BYTES."""
     columns = [
         LABELS if fmt is _label_text
         else list(range(len(LABELS))) if j in known
@@ -616,7 +613,8 @@ def csv_rows(table: np.ndarray, formats, known=(), block_rows=None) -> str:
         ]
 
     fh = io.StringIO()
-    with mock.patch.object(rpratio.population, "_CSV_BLOCK_ROWS", block_rows or 1 << 13):
+    block_bytes = (block_rows or 1 << 13) * 8 * len(columns)
+    with mock.patch.object(rpratio.population, "_BLOCK_BYTES", block_bytes):
         write_csv(fh, "h", len(table), columns, block)
     text = fh.getvalue()
     assert text.startswith("h\n")
@@ -711,7 +709,7 @@ class TestWriteCsv:
         # however many blocks reach them.
         index = np.array([0, 2, 2, 1, 0, 0, 2, 1, 1, 0])
         fh = io.StringIO()
-        with mock.patch.object(rpratio.population, "_CSV_BLOCK_ROWS", 3), mock.patch.object(
+        with mock.patch.object(rpratio.population, "_BLOCK_BYTES", 3 * 8 * 1), mock.patch.object(
             rpratio.population, "_csv_texts", wraps=_csv_texts
         ) as texts:
             write_csv(fh, "k", len(index), [["a", "b", "c"]], lambda i, j: [index[i:j]])

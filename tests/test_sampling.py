@@ -50,6 +50,14 @@ class TestNormalQuantile:
         for p in (0.01, 0.2, 0.45):
             assert _norm_ppf(p) == pytest.approx(-_norm_ppf(1 - p), abs=1e-12)
 
+    def test_confidence_next_below_one(self):
+        # 0.5 * (1 + c) rounds to 1.0 for c = 1 - 2^-53; the upper tail
+        # (1 - c) / 2 = 2^-54 is exact and gives z.
+        c = 1.0 - 2.0**-53
+        assert z_quantile(c) == 8.292361075813595
+        assert z_quantile(c) == pytest.approx(-scipy.special.ndtri(2.0**-54), abs=5e-12)
+        assert z_quantile(1.0 - 2.0**-52) < z_quantile(c)
+
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.0001, math.nan])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(OutOfRangeError):

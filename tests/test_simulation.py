@@ -469,7 +469,7 @@ class TestDump:
             meta={"estimators": labels, "true_mean_y": true_mean, "half_width": half_width},
             estimates=np.where(ok, est, np.nan),
         )
-        monkeypatch.setattr(population, "_CSV_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(population, "_BLOCK_BYTES", block_rows * 8 * 4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             write_estimates_csv(tmp_path / "a.csv", result)
@@ -595,7 +595,11 @@ class TestClosenessOrders:
         est = est[rng.integers(0, reps, size=reps)] if reps else est
         m = 0.05
         for clean in (rng.random(reps) < 0.8, np.zeros(reps, dtype=bool)):
-            codes = simulation._closeness_orders(est, clean, m)
+            # A nan in one cell of each row the mask excludes, as a
+            # singular draw leaves it.
+            held = est.copy()
+            held[np.flatnonzero(~clean), rng.integers(0, k, size=reps)[~clean]] = np.nan
+            codes = simulation._closeness_orders(held, m)
             assert codes.dtype == (np.uint16 if k == 300 else np.uint8)
             assert codes.shape == (int(clean.sum()), k)
             got, want = simulation._count_rows(codes), self.reference(est, clean, m)
@@ -608,8 +612,7 @@ class TestClosenessOrders:
 
     def test_singular_nan_rows_are_skipped(self):
         est = np.array([[np.nan, 1.0], [2.0, 0.5], [0.5, 0.5], [1.0, np.nan]])
-        clean = ~np.isnan(est).any(axis=1)
-        codes = simulation._closeness_orders(est, clean, 0.5)
+        codes = simulation._closeness_orders(est, 0.5)
         assert codes.tolist() == [[1, 0], [0, 1]]
 
 
