@@ -10,6 +10,7 @@ byte-identical across reruns of one seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -83,9 +84,32 @@ def _manifest_path(out_path: Path) -> Path:
     return out_path.with_name(out_path.stem + ".manifest.json")
 
 
-def _write_manifest(out_path: Path, args, outputs: list[str], wall_time_s: float) -> None:
-    """Write <out stem>.manifest.json: the command, its seed, every other
-    parsed value as an input, in parser order, and the outputs."""
+@contextlib.contextmanager
+def _outputs():
+    """Yield output(path), which makes the file at path if none is there and
+    returns path, for the caller to open and write.  If the block raises,
+    the files that output made are removed and the error goes on, so a
+    failed command leaves no file it made and keeps every file it found."""
+    made = []
+
+    def output(path):
+        with contextlib.suppress(FileExistsError):
+            open(path, "x").close()
+            made.append(path)
+        return path
+
+    try:
+        yield output
+    except BaseException:
+        for path in made:
+            os.remove(path)
+        raise
+
+
+def _write_manifest(path: Path, args, outputs: list[str], started: float) -> None:
+    """Write the manifest at path: the command, its seed, every other parsed
+    value as an input, in parser order, the outputs, and the wall time since
+    started, a time.perf_counter() reading."""
     payload = {
         "command": args.command,
         "version": __version__,
@@ -93,9 +117,9 @@ def _write_manifest(out_path: Path, args, outputs: list[str], wall_time_s: float
         "inputs": {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS},
         "outputs": outputs,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "wall_time_s": round(wall_time_s, 3),
+        "wall_time_s": round(time.perf_counter() - started, 3),
     }
-    _manifest_path(out_path).write_text(_dump_json(payload))
+    path.write_text(_dump_json(payload))
 
 
 def _parse_design(text: str):
@@ -175,25 +199,13 @@ def _cmd_analyze(args) -> int:
         payload["design"] = {
             "n": d.n, "N": d.N, "f": d.f, "fpc_rate": d.fpc_rate,
         }
-    if args.format == "json":
-        sys.stdout.write(_dump_json(payload))
-    else:
-        for key, value in payload.items():
-            sys.stdout.write(f"{key}: {value}\n")
+    sys.stdout.write(_dump_json(payload))
     return 0
 
 
 def _cmd_plan(args) -> int:
-    if args.margin is not None:
-        margin = args.margin
-    elif args.margin_percent is not None:
-        if args.mean is None:
-            raise EstimationError("--margin-percent needs --mean")
-        margin = args.margin_percent / 100.0 * abs(args.mean)
-    else:
-        raise EstimationError("plan needs --margin or --margin-percent")
     plan = plan_sample_size(
-        args.sigma2, margin, args.confidence, args.population_size
+        args.sigma2, args.margin, args.confidence, args.population_size
     )
     sys.stdout.write(_dump_json({
         "sigma2": args.sigma2,
@@ -208,14 +220,10 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    everything = not (args.aoe or args.re)
     for unusable, message in (
         (args.beta is None and args.alpha is not None, "--alpha needs --beta"),
         (args.alpha is None and args.beta is not None, "--beta needs --alpha"),
-        (args.re and not args.stats, "--re needs --stats"),
         (args.design is not None and not args.stats, "--design needs --stats"),
-        (args.alpha is not None and not everything, "--alpha/--beta are unused with --aoe or --re"),
-        (args.design is not None and args.aoe and not args.re, "--design is unused with --aoe"),
         (args.c is None and not args.stats, "needs --stats and/or --c"),
     ):
         if unusable:
@@ -225,7 +233,7 @@ def _cmd_theory(args) -> int:
     payload: dict = {"c": c}
 
     d = _parse_design(args.design) if args.design is not None else None
-    if args.alpha is not None:  # a point comes with --beta and without --aoe or --re
+    if args.alpha is not None:  # a point comes with --beta
         alpha, beta = args.alpha, args.beta
         payload["alpha"] = alpha
         payload["beta"] = beta
@@ -240,22 +248,21 @@ def _cmd_theory(args) -> int:
             payload["gradient"] = list(mse1_grad(alpha, beta, st, d))
             payload["minimal_mse1"] = minimal_mse1(st, d)
 
-    if everything or args.aoe:
-        try:
-            aoe = {}
-            for branch in (Branch.MINUS_MINUS, Branch.PLUS_PLUS):
-                sol = aoe_parameters(c, branch)
-                aoe[branch.value.replace("-", "_")] = {
-                    "alpha_star": sol.alpha_star if sol.is_real else None,
-                    "beta_star": sol.beta_star if sol.is_real else None,
-                    "is_real": sol.is_real,
-                }
-            payload["aoe"] = aoe
-        except PoleAtHalfError as exc:
-            payload["aoe"] = None
-            payload["aoe_note"] = str(exc)
+    try:
+        aoe = {}
+        for branch in (Branch.MINUS_MINUS, Branch.PLUS_PLUS):
+            sol = aoe_parameters(c, branch)
+            aoe[branch.value.replace("-", "_")] = {
+                "alpha_star": sol.alpha_star if sol.is_real else None,
+                "beta_star": sol.beta_star if sol.is_real else None,
+                "is_real": sol.is_real,
+            }
+        payload["aoe"] = aoe
+    except PoleAtHalfError as exc:
+        payload["aoe"] = None
+        payload["aoe_note"] = str(exc)
 
-    if (everything or args.re) and st is not None:
+    if st is not None:
         # The fpc factor cancels in every MSE ratio, so any valid design
         # serves when the caller supplied none.
         d_re = d if d is not None else SamplingDesign(1, 2)
@@ -287,9 +294,10 @@ def _report_payload(result) -> dict:
 def _cmd_simulate(args) -> int:
     started = time.perf_counter()
     out = Path(args.out)
-    if not out.name:  # "" or "/", which leave the manifest no name
-        raise EstimationError(f"--out {args.out!r} names no file")
-    outputs = [str(out), *([args.dump_estimates] if args.dump_estimates else [])]
+    for flag, path in (("--out", args.out), ("--dump-estimates", args.dump_estimates)):
+        if path is not None and not Path(path).name:  # "" or "/"
+            raise EstimationError(f"{flag} {path!r} names no file")
+    outputs = [str(out), *([args.dump_estimates] if args.dump_estimates is not None else [])]
     # A file written twice would lose an output that the manifest lists.
     paths = [*outputs, str(_manifest_path(out))]
     if len(set(map(os.path.realpath, paths))) < len(paths):
@@ -301,10 +309,11 @@ def _cmd_simulate(args) -> int:
         confidence=args.confidence, estimators=specs,
     )
     result = run_simulation(pop, cfg)
-    if args.dump_estimates:
-        write_estimates_csv(args.dump_estimates, result)
-    out.write_text(_dump_json(_report_payload(result)))
-    _write_manifest(out, args, outputs, time.perf_counter() - started)
+    with _outputs() as output:
+        if args.dump_estimates is not None:
+            write_estimates_csv(output(args.dump_estimates), result)
+        output(out).write_text(_dump_json(_report_payload(result)))
+        _write_manifest(output(_manifest_path(out)), args, outputs, started)
     width = max(len(rep.label) for rep in result.reports)
     sys.stdout.write(
         f"{'estimator':<{width}}  coverage  mse           re_vs_mean\n"
@@ -328,7 +337,7 @@ def _cmd_surface(args) -> int:
     )
     header = ",".join(grid.names)
     if args.out:
-        with open(args.out, "w") as fh:
+        with _outputs() as output, open(output(args.out), "w") as fh:
             write_csv(fh, header, grid.rows, grid.columns, grid.block)
         sys.stdout.write(f"{grid.rows} rows written to {args.out}\n")
     else:
@@ -345,12 +354,13 @@ def _cmd_generate(args) -> int:
     pop = generate_population(targets, args.seed)
     st = summarize(pop)
     out = Path(args.out)
-    with open(out, "w", newline="") as fh:
-        write_csv(
-            fh, "y,x", pop.size, [None, None],
-            lambda start, stop: [pop.y[start:stop], pop.x[start:stop]],
-        )
-    _write_manifest(out, args, [str(out)], time.perf_counter() - started)
+    with _outputs() as output:
+        with open(output(out), "w", newline="") as fh:
+            write_csv(
+                fh, "y,x", pop.size, [None, None],
+                lambda start, stop: [pop.y[start:stop], pop.x[start:stop]],
+            )
+        _write_manifest(output(_manifest_path(out)), args, [str(out)], started)
     sys.stdout.write(f"{pop.size} rows written to {out} (c={st.c!r})\n")
     return 0
 
@@ -366,16 +376,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="summarize a y,x population CSV")
     p.add_argument("population")
     p.add_argument("--design", help="sample design as 'n,N'")
-    p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("plan", help="sample size for a target margin")
     p.add_argument("--sigma2", type=_finite_float, required=True)
-    p.add_argument("--margin", type=_finite_float)
-    p.add_argument("--margin-percent", type=_finite_float,
-                   help="margin as a percentage of --mean")
-    p.add_argument("--mean", type=_finite_float,
-                   help="target mean, used with --margin-percent")
+    p.add_argument("--margin", type=_finite_float, required=True)
     p.add_argument("--confidence", type=_finite_float, default=0.90)
     p.add_argument("--population-size", type=int, required=True)
     p.set_defaults(func=_cmd_plan)
@@ -386,10 +391,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", help="population CSV or stats JSON file")
     p.add_argument("--c", type=_finite_float, help="moment ratio override")
     p.add_argument("--design", help="sample design as 'n,N'")
-    p.add_argument("--aoe", action="store_true",
-                   help="print only the optimal-parameter solution")
-    p.add_argument("--re", action="store_true",
-                   help="print only the relative-efficiency table")
     p.set_defaults(func=_cmd_theory)
 
     p = sub.add_parser("simulate", help="Monte Carlo estimator comparison")

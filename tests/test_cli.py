@@ -162,6 +162,18 @@ class TestGenerate:
         )
         assert list(tmp_path.iterdir()) == []
 
+    def test_manifest_path_a_directory_exit_2_leaves_no_csv(self, tmp_path, capsys):
+        (tmp_path / "p.manifest.json").mkdir()
+        out = tmp_path / "p.csv"
+        rc = main([
+            "generate", "--size", "10", "--mean-y", "1", "--mean-x", "1",
+            "--cv-y", "0.1", "--cv-x", "0.2", "--r", "0.5",
+            "--seed", "1", "--out", str(out),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
+        assert [p.name for p in tmp_path.iterdir()] == ["p.manifest.json"]
+
     def test_over_budget_size_exit_2_at_once(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         rc = main([
@@ -184,12 +196,6 @@ class TestAnalyze:
         assert payload["cv_x"] == pytest.approx(0.5, rel=1e-12)
         assert payload["r"] == pytest.approx(0.8, abs=1e-12)
         assert payload["c"] == pytest.approx(0.8 * 0.4 / 0.5, rel=1e-10)
-
-    def test_text_format(self, pop_csv, capsys):
-        rc = main(["analyze", str(pop_csv), "--format", "text"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "c: " in out and "mean_y: " in out
 
     def test_design_block(self, pop_csv, capsys):
         rc = main(["analyze", str(pop_csv), "--design", "10,40"])
@@ -260,24 +266,6 @@ class TestPlan:
         assert payload["z"] == pytest.approx(1.6448536, abs=1e-6)
         assert payload["margin"] == 0.0583
 
-    def test_margin_percent_equivalent(self, capsys):
-        rc = main([
-            "plan", "--sigma2", "0.2006", "--margin-percent", "10.0",
-            "--mean", "0.583", "--population-size", "365",
-        ])
-        payload = json.loads(capsys.readouterr().out)
-        assert rc == 0
-        assert payload["margin"] == pytest.approx(0.0583)
-        assert payload["n"] == 112
-
-    def test_margin_percent_needs_mean(self, capsys):
-        rc = main([
-            "plan", "--sigma2", "0.2", "--margin-percent", "10.0",
-            "--population-size", "365",
-        ])
-        assert rc == 2
-        assert "--mean" in capsys.readouterr().err
-
     def test_needs_some_margin(self, capsys):
         rc = main(["plan", "--sigma2", "0.2", "--population-size", "365"])
         assert rc == 2
@@ -287,7 +275,7 @@ class TestPlan:
         [
             (["--sigma2", "1", "--margin", "1e-300"], "1e-300"),
             (["--sigma2", "1e300", "--margin", "1e-10"], "1e-10"),
-            (["--sigma2", "1", "--margin-percent", "1e-300", "--mean", "1"], "1e-302"),
+            (["--sigma2", "1", "--margin", "1e-302"], "1e-302"),
         ],
     )
     def test_n0_beyond_double_precision_exit_2(self, margin_args, margin, capsys):
@@ -349,8 +337,8 @@ class TestTheory:
         assert payload["aoe"]["minus_minus"]["is_real"] is True
         assert "re_vs_sample_mean_percent" in payload
 
-    def test_aoe_filter(self, capsys):
-        rc = main(["theory", "--c", "0.6092", "--aoe"])
+    def test_c_alone_gives_the_aoe_block(self, capsys):
+        rc = main(["theory", "--c", "0.6092"])
         payload = json.loads(capsys.readouterr().out)
         assert rc == 0
         sol = payload["aoe"]["minus_minus"]
@@ -362,15 +350,14 @@ class TestTheory:
         assert "re_vs_sample_mean_percent" not in payload
         assert "bias1" not in payload
 
-    def test_re_filter(self, stats_json, capsys):
-        rc = main(["theory", "--stats", str(stats_json), "--re"])
+    def test_stats_alone_gives_the_re_table(self, stats_json, capsys):
+        rc = main(["theory", "--stats", str(stats_json)])
         payload = json.loads(capsys.readouterr().out)
         assert rc == 0
         table = payload["re_vs_sample_mean_percent"]
         assert table["ratio"] == pytest.approx(196.12, abs=0.01)
         assert table["product"] == pytest.approx(16.73, abs=0.01)
         assert table["aoe_at_c"] == pytest.approx(597.57, abs=0.01)
-        assert "aoe" not in payload
 
     def test_pole_reported_not_crashed(self, capsys):
         rc = main(["theory", "--c", "0.5"])
@@ -380,7 +367,7 @@ class TestTheory:
         assert "aoe_note" in payload
 
     def test_complex_region_nulls(self, capsys):
-        rc = main(["theory", "--c", "0.25", "--aoe"])
+        rc = main(["theory", "--c", "0.25"])
         payload = json.loads(capsys.readouterr().out)
         assert rc == 0
         sol = payload["aoe"]["minus_minus"]
@@ -392,56 +379,33 @@ class TestTheory:
         assert rc == 2
 
     @pytest.mark.parametrize(
-        "argv, missing",
+        "argv, message",
         [
-            (["theory", "--c", "0.6", "--alpha", "0.3"], "--beta"),
-            (["theory", "--c", "0.6", "--beta", "0.3"], "--alpha"),
-            (["theory", "--c", "0.6", "--re"], "--stats"),
-        ],
-        ids=["alpha-alone", "beta-alone", "re-without-stats"],
-    )
-    def test_unusable_input_exits_2_naming_the_missing_flag(self, argv, missing, capsys):
-        rc = main(argv)
-        captured = capsys.readouterr()
-        assert rc == 2
-        assert f"needs {missing}" in captured.err
-        assert captured.out == ""
-
-    @pytest.mark.parametrize(
-        "extra, unused",
-        [
-            (["--c", "0.6", "--alpha", "0.1", "--beta", "0.2", "--aoe"], "--alpha/--beta"),
-            (["--alpha", "0.1", "--beta", "0.2", "--stats", "S", "--re"], "--alpha/--beta"),
-            (["--alpha", "0.1", "--beta", "0.2", "--stats", "S", "--aoe", "--re"],
-             "--alpha/--beta"),
+            (["--c", "0.6", "--alpha", "0.3"], "--alpha needs --beta"),
+            (["--c", "0.6", "--beta", "0.3"], "--beta needs --alpha"),
             (["--c", "0.6", "--design", "5,17"], "--design needs --stats"),
-            (["--c", "0.6", "--design", "5,17", "--aoe"], "--design needs --stats"),
-            (["--stats", "S", "--design", "5,17", "--aoe"], "--design is unused"),
         ],
-        ids=["point-with-aoe", "point-with-re", "point-with-both", "design-alone",
-             "design-with-aoe", "design-with-stats-and-aoe"],
+        ids=["alpha-alone", "beta-alone", "design-alone"],
     )
-    def test_unused_input_exits_2_naming_the_flag(self, stats_json, extra, unused, capsys):
-        argv = ["theory"] + [str(stats_json) if a == "S" else a for a in extra]
-        rc = main(argv)
+    def test_unusable_input_exits_2_naming_the_missing_flag(self, argv, message, capsys):
+        rc = main(["theory", *argv])
         captured = capsys.readouterr()
         assert rc == 2
-        assert captured.err.startswith(f"error: theory {unused}")
+        assert captured.err == f"error: theory {message}\n"
         assert captured.out == ""
 
-    @pytest.mark.parametrize("extra", [[], ["--re"], ["--aoe", "--re"]])
-    def test_stats_with_design_keeps_the_re_table(self, stats_json, extra, capsys):
+    def test_stats_with_design_keeps_the_re_table(self, stats_json, capsys):
         # Any design gives the same relative efficiencies: the fpc cancels.
         tables = []
         for design in (["--design", "5,17"], []):
-            assert main(["theory", "--stats", str(stats_json), *design, *extra]) == 0
+            assert main(["theory", "--stats", str(stats_json), *design]) == 0
             tables.append(json.loads(capsys.readouterr().out)["re_vs_sample_mean_percent"])
         assert tables[0] == tables[1]
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ["theory", "--c", "nan", "--aoe"],
+            ["theory", "--c", "nan"],
             ["theory", "--c", "0.6", "--alpha", "inf", "--beta", "0.2"],
             ["theory", "--c", "0.6", "--alpha", "0.1", "--beta=-Infinity"],
         ],
@@ -464,7 +428,7 @@ class TestTheory:
     @pytest.mark.parametrize("c", ["1e308", "-1e308"])
     def test_huge_c_aoe_is_finite(self, c, capsys):
         # 2c - 1 overflows here; the radical must not collapse to zero.
-        rc = main(["theory", f"--c={c}", "--aoe"])
+        rc = main(["theory", f"--c={c}"])
         captured = capsys.readouterr()
         assert rc == 0, captured.err
         for sol in json.loads(captured.out)["aoe"].values():
@@ -474,7 +438,7 @@ class TestTheory:
 
     @pytest.mark.parametrize("c", ["1.7e308", "-1.7e308"])
     def test_overflowing_aoe_exit_2(self, c, capsys):
-        rc = main(["theory", f"--c={c}", "--aoe"])
+        rc = main(["theory", f"--c={c}"])
         captured = capsys.readouterr()
         assert rc == 2
         assert "overflows" in captured.err
@@ -511,7 +475,7 @@ class TestTheory:
     def test_malformed_stats_exit_2(self, tmp_path, capsys, content, message):
         path = tmp_path / "stats.json"
         path.write_text(content)
-        rc = main(["theory", "--stats", str(path), "--re"])
+        rc = main(["theory", "--stats", str(path)])
         captured = capsys.readouterr()
         assert rc == 2
         assert message in captured.err
@@ -552,7 +516,7 @@ class TestTheory:
         assert payloads[0]["c"] == pytest.approx(0.9125 * 0.5 / 0.5832 / (0.7 / 0.6277))
 
     def test_stats_from_population_csv(self, pop_csv, capsys):
-        rc = main(["theory", "--stats", str(pop_csv), "--re"])
+        rc = main(["theory", "--stats", str(pop_csv)])
         payload = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert payload["c"] == pytest.approx(0.8 * 0.4 / 0.5, rel=1e-10)
@@ -698,6 +662,41 @@ class TestSimulate:
         assert rc == 2
         assert captured.err == f"error: --out {out!r} names no file\n"
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("dump", ["", "/"])
+    def test_dump_naming_no_file_exits_2_before_reading(self, tmp_path, capsys, dump):
+        rc = main([
+            "simulate", "--population", str(tmp_path / "missing.csv"), "--reps", "20",
+            "--n", "5", "--seed", "3", "--out", str(tmp_path / "r.json"),
+            "--dump-estimates", dump,
+        ])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == f"error: --dump-estimates {dump!r} names no file\n"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "directory, out, dump_was_there",
+        [("adir", "adir", False), ("r.manifest.json", "r.json", False), ("adir", "adir", True)],
+        ids=["out-is-a-directory", "manifest-is-a-directory", "dump-was-there"],
+    )
+    def test_unwritable_output_exit_2_leaves_no_file_it_made(
+        self, pop_csv, tmp_path, monkeypatch, capsys, directory, out, dump_was_there
+    ):
+        # The dump is written first; a file that was there before stays.
+        (tmp_path / directory).mkdir()
+        if dump_was_there:
+            (tmp_path / "d.csv").write_text("an earlier dump\n")
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        rc = main([
+            "simulate", "--population", str(pop_csv), "--reps", "20", "--n", "5",
+            "--seed", "3", "--out", out, "--dump-estimates", "d.csv",
+        ])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error: [Errno 21] Is a directory")
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_differently_spelled_distinct_outputs_run(self, pop_csv, tmp_path, monkeypatch, capsys):
         (tmp_path / "sub").mkdir()
@@ -1155,6 +1154,9 @@ class TestSurface:
         assert peak < 418_241 * 8
 
 
+PLAN = ["--sigma2", "0.2006", "--margin", "0.0583", "--population-size", "365"]
+
+
 class TestTopLevel:
     def test_version(self, capsys):
         rc = main(["--version"])
@@ -1166,6 +1168,27 @@ class TestTopLevel:
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["theory", "--c", "0.6092", "--aoe"], "--aoe"),
+            (["theory", "--stats", "S", "--re"], "--re"),
+            (["analyze", "P", "--format", "json"], "--format"),
+            (["plan", *PLAN, "--margin-percent", "10"], "--margin-percent"),
+            (["plan", *PLAN, "--mean", "0.583"], "--mean"),
+        ],
+        ids=["aoe", "re", "format", "margin-percent", "mean"],
+    )
+    def test_removed_option_is_usage_error(self, pop_csv, stats_json, argv, option, capsys):
+        # theory prints every block its inputs determine, analyze prints
+        # JSON, and plan takes its margin as --margin.
+        paths = {"S": str(stats_json), "P": str(pop_csv)}
+        rc = main([paths.get(arg, arg) for arg in argv])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert f"unrecognized arguments: {option}" in captured.err
 
 
 class TestEntryPoint:

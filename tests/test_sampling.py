@@ -133,7 +133,7 @@ class TestPlanSampleSize:
         "sigma2, margin",
         [
             (1.0, 1e-300),  # margin^2 underflows to 0
-            (1.0, 1e-302),  # what --margin-percent 1e-300 --mean 1 gives
+            (1.0, 1e-302),  # the same underflow, as plan --margin 1e-302 meets it
             (1e300, 1e-10),  # sigma2 / margin^2 overflows
         ],
     )
