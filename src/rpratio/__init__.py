@@ -10,19 +10,12 @@ simple random sampling without replacement, synthetic population
 generation, and a deterministic Monte Carlo comparison harness.
 """
 from .errors import (
-    DegenerateMseError,
-    DegenerateVarianceError,
-    EmptyDataError,
     EstimationError,
-    InfeasibleTargetsError,
-    InvalidDesignError,
     InvalidInputError,
-    OutOfRangeError,
     ParseError,
     PoleAtHalfError,
     SingularDenominatorError,
     TooLargeError,
-    ZeroMeanError,
 )
 from .estimators import (
     EstimatorSpec,
@@ -75,7 +68,6 @@ from .theory import (
     Branch,
     FirstOrderResult,
     SurfaceKind,
-    aoe_bias1,
     aoe_parameters,
     biasfree_betas,
     dominates,

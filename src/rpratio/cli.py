@@ -80,6 +80,14 @@ def _finite_float(text: str) -> float:
 _NOT_INPUTS = frozenset({"command", "func", "seed", "out", "dump_estimates"})
 
 
+def _require_file_names(*outputs: tuple[str, str | None]) -> None:
+    """Refuse each (flag, path) output whose path is given but names no
+    file, such as "" or "/"."""
+    for flag, path in outputs:
+        if path is not None and not Path(path).name:
+            raise EstimationError(f"{flag} {path!r} names no file")
+
+
 def _manifest_path(out_path: Path) -> Path:
     return out_path.with_name(out_path.stem + ".manifest.json")
 
@@ -293,10 +301,8 @@ def _report_payload(result) -> dict:
 
 def _cmd_simulate(args) -> int:
     started = time.perf_counter()
+    _require_file_names(("--out", args.out), ("--dump-estimates", args.dump_estimates))
     out = Path(args.out)
-    for flag, path in (("--out", args.out), ("--dump-estimates", args.dump_estimates)):
-        if path is not None and not Path(path).name:  # "" or "/"
-            raise EstimationError(f"{flag} {path!r} names no file")
     outputs = [str(out), *([args.dump_estimates] if args.dump_estimates is not None else [])]
     # A file written twice would lose an output that the manifest lists.
     paths = [*outputs, str(_manifest_path(out))]
@@ -329,6 +335,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_surface(args) -> int:
+    _require_file_names(("--out", args.out))
     grid = _surface(
         SurfaceKind(args.kind),
         _parse_range(args.alpha),
@@ -336,7 +343,7 @@ def _cmd_surface(args) -> int:
         _parse_range(args.beta) if args.beta else None,
     )
     header = ",".join(grid.names)
-    if args.out:
+    if args.out is not None:
         with _outputs() as output, open(output(args.out), "w") as fh:
             write_csv(fh, header, grid.rows, grid.columns, grid.block)
         sys.stdout.write(f"{grid.rows} rows written to {args.out}\n")
@@ -347,6 +354,7 @@ def _cmd_surface(args) -> int:
 
 def _cmd_generate(args) -> int:
     started = time.perf_counter()
+    _require_file_names(("--out", args.out))
     targets = MomentTargets(
         size=args.size, mean_y=args.mean_y, mean_x=args.mean_x,
         cv_y=args.cv_y, cv_x=args.cv_x, r=args.r,

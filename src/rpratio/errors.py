@@ -2,22 +2,18 @@
 
 Everything raised deliberately by this library derives from
 :class:`EstimationError` so callers can catch a single type at the boundary.
+A class has a name of its own only when the README documents it, a caller
+in the program catches it by name, or its message reads data it carries;
+any other bad input raises :class:`InvalidInputError` with its message.
 """
 
 __all__ = [
     "EstimationError",
     "InvalidInputError",
-    "ZeroMeanError",
-    "DegenerateVarianceError",
-    "InvalidDesignError",
     "SingularDenominatorError",
     "PoleAtHalfError",
-    "DegenerateMseError",
-    "OutOfRangeError",
     "TooLargeError",
-    "EmptyDataError",
     "ParseError",
-    "InfeasibleTargetsError",
 ]
 
 
@@ -26,50 +22,20 @@ class EstimationError(Exception):
 
 
 class InvalidInputError(EstimationError):
-    """An argument fails a basic validity requirement."""
-
-
-class ZeroMeanError(EstimationError):
-    """A population mean required as a divisor is zero."""
-
-
-class DegenerateVarianceError(EstimationError):
-    """A variance required to be positive is zero."""
-
-
-class InvalidDesignError(EstimationError):
-    """A sample size does not satisfy 1 <= n < N."""
+    """An argument, population or target fails a validity requirement."""
 
 
 class SingularDenominatorError(EstimationError):
-    """An estimator denominator evaluated to zero.
-
-    The offending value is kept in ``denominator``.
-    """
-
-    def __init__(self, message: str, denominator: float = 0.0):
-        super().__init__(message)
-        self.denominator = denominator
+    """An estimator denominator evaluated to zero, or a power transform
+    left its domain."""
 
 
 class PoleAtHalfError(EstimationError):
     """The optimal-parameter radicand is undefined at c = 1/2."""
 
 
-class DegenerateMseError(EstimationError):
-    """A first-order MSE used as an efficiency denominator is zero."""
-
-
-class OutOfRangeError(EstimationError):
-    """A numeric argument lies outside its admissible interval."""
-
-
 class TooLargeError(EstimationError):
     """A requested enumeration or grid would exceed its size budget."""
-
-
-class EmptyDataError(EstimationError):
-    """An operation that needs at least one value received none."""
 
 
 class ParseError(EstimationError):
@@ -85,7 +51,3 @@ class ParseError(EstimationError):
     def __str__(self) -> str:
         base = super().__str__()
         return base if self.line is None else f"line {self.line}: {base}"
-
-
-class InfeasibleTargetsError(EstimationError):
-    """Moment targets cannot be met with strictly positive values."""

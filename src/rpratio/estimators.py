@@ -317,15 +317,13 @@ def estimate(spec: EstimatorSpec, s: SampleSummary) -> float:
     """Evaluate an estimator on one sample summary.
 
     Raises SingularDenominatorError when a denominator of the requested
-    estimator vanishes on this draw; its ``denominator`` is 0.0, or the
-    base xbar/Xbar when a power transform leaves its domain.
+    estimator vanishes on this draw, or a power transform leaves its domain.
     """
     values, singular = _checked(spec).evaluate([s.ybar], [s.xbar], s.Xbar)
     if singular[0]:
         raise SingularDenominatorError(
             f"{estimator_token(spec)} is singular at xbar={s.xbar!r}: a denominator"
-            " vanishes or the power transform leaves its domain",
-            denominator=s.xbar / s.Xbar if isinstance(spec, _PowerTransform) else 0.0,
+            " vanishes or the power transform leaves its domain"
         )
     return float(values[0])
 

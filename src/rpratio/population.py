@@ -20,12 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateVarianceError,
-    InvalidInputError,
-    ParseError,
-    ZeroMeanError,
-)
+from .errors import InvalidInputError, ParseError
 from .sampling import _BLOCK_BYTES, _real
 
 __all__ = [
@@ -129,9 +124,9 @@ class SummaryStats:
         mean_y, mean_x = _real(mean_y, "mean_y"), _real(mean_x, "mean_x")
         sd_y, sd_x, r = _real(sd_y, "sd_y"), _real(sd_x, "sd_x"), _real(r, "r")
         if mean_y == 0.0 or mean_x == 0.0:
-            raise ZeroMeanError("means must be nonzero")
+            raise InvalidInputError("means must be nonzero")
         if sd_y <= 0.0 or sd_x <= 0.0:
-            raise DegenerateVarianceError("standard deviations must be positive")
+            raise InvalidInputError("standard deviations must be positive")
         if not -1.0 <= r <= 1.0:
             raise InvalidInputError(f"correlation {r} outside [-1, 1]")
         return cls._derive(
@@ -170,22 +165,20 @@ def _column_moments(column: np.ndarray, name: str) -> tuple[float, np.ndarray, f
 def summarize(pop: Population) -> SummaryStats:
     """Compute :class:`SummaryStats` for a population.
 
-    Raises ZeroMeanError when either mean vanishes (the coefficients of
-    variation would be undefined) and DegenerateVarianceError when either
-    column is constant.
+    Raises InvalidInputError when either mean vanishes (the coefficients of
+    variation would be undefined), or when either column is constant or its
+    variance underflows.
     """
     mean_y, dy, var_y = _column_moments(pop.y, "y")
     mean_x, dx, var_x = _column_moments(pop.x, "x")
     for name, mean in (("y", mean_y), ("x", mean_x)):
         if mean == 0.0:
-            raise ZeroMeanError(f"population mean of {name} is zero")
+            raise InvalidInputError(f"population mean of {name} is zero")
     for name, column, var in (("y", pop.y, var_y), ("x", pop.x, var_x)):
         if var == 0.0 and np.ptp(column) > 0.0:
-            raise DegenerateVarianceError(
-                f"the variance of {name} underflows double precision"
-            )
+            raise InvalidInputError(f"the variance of {name} underflows double precision")
         if var == 0.0:
-            raise DegenerateVarianceError(f"{name} values are all identical")
+            raise InvalidInputError(f"{name} values are all identical")
     cov_xy = float(dy @ dx) / (pop.size - 1)
     # The product of two variances can underflow or overflow; only then is
     # it split, so that every other r keeps the bits of the one square root.

@@ -25,13 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptyDataError,
-    InvalidDesignError,
-    InvalidInputError,
-    OutOfRangeError,
-    TooLargeError,
-)
+from .errors import InvalidInputError, TooLargeError
 
 __all__ = [
     "SamplePlan",
@@ -68,7 +62,7 @@ _P_LOW = 0.02425
 
 def _norm_ppf(p: float) -> float:
     if p <= 0.0 or p >= 1.0:
-        raise OutOfRangeError(f"probability {p!r} outside (0, 1)")
+        raise InvalidInputError(f"probability {p!r} outside (0, 1)")
     if p > 0.5:
         # 1 - p is exact for p >= 1/2, and both the erfc residual and the
         # tail polynomial are at their best in the lower half.
@@ -93,7 +87,7 @@ def _norm_ppf(p: float) -> float:
 def z_quantile(confidence: float) -> float:
     """Two-sided normal critical value: Phi^-1((1 + confidence) / 2)."""
     if not (isinstance(confidence, numbers.Real) and 0.0 < confidence < 1.0):
-        raise OutOfRangeError(f"confidence {confidence!r} outside (0, 1)")
+        raise InvalidInputError(f"confidence {confidence!r} outside (0, 1)")
     p = 0.5 * (1.0 + confidence)
     # p rounds to 1.0 within 2^-53 of 1, where the upper tail is exact.
     return _norm_ppf(p) if p < 1.0 else -_norm_ppf(0.5 * (1.0 - confidence))
@@ -157,7 +151,7 @@ class SamplingDesign:
     def __post_init__(self):
         n, N = _integer(self.n, "n"), _integer(self.N, "N")
         if not 1 <= n < N:
-            raise InvalidDesignError(f"need 1 <= n < N, got n={n}, N={N}")
+            raise InvalidInputError(f"need 1 <= n < N, got n={n}, N={N}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "N", N)
 
@@ -184,6 +178,10 @@ def confidence_interval(
     """Normal interval around a point estimate under SRSWOR:
 
         point +- z * sqrt(sd_y^2 / n) * sqrt((N - n) / (N - 1))
+
+    The factor is exact for sd_y on the N divisor (sigma): sd_y^2 / n *
+    (N - n) / (N - 1) is then the SRSWOR variance of the sample mean.  An
+    sd_y on the N - 1 divisor (S_y) gives N / (N - 1) times that variance.
     """
     d = SamplingDesign(n, N)
     point, sd_y = _real(point, "point"), _real(sd_y, "sd_y")
@@ -392,7 +390,7 @@ def srswor(pop_size: int, n: int, seed: int, stream: int = 0) -> np.ndarray:
                 _integer(value, name)
         raise
     if not 1 <= n <= pop_size:
-        raise InvalidDesignError(f"need 1 <= n <= pop_size, got n={n}, pop_size={pop_size}")
+        raise InvalidInputError(f"need 1 <= n <= pop_size, got n={n}, pop_size={pop_size}")
     key = (pop_size, n, seed)
     memo = _read_ahead
     if memo is not None and memo[0] == key:
@@ -419,7 +417,7 @@ def quartiles(values) -> tuple[float, float, float]:
     signs.  Such a quartile is a * (1 - t) + b * t, whose terms cannot."""
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
-        raise EmptyDataError("quartiles of an empty collection")
+        raise InvalidInputError("quartiles of an empty collection")
     if not np.isfinite(arr).all():
         raise InvalidInputError("quartiles need finite values")
     with np.errstate(over="ignore", invalid="ignore"):

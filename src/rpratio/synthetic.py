@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleTargetsError, InvalidInputError, TooLargeError
+from .errors import InvalidInputError, TooLargeError
 from .population import Population
 from .sampling import _UNIT_BUDGET, _integer, _real
 
@@ -77,7 +77,7 @@ def _lognormal_sigma(cv: float) -> float:
 def _unit(v: np.ndarray, cause: str) -> np.ndarray:
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
-        raise InfeasibleTargetsError(f"degenerate base draw ({cause})")
+        raise InvalidInputError(f"degenerate base draw ({cause})")
     return v / norm
 
 
@@ -85,8 +85,8 @@ def generate_population(targets: MomentTargets, seed: int) -> Population:
     """Deterministically generate a population meeting ``targets``.
 
     Sample means and CVs are exact to float rounding, the correlation
-    likewise.  Raises InfeasibleTargetsError when the targets cannot be met
-    with strictly positive values, and InvalidInputError for a negative seed.
+    likewise.  Raises InvalidInputError when the targets cannot be met with
+    strictly positive values, and for a negative seed.
     """
     seed = _integer(seed, "seed")
     if seed < 0:
@@ -117,7 +117,7 @@ def generate_population(targets: MomentTargets, seed: int) -> Population:
             f"cv_y={targets.cv_y!r}, mean_x={targets.mean_x!r}, cv_x={targets.cv_x!r}"
         )
     if (x <= 0.0).any() or (y <= 0.0).any():
-        raise InfeasibleTargetsError(
+        raise InvalidInputError(
             "CV targets too large to keep all values positive at "
             f"r={targets.r} (min x={x.min():.4g}, min y={y.min():.4g})"
         )

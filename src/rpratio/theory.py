@@ -29,12 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    DegenerateMseError,
-    InvalidInputError,
-    PoleAtHalfError,
-    TooLargeError,
-)
+from .errors import InvalidInputError, PoleAtHalfError, TooLargeError
 from .estimators import EstimatorSpec, RatioProductRatio, _checked
 from .population import SummaryStats
 from .sampling import SamplingDesign, _real
@@ -49,7 +44,6 @@ __all__ = [
     "minimal_mse1",
     "biasfree_betas",
     "aoe_parameters",
-    "aoe_bias1",
     "dominates",
     "relative_efficiency",
     "family_theory",
@@ -178,19 +172,6 @@ def aoe_parameters(c: float, branch: Branch = Branch.MINUS_MINUS) -> AOESolution
     return AOESolution((1.0 - u) / 2.0, (1.0 - v) / 2.0, branch, True)
 
 
-def aoe_bias1(beta: float, c: float, st: SummaryStats, d: SamplingDesign) -> float:
-    """First-order bias anywhere on the hyperbola u*v = c, as a function of
-    which beta was chosen along it:
-
-        fpc * cv_x^2 * Ybar * [c*(1 - 2c) + (1 - 2*beta)^2] / 2
-
-    Vanishes exactly at beta_star, where (1 - 2*beta)^2 = c*(2c - 1).
-    """
-    beta, c = _real(beta, "beta"), _real(c, "c")
-    v = 1.0 - 2.0 * beta
-    return d.fpc_rate * st.cv_x**2 * st.mean_y * (c * (1.0 - 2.0 * c) + v * v) / 2.0
-
-
 def dominates(over: Baseline, alpha: float, beta: float, c: float) -> bool:
     """Whether the family member at (alpha, beta) has strictly smaller
     first-order MSE than a classical baseline, for a population with moment
@@ -229,9 +210,7 @@ def relative_efficiency(
     num = family_theory(spec_num, st, d).mse1
     den = family_theory(spec_den, st, d).mse1
     if den <= 0.0:
-        raise DegenerateMseError(
-            "denominator first-order MSE is zero (perfect correlation)"
-        )
+        raise InvalidInputError("denominator first-order MSE is zero (perfect correlation)")
     return num / den
 
 

@@ -16,7 +16,6 @@ from rpratio.simulation import SimConfig, exhaustive_oracle
 from rpratio.theory import (
     Baseline,
     SurfaceKind,
-    aoe_bias1,
     aoe_parameters,
     biasfree_betas,
     dominates,
@@ -60,7 +59,6 @@ ENTRY_POINTS = {
     "exhaustive_oracle": (exhaustive_oracle, dict(pop=POP, n=2, spec=None), ["spec"]),
     "SimConfig": (SimConfig, dict(reps=10, n=2, seed=1), ["reps", "n", "seed"]),
     "aoe_parameters": (aoe_parameters, dict(c=0.6), ["c"]),
-    "aoe_bias1": (aoe_bias1, dict(beta=0.3, c=0.6, st=ST, d=DESIGN), ["beta", "c"]),
     "mse1_grad": (mse1_grad, dict(alpha=0.2, beta=0.3, st=ST, d=DESIGN), ["alpha", "beta"]),
     "dominates": (
         dominates, dict(over=Baseline.RATIO, alpha=0.2, beta=0.3, c=0.6),

@@ -185,6 +185,22 @@ class TestGenerate:
         assert "budget" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("out", ["", "/"])
+    def test_out_naming_no_file_exits_2_before_drawing(self, tmp_path, monkeypatch, capsys, out):
+        def draw(*_):
+            raise AssertionError("a population was drawn")
+
+        monkeypatch.setattr(cli, "generate_population", draw)
+        monkeypatch.chdir(tmp_path)
+        rc = main([
+            "generate", "--size", "10", "--mean-y", "1", "--mean-x", "1",
+            "--cv-y", "0.1", "--cv-x", "0.2", "--r", "0.5", "--seed", "1", "--out", out,
+        ])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == f"error: --out {out!r} names no file\n"
+        assert captured.out == "" and not any(tmp_path.iterdir())
+
 
 class TestAnalyze:
     def test_json_roundtrip(self, pop_csv, capsys):
@@ -1098,6 +1114,21 @@ class TestSurface:
         assert rc == 2
         assert captured.err == f"error: the {kind} surface computes its beta and takes no beta range\n"
         assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("out", ["", "/"])
+    def test_out_naming_no_file_exits_2_before_any_row(self, tmp_path, monkeypatch, capsys, out):
+        def evaluate(*_):
+            raise AssertionError("a row was evaluated")
+
+        monkeypatch.setattr(cli, "write_csv", evaluate)
+        monkeypatch.chdir(tmp_path)
+        rc = main([
+            "surface", "--kind", "aoe", "--alpha", "0:1:0.5", "--c", "0.6:0.6:1", "--out", out,
+        ])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == f"error: --out {out!r} names no file\n"
+        assert captured.out == "" and not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
     @pytest.mark.parametrize(

@@ -148,7 +148,7 @@ COMMANDS = {
          | joined(option("--kind", values("region")), option("--beta", RANGE)),
          option("--alpha", RANGE), option("--c", RANGE)],
         [rarely(option("--beta", RANGE)),
-         option("--out", st.sampled_from(["surface.csv", "adir"]))],
+         option("--out", st.sampled_from(["surface.csv", "adir", ""]))],
     ),
     "generate": (
         [option("--size", values("3", "10", "40", nasty=SIZE_NASTY)),
@@ -158,11 +158,27 @@ COMMANDS = {
          option("--cv-x", values("0.4", "1.1504", "1e-300", "1e100")),
          option("--r", values("0.5", "0.9125", "-0.9", "0", "-0.0")),
          option("--seed", SEED),
-         option("--out", st.sampled_from(["pop.csv", "held.csv", "adir"]))],
+         option("--out", st.sampled_from(["pop.csv", "held.csv", "adir", ""]))],
         [],
     ),
 }
 JSON_COMMANDS = {"analyze", "plan", "theory"}
+# A usable argv of each file-writing command, without its outputs.
+WRITERS = {
+    "simulate": ["--population=normal.csv", "--reps=2", "--n=2", "--seed=0"],
+    "surface": ["--kind=aoe", "--alpha=0:1:0.5", "--c=0.6:0.6:1"],
+    "generate": ["--size=10", "--mean-y=1", "--mean-x=2", "--cv-y=0.3", "--cv-x=0.4",
+                 "--r=0.5", "--seed=0"],
+}
+# Outputs that name no file or a directory, and those whose manifest path,
+# held.manifest.json, is a directory.
+UNWRITABLE = [
+    *((command, flag, value)
+      for command, flag in [("simulate", "--out"), ("simulate", "--dump-estimates"),
+                            ("surface", "--out"), ("generate", "--out")]
+      for value in ("", "/", "adir")),
+    ("simulate", "--out", "held.json"), ("generate", "--out", "held.csv"),
+]
 
 
 @st.composite
@@ -203,11 +219,9 @@ def run(argv, inputs, folder):
     return rc, out.getvalue(), err.getvalue(), caught
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-@given(data=st.data())
-@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_cli_contract(command, inputs, data):
-    argv = data.draw(arguments(*COMMANDS[command]), label="argv")
+def check_contract(command, argv, inputs):
+    """Run the command with argv in a fresh folder holding DIRECTORIES,
+    assert the contract of the module docstring and return the exit code."""
     folder = Path(tempfile.mkdtemp(dir=inputs))
     for name in DIRECTORIES:
         (folder / name).mkdir()
@@ -229,3 +243,17 @@ def test_cli_contract(command, inputs, data):
                 json.loads(out, parse_constant=reject)
     finally:
         shutil.rmtree(folder)
+    return rc
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@given(data=st.data())
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_cli_contract(command, inputs, data):
+    check_contract(command, data.draw(arguments(*COMMANDS[command]), label="argv"), inputs)
+
+
+@pytest.mark.parametrize("command, flag, value", UNWRITABLE)
+def test_cli_contract_for_each_unwritable_output(command, flag, value, inputs):
+    # The property may draw none of these in a run, so each runs here once.
+    assert check_contract(command, [*WRITERS[command], f"{flag}={value}"], inputs) == 2

@@ -10,13 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rpratio.errors import (
-    DegenerateVarianceError,
-    InvalidDesignError,
-    InvalidInputError,
-    ParseError,
-    ZeroMeanError,
-)
+from rpratio.errors import InvalidInputError, ParseError
 import rpratio
 from rpratio.population import (
     Population,
@@ -108,25 +102,25 @@ class TestSummarize:
         assert stx.c == pytest.approx(1.0, rel=1e-14)
 
     def test_zero_mean_rejected(self):
-        with pytest.raises(ZeroMeanError):
+        with pytest.raises(InvalidInputError, match="^population mean of y is zero$"):
             summarize(Population(y=[-1.0, 1.0], x=[1.0, 2.0]))
-        with pytest.raises(ZeroMeanError):
+        with pytest.raises(InvalidInputError, match="^population mean of x is zero$"):
             summarize(Population(y=[1.0, 2.0], x=[-1.0, 1.0]))
 
     def test_constant_column_rejected(self):
-        with pytest.raises(DegenerateVarianceError):
+        with pytest.raises(InvalidInputError, match="^y values are all identical$"):
             summarize(Population(y=[2.0, 2.0, 2.0], x=[1.0, 2.0, 3.0]))
-        with pytest.raises(DegenerateVarianceError):
+        with pytest.raises(InvalidInputError, match="^x values are all identical$"):
             summarize(Population(y=[1.0, 2.0, 3.0], x=[5.0, 5.0, 5.0]))
 
     def test_underflowing_variance_is_named(self):
         tiny, spread = [1e-320, 2e-320, 3e-320], [1.0, 2.0, 4.0]
         with pytest.raises(
-            DegenerateVarianceError, match="^the variance of y underflows double precision$"
+            InvalidInputError, match="^the variance of y underflows double precision$"
         ):
             summarize(Population(y=tiny, x=spread))
         with pytest.raises(
-            DegenerateVarianceError, match="^the variance of x underflows double precision$"
+            InvalidInputError, match="^the variance of x underflows double precision$"
         ):
             summarize(Population(y=spread, x=tiny))
 
@@ -160,7 +154,7 @@ class TestSummarize:
         x = np.array([p[1] for p in data])
         try:
             stx = summarize(Population(y=y, x=x))
-        except (ZeroMeanError, DegenerateVarianceError, InvalidInputError):
+        except InvalidInputError:
             return
         N = len(y)
         mean_y, mean_x = _mean(y), _mean(x)
@@ -201,7 +195,7 @@ class TestSummarize:
         x = np.ldexp([p[1] for p in data], scale_x)
         try:
             stx = summarize(Population(y=y, x=x))
-        except (DegenerateVarianceError, InvalidInputError):
+        except InvalidInputError:
             return
         var_y, var_x = _column_moments(y, "y")[2], _column_moments(x, "x")[2]
         if sys.float_info.min <= var_y * var_x < math.inf:
@@ -216,7 +210,7 @@ class TestSummarize:
         # the computed variance is rounding noise rather than zero.
         x = [21.866699846101177] * 3
         assert float(np.var(x)) != 0.0
-        with pytest.raises(DegenerateVarianceError):
+        with pytest.raises(InvalidInputError, match="^x values are all identical$"):
             summarize(Population(y=[1.0, 1.6385551241324805, 63.86669984610118], x=x))
 
     @given(
@@ -334,9 +328,9 @@ class TestFromMoments:
         assert [v.hex() for v in astuple(stx)] == [v.hex() for v in expected]
 
     def test_validation(self):
-        with pytest.raises(ZeroMeanError):
+        with pytest.raises(InvalidInputError, match="^means must be nonzero$"):
             SummaryStats.from_moments(0.0, 1.0, 1.0, 1.0, 0.5)
-        with pytest.raises(DegenerateVarianceError):
+        with pytest.raises(InvalidInputError, match="^standard deviations must be positive$"):
             SummaryStats.from_moments(1.0, 1.0, 0.0, 1.0, 0.5)
         with pytest.raises(InvalidInputError):
             SummaryStats.from_moments(1.0, 1.0, 1.0, 1.0, 1.5)
@@ -391,9 +385,8 @@ class TestSamplingDesign:
         "n, N", [(365, 365), (366, 365), (200, 100), (0, 10), (0, 100), (-1, 10)]
     )
     def test_rejects_degenerate(self, n, N):
-        with pytest.raises(InvalidDesignError) as err:
+        with pytest.raises(InvalidInputError, match=f"^need 1 <= n < N, got n={n}, N={N}$"):
             SamplingDesign(n, N)
-        assert str(err.value) == f"need 1 <= n < N, got n={n}, N={N}"
 
     @pytest.mark.parametrize("kind", [np.int32, np.int64, np.uint16])
     def test_numpy_integer_sizes(self, kind):
@@ -408,11 +401,11 @@ class TestSamplingDesign:
 
     @pytest.mark.parametrize("n", [0, 50, 51])
     def test_interval_and_design_refuse_alike(self, n):
-        with pytest.raises(InvalidDesignError) as design:
+        message = f"^need 1 <= n < N, got n={n}, N=50$"
+        with pytest.raises(InvalidInputError, match=message):
             SamplingDesign(n, 50)
-        with pytest.raises(InvalidDesignError) as interval:
+        with pytest.raises(InvalidInputError, match=message):
             confidence_interval(1.0, 0.5, n, 50, 0.9)
-        assert str(interval.value) == str(design.value) == f"need 1 <= n < N, got n={n}, N=50"
 
     @pytest.mark.parametrize(
         "name, n, N",

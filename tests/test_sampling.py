@@ -1,5 +1,6 @@
 """Normal quantile, sample-size planning, intervals, and the index PRNG."""
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,13 +10,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rpratio.errors import (
-    EmptyDataError,
-    InvalidDesignError,
-    InvalidInputError,
-    OutOfRangeError,
-    TooLargeError,
-)
+from rpratio.errors import InvalidInputError, TooLargeError
 from rpratio.sampling import (
     SamplePlan,
     SplitMix64,
@@ -60,7 +55,8 @@ class TestNormalQuantile:
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.1, 1.0001, math.nan])
     def test_rejects_out_of_range(self, bad):
-        with pytest.raises(OutOfRangeError):
+        message = re.escape(f"confidence {bad!r} outside (0, 1)")
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
             z_quantile(bad)
 
     @given(
@@ -112,7 +108,7 @@ class TestPlanSampleSize:
             plan_sample_size(**kwargs)
 
     def test_rejects_bad_confidence(self):
-        with pytest.raises(OutOfRangeError):
+        with pytest.raises(InvalidInputError, match=r"^confidence 1\.5 outside \(0, 1\)$"):
             plan_sample_size(1.0, 0.1, 1.5, 50)
 
     @pytest.mark.parametrize("kind", [np.int32, np.int64, np.uint64])
@@ -226,9 +222,9 @@ class TestConfidenceInterval:
         assert ci == confidence_interval(1.0, 1.0, 3, 10, 0.9)
 
     def test_rejects_bad_designs(self):
-        with pytest.raises(InvalidDesignError):
+        with pytest.raises(InvalidInputError, match="^need 1 <= n < N, got n=0, N=10$"):
             confidence_interval(0.0, 1.0, 0, 10, 0.9)
-        with pytest.raises(InvalidDesignError):
+        with pytest.raises(InvalidInputError, match="^need 1 <= n < N, got n=10, N=10$"):
             confidence_interval(0.0, 1.0, 10, 10, 0.9)
         with pytest.raises(InvalidInputError):
             confidence_interval(0.0, -1.0, 5, 10, 0.9)
@@ -287,10 +283,10 @@ class TestSrswor:
         assert (s == np.arange(6)).all()
 
     def test_rejects_bad_sizes(self):
-        with pytest.raises(InvalidDesignError):
-            srswor(10, 0, seed=1)
-        with pytest.raises(InvalidDesignError):
-            srswor(10, 11, seed=1)
+        for n in (0, 11):
+            message = f"^need 1 <= n <= pop_size, got n={n}, pop_size=10$"
+            with pytest.raises(InvalidInputError, match=message):
+                srswor(10, n, seed=1)
 
     def test_uniform_over_subsets(self):
         # 6 choose 3 = 20 equally likely subsets; chi-square over the 20
@@ -776,7 +772,7 @@ class TestQuartiles:
         assert min(values) <= q1 <= med <= q3 <= max(values)
 
     def test_errors(self):
-        with pytest.raises(EmptyDataError):
+        with pytest.raises(InvalidInputError, match="^quartiles of an empty collection$"):
             quartiles([])
         with pytest.raises(InvalidInputError):
             quartiles([1.0, math.nan])

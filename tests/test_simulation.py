@@ -12,12 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rpratio.errors import (
-    InvalidDesignError,
-    InvalidInputError,
-    SingularDenominatorError,
-    TooLargeError,
-)
+from rpratio.errors import InvalidInputError, SingularDenominatorError, TooLargeError
 from rpratio.estimators import (
     Product,
     Ratio,
@@ -187,7 +182,7 @@ class TestExhaustiveOracle:
 
     @pytest.mark.parametrize("n", [0, 6, -1])
     def test_rejects_n_outside_design(self, tiny_pop, n):
-        with pytest.raises(InvalidDesignError, match=f"got n={n}, N=6"):
+        with pytest.raises(InvalidInputError, match=f"^need 1 <= n < N, got n={n}, N=6$"):
             exhaustive_oracle(tiny_pop, n, SampleMean())
 
 

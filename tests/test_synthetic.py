@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from rpratio.errors import InfeasibleTargetsError, InvalidInputError, TooLargeError
+from rpratio.errors import InvalidInputError, TooLargeError
 from rpratio.population import summarize
 from rpratio.synthetic import MomentTargets, _lognormal_sigma, _unit, generate_population
 
@@ -144,6 +144,10 @@ class TestTargetsValidation:
             MomentTargets(size=10**15, mean_y=1.0, mean_x=1.0, cv_y=0.5, cv_x=0.5, r=0.5)
 
 
+# The message of targets whose values cannot all be positive.
+INFEASIBLE = r"^CV targets too large to keep all values positive at r=-0\.95 \(min x="
+
+
 class TestFeasibility:
     def test_large_cv_with_strong_negative_r_is_infeasible(self):
         # The mixture has to point sharply away from the skewed direction,
@@ -151,7 +155,7 @@ class TestFeasibility:
         targets = MomentTargets(
             size=50, mean_y=1.0, mean_x=1.0, cv_y=1.2, cv_x=1.2, r=-0.95
         )
-        with pytest.raises(InfeasibleTargetsError):
+        with pytest.raises(InvalidInputError, match=INFEASIBLE):
             generate_population(targets, seed=1)
 
     def test_error_is_not_retried_away(self):
@@ -159,7 +163,7 @@ class TestFeasibility:
             size=50, mean_y=1.0, mean_x=1.0, cv_y=1.2, cv_x=1.2, r=-0.95
         )
         for seed in (2, 3):
-            with pytest.raises(InfeasibleTargetsError):
+            with pytest.raises(InvalidInputError, match=INFEASIBLE):
                 generate_population(targets, seed=seed)
 
 
@@ -177,9 +181,8 @@ class TestInputChecks:
         "v, cause", [(np.zeros(4), "constant column"), (np.full(4, -0.0), "collinear columns")]
     )
     def test_zero_direction_is_infeasible(self, v, cause):
-        with pytest.raises(InfeasibleTargetsError) as err:
+        with pytest.raises(InvalidInputError, match=rf"^degenerate base draw \({cause}\)$"):
             _unit(v, cause)
-        assert str(err.value) == f"degenerate base draw ({cause})"
 
     @pytest.mark.parametrize("cv_x", [1e300, 1e160, 1e308])
     def test_cv_whose_base_square_overflows_is_named(self, cv_x):

@@ -13,12 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rpratio import theory
-from rpratio.errors import (
-    DegenerateMseError,
-    InvalidInputError,
-    PoleAtHalfError,
-    TooLargeError,
-)
+from rpratio.errors import InvalidInputError, PoleAtHalfError, TooLargeError
 from rpratio.estimators import (
     Product,
     Ratio,
@@ -36,7 +31,6 @@ from rpratio.theory import (
     Baseline,
     Branch,
     SurfaceKind,
-    aoe_bias1,
     aoe_parameters,
     biasfree_betas,
     dominates,
@@ -366,29 +360,40 @@ class TestOptimalParameters:
             aoe_parameters(c)
 
 
+def on_hyperbola(beta: float, c: float) -> RatioProductRatio:
+    """The family member at beta on the hyperbola u*v = c (beta != 1/2)."""
+    return RatioProductRatio((1.0 - c / (1.0 - 2.0 * beta)) / 2.0, beta)
+
+
 class TestBiasAlongHyperbola:
+    """On u*v = c, bias1 = fpc * cv_x^2 * Ybar * [c*(1 - 2c) + (1 - 2*beta)^2] / 2,
+    which vanishes exactly at beta_star, where (1 - 2*beta)^2 = c*(2c - 1)."""
+
     def test_zero_at_trivial_point(self):
         stx = stats_with_c(0.0)
         d = SamplingDesign(10, 40)
-        assert aoe_bias1(0.5, 0.0, stx, d) == 0.0
+        assert family_theory(RatioProductRatio(0.5, 0.5), stx, d).bias1 == 0.0
 
     def test_vanishes_at_optimal_beta(self, bench_stats, bench_design):
+        c = bench_stats.c
         scale = bench_design.fpc_rate * bench_stats.cv_x**2 * bench_stats.mean_y
-        sol = aoe_parameters(0.6092)
-        at_star = aoe_bias1(sol.beta_star, 0.6092, bench_stats, bench_design)
+        sol = aoe_parameters(c)
+        at_star = family_theory(
+            RatioProductRatio(sol.alpha_star, sol.beta_star), bench_stats, bench_design
+        ).bias1
         assert abs(at_star) <= 1e-12 * scale
-        # The four-decimal beta leaves the rounding residue ~1.5e-5 * scale.
-        at_rounded = aoe_bias1(0.3176, 0.6092, bench_stats, bench_design)
+        # The four-decimal beta leaves the rounding residue ~1.3e-5 * scale.
+        at_rounded = family_theory(on_hyperbola(0.3176, c), bench_stats, bench_design).bias1
         assert abs(at_rounded) <= 2e-5 * scale
         assert at_rounded == pytest.approx(
-            scale * (0.6092 * (1 - 2 * 0.6092) + (1 - 2 * 0.3176) ** 2) / 2,
-            rel=1e-12,
+            scale * (c * (1 - 2 * c) + (1 - 2 * 0.3176) ** 2) / 2, abs=1e-15 * scale
         )
 
-    def test_strictly_positive_inside_complex_region(self, bench_stats, bench_design):
+    def test_strictly_positive_inside_complex_region(self, bench_design):
         # c (1 - 2c) > 0 for 0 < c < 1/2, and the beta term only adds.
-        for beta in (-1.0, 0.0, 0.25, 0.5, 0.9, 2.0):
-            assert aoe_bias1(beta, 0.25, bench_stats, bench_design) > 0.0
+        stx = stats_with_c(0.25)
+        for beta in (-1.0, 0.0, 0.25, 0.9, 2.0):
+            assert family_theory(on_hyperbola(beta, stx.c), stx, bench_design).bias1 > 0.0
 
 
 class TestDominance:
@@ -447,7 +452,8 @@ class TestRelativeEfficiency:
     def test_degenerate_denominator(self):
         stx = SummaryStats.from_moments(1.0, 1.0, 1.0, 1.0, 1.0)
         d = SamplingDesign(4, 9)
-        with pytest.raises(DegenerateMseError):
+        message = r"^denominator first-order MSE is zero \(perfect correlation\)$"
+        with pytest.raises(InvalidInputError, match=message):
             relative_efficiency(SampleMean(), UnbiasedAOE(stx.c), stx, d)
 
 
