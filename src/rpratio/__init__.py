@@ -32,7 +32,6 @@ from .estimators import (
     estimate,
     estimator_token,
     parse_estimator,
-    symmetry_partner,
 )
 from .population import (
     Population,

@@ -232,6 +232,7 @@ def _cmd_theory(args) -> int:
         (args.beta is None and args.alpha is not None, "--alpha needs --beta"),
         (args.alpha is None and args.beta is not None, "--beta needs --alpha"),
         (args.design is not None and not args.stats, "--design needs --stats"),
+        (args.design is not None and args.alpha is None, "--design needs --alpha and --beta"),
         (args.c is None and not args.stats, "needs --stats and/or --c"),
     ):
         if unusable:
@@ -240,7 +241,6 @@ def _cmd_theory(args) -> int:
     c = args.c if args.c is not None else st.c
     payload: dict = {"c": c}
 
-    d = _parse_design(args.design) if args.design is not None else None
     if args.alpha is not None:  # a point comes with --beta
         alpha, beta = args.alpha, args.beta
         payload["alpha"] = alpha
@@ -249,7 +249,8 @@ def _cmd_theory(args) -> int:
             over.value: dominates(over, alpha, beta, c) for over in Baseline
         }
         payload["biasfree_betas"] = list(biasfree_betas(alpha, c))
-        if d is not None:  # a design comes with --stats
+        if args.design is not None:  # a design comes with --stats
+            d = _parse_design(args.design)
             first = family_theory(RatioProductRatio(alpha, beta), st, d)
             payload["bias1"] = first.bias1
             payload["mse1"] = first.mse1
@@ -271,13 +272,10 @@ def _cmd_theory(args) -> int:
         payload["aoe_note"] = str(exc)
 
     if st is not None:
-        # The fpc factor cancels in every MSE ratio, so any valid design
-        # serves when the caller supplied none.
-        d_re = d if d is not None else SamplingDesign(1, 2)
         payload["re_vs_sample_mean_percent"] = {
-            "ratio": 100.0 * relative_efficiency(SampleMean(), Ratio(), st, d_re),
-            "product": 100.0 * relative_efficiency(SampleMean(), Product(), st, d_re),
-            "aoe_at_c": 100.0 * relative_efficiency(SampleMean(), UnbiasedAOE(c), st, d_re),
+            "ratio": 100.0 * relative_efficiency(SampleMean(), Ratio(), st),
+            "product": 100.0 * relative_efficiency(SampleMean(), Product(), st),
+            "aoe_at_c": 100.0 * relative_efficiency(SampleMean(), UnbiasedAOE(c), st),
         }
     sys.stdout.write(_dump_json(payload))
     return 0

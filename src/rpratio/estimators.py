@@ -48,7 +48,6 @@ __all__ = [
     "EstimatorSpec",
     "ESTIMATOR_KINDS",
     "estimate",
-    "symmetry_partner",
     "estimator_token",
     "parse_estimator",
 ]
@@ -180,11 +179,20 @@ class RatioProductRatio(_Kind):
     name = "rpr"
 
     def _values(self, yb, xb, Xb):
+        # Three draw-sized arrays, in place in a*B*yb + (1-a)*yb/B's order, bit for bit.
         a, b = self.alpha, self.beta
-        d1 = b * xb + (1.0 - b) * Xb
-        bracket = ((1.0 - b) * xb + b * Xb) / d1
-        values = a * bracket * yb + (1.0 - a) * yb / bracket
-        return values, (d1 == 0.0) | (bracket == 0.0)
+        d1 = np.multiply(b, xb, out=np.empty_like(xb))
+        d1 += (1.0 - b) * Xb
+        bracket = np.multiply(1.0 - b, xb, out=np.empty_like(xb))
+        bracket += b * Xb
+        bracket /= d1
+        singular = (d1 == 0.0) | (bracket == 0.0)
+        values = np.multiply(a, bracket, out=np.empty_like(xb))
+        values *= yb
+        np.multiply(1.0 - a, yb, out=d1)
+        d1 /= bracket
+        values += d1
+        return values, singular
 
     def coefficients(self):
         v = 1.0 - 2.0 * self.beta
@@ -326,11 +334,6 @@ def estimate(spec: EstimatorSpec, s: SampleSummary) -> float:
             " vanishes or the power transform leaves its domain"
         )
     return float(values[0])
-
-
-def symmetry_partner(alpha: float, beta: float) -> tuple[float, float]:
-    """The point-reflected parameter pair giving the identical estimator."""
-    return 1.0 - alpha, 1.0 - beta
 
 
 def _token(name: str, args: list[str]) -> str:

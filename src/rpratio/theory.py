@@ -16,10 +16,10 @@ only for c <= 0 or c > 1/2 and blows up at c = 1/2.
 Every other estimator in :mod:`rpratio.estimators` expands the same way
 with its own linear coefficient w in place of u*v and its own quadratic
 coefficient q, so a single pair (w, q) per estimator yields all the
-first-order comparisons used here.  family_theory holds the only copy of
-the expansion and is its one entry point: the family member at
-(alpha, beta) is RatioProductRatio(alpha, beta), whose (w, q) is
-(u*v, v*(1 - alpha - beta)).
+first-order comparisons used here.  family_theory and its design-free
+factor _mse1_factor hold the only copy of the expansion; family_theory is
+its one entry point, where the family member at (alpha, beta) is
+RatioProductRatio(alpha, beta), with (w, q) = (u*v, v*(1 - alpha - beta)).
 """
 from __future__ import annotations
 
@@ -116,12 +116,13 @@ def family_theory(
     coefficients (w, q), bias1 = fpc * Ybar * cv_x^2 * (q - w*c), and mse1
     is the family formula with w in place of u*v."""
     w, q = _checked(spec).coefficients()
-    scale = d.fpc_rate * st.cv_x**2 * st.mean_y
-    bias1 = scale * (q - w * st.c)
-    mse1 = d.fpc_rate * st.mean_y**2 * (
-        st.cv_y**2 + st.cv_x**2 * w * (w - 2.0 * st.c)
-    )
-    return FirstOrderResult(bias1=bias1, mse1=mse1)
+    bias1 = d.fpc_rate * st.cv_x**2 * st.mean_y * (q - w * st.c)
+    return FirstOrderResult(bias1, d.fpc_rate * st.mean_y**2 * _mse1_factor(w, st))
+
+
+def _mse1_factor(w: float, st: SummaryStats) -> float:
+    """mse1 / (fpc * Ybar^2) at linear coefficient w, free of the design."""
+    return st.cv_y**2 + st.cv_x**2 * w * (w - 2.0 * st.c)
 
 
 def minimal_mse1(st: SummaryStats, d: SamplingDesign) -> float:
@@ -201,14 +202,11 @@ def dominates(over: Baseline, alpha: float, beta: float, c: float) -> bool:
 
 
 def relative_efficiency(
-    spec_num: EstimatorSpec,
-    spec_den: EstimatorSpec,
-    st: SummaryStats,
-    d: SamplingDesign,
+    spec_num: EstimatorSpec, spec_den: EstimatorSpec, st: SummaryStats
 ) -> float:
-    """mse1(spec_num) / mse1(spec_den); > 1 means spec_den is the better one."""
-    num = family_theory(spec_num, st, d).mse1
-    den = family_theory(spec_den, st, d).mse1
+    """mse1(spec_num) / mse1(spec_den); > 1 means spec_den is the better one.
+    Their fpc * Ybar^2 cancels: one ratio of _mse1_factor per population."""
+    num, den = (_mse1_factor(_checked(s).coefficients()[0], st) for s in (spec_num, spec_den))
     if den <= 0.0:
         raise InvalidInputError("denominator first-order MSE is zero (perfect correlation)")
     return num / den

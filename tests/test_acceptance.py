@@ -85,11 +85,9 @@ def random_stats(rng) -> SummaryStats:
     )
 
 
-def test_criterion_01(bench_stats, bench_design):
+def test_criterion_01(bench_stats):
     with criterion(1, "closed-form relative efficiencies 196.11/16.73/597.28 +-0.5"):
-        re = lambda den: 100.0 * relative_efficiency(
-            SampleMean(), den, bench_stats, bench_design
-        )
+        re = lambda den: 100.0 * relative_efficiency(SampleMean(), den, bench_stats)
         assert abs(re(Ratio()) - 196.11) <= 0.5
         assert abs(re(Product()) - 16.73) <= 0.5
         assert abs(re(UnbiasedAOE(bench_stats.c)) - 597.28) <= 0.5

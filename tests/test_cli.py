@@ -400,10 +400,14 @@ class TestTheory:
             (["--c", "0.6", "--alpha", "0.3"], "--alpha needs --beta"),
             (["--c", "0.6", "--beta", "0.3"], "--beta needs --alpha"),
             (["--c", "0.6", "--design", "5,17"], "--design needs --stats"),
+            (["--stats", "STATS", "--design", "5,17"], "--design needs --alpha and --beta"),
         ],
-        ids=["alpha-alone", "beta-alone", "design-alone"],
+        ids=["alpha-alone", "beta-alone", "design-alone", "design-without-point"],
     )
-    def test_unusable_input_exits_2_naming_the_missing_flag(self, argv, message, capsys):
+    def test_unusable_input_exits_2_naming_the_missing_flag(
+        self, argv, message, stats_json, capsys
+    ):
+        argv = [str(stats_json) if a == "STATS" else a for a in argv]
         rc = main(["theory", *argv])
         captured = capsys.readouterr()
         assert rc == 2
@@ -412,11 +416,16 @@ class TestTheory:
 
     def test_stats_with_design_keeps_the_re_table(self, stats_json, capsys):
         # Any design gives the same relative efficiencies: the fpc cancels.
-        tables = []
-        for design in (["--design", "5,17"], []):
-            assert main(["theory", "--stats", str(stats_json), *design]) == 0
-            tables.append(json.loads(capsys.readouterr().out)["re_vs_sample_mean_percent"])
-        assert tables[0] == tables[1]
+        # At 5,365 and 8,365 a ratio of whole first-order MSEs rounds
+        # differently from the ratio of their design-free factors.
+        assert main(["theory", "--stats", str(stats_json)]) == 0
+        want = json.loads(capsys.readouterr().out)["re_vs_sample_mean_percent"]
+        for design in ("5,17", "5,365", "8,365", "112,365", "364,365", "1,2"):
+            assert main([
+                "theory", "--stats", str(stats_json), "--alpha", "0.1", "--beta", "0.25",
+                "--design", design,
+            ]) == 0
+            assert json.loads(capsys.readouterr().out)["re_vs_sample_mean_percent"] == want
 
     @pytest.mark.parametrize(
         "argv",
@@ -526,7 +535,10 @@ class TestTheory:
                              ("sd", {"sd_y": 0.5, "sd_x": 0.7})]:
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps({**moments, **spread}))
-            assert main(["theory", "--stats", str(path), "--design", "112,365"]) == 0
+            assert main([
+                "theory", "--stats", str(path), "--alpha", "0.1", "--beta", "0.25",
+                "--design", "112,365",
+            ]) == 0
             payloads.append(json.loads(capsys.readouterr().out))
         assert payloads[0] == payloads[1]
         assert payloads[0]["c"] == pytest.approx(0.9125 * 0.5 / 0.5832 / (0.7 / 0.6277))

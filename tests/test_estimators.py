@@ -26,7 +26,6 @@ from rpratio.estimators import (
     estimate,
     estimator_token,
     parse_estimator,
-    symmetry_partner,
 )
 from rpratio.theory import aoe_parameters
 
@@ -76,7 +75,7 @@ class TestFamilyIdentities:
     @settings(max_examples=200, deadline=None)
     def test_point_reflection_invariance(self, alpha, beta, s):
         spec = RatioProductRatio(alpha, beta)
-        partner = RatioProductRatio(*symmetry_partner(alpha, beta))
+        partner = RatioProductRatio(1.0 - alpha, 1.0 - beta)
         try:
             a = estimate(spec, s)
         except SingularDenominatorError:
@@ -99,13 +98,6 @@ class TestFamilyIdentities:
         except SingularDenominatorError:
             assume(False)
         assert estimate(spec, scaled) == pytest.approx(lam * a, rel=1e-12, abs=1e-12)
-
-    def test_symmetry_partner_values(self):
-        assert symmetry_partner(0.0, 0.0) == (1.0, 1.0)
-        assert symmetry_partner(0.5, 0.5) == (0.5, 0.5)
-        a, b = symmetry_partner(-0.3349, 0.3176)
-        assert a == pytest.approx(1.3349)
-        assert b == pytest.approx(0.6824)
 
 
 ALL_SPECS = [
@@ -605,3 +597,45 @@ class TestCoefficients:
         assert check_coefficients(Reddy(0.6))
         with pytest.raises(AssertionError):
             check_coefficients(OffQ(0.6))
+
+
+class TestRatioProductRatioInPlace:
+    """The rpr kind works in three draw-sized arrays, in place, and keeps
+    each value of the plain expression to the bit."""
+
+    XBAR = TestUnbiasedAOEInPlace.XBAR
+    draws = staticmethod(TestUnbiasedAOEInPlace.draws)
+
+    @staticmethod
+    def expression(a, b, yb, xb, Xb):
+        d1 = b * xb + (1.0 - b) * Xb
+        bracket = ((1.0 - b) * xb + b * Xb) / d1
+        singular = (d1 == 0.0) | (bracket == 0.0)
+        return np.where(singular, np.nan, a * bracket * yb + (1.0 - a) * yb / bracket), singular
+
+    # (0, 0) is the ratio estimator, singular at xbar = 0; (2, 1e150) makes
+    # b*xbar overflow.
+    @pytest.mark.parametrize(
+        "a, b", [(-0.3349, 0.3176), (0.4, -1.0), (1.3, -0.4), (0.0, 0.0), (0.5, 0.5), (2.0, 1e150)]
+    )
+    def test_values_equal_the_expression_bit_for_bit(self, a, b):
+        ybar, xbar = self.draws(2000)
+        values, singular = RatioProductRatio(a, b).evaluate(ybar, xbar, self.XBAR)
+        with np.errstate(all="ignore"):
+            want, want_singular = self.expression(a, b, ybar, xbar, self.XBAR)
+        assert (values.view(np.uint64) == want.view(np.uint64)).all()
+        assert (singular == want_singular).all()
+        assert singular.any() == ((a, b) == (0.0, 0.0))
+        one, one_singular = RatioProductRatio(a, b).evaluate(ybar[0], xbar[0], self.XBAR)
+        assert one.shape == () and one.view(np.uint64) == want[:1].view(np.uint64)[0]
+        assert one_singular == want_singular[0]
+
+    def test_evaluate_peak_within_three_and_a_quarter_inputs(self):
+        ybar, xbar = self.draws(200_000)
+        tracemalloc.start()
+        try:
+            RatioProductRatio(-0.3349, 0.3176).evaluate(ybar, xbar, self.XBAR)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.25 * xbar.nbytes

@@ -436,25 +436,35 @@ class TestDominance:
 
 
 class TestRelativeEfficiency:
-    def test_benchmark_table(self, bench_stats, bench_design):
-        re = lambda den: 100.0 * relative_efficiency(
-            SampleMean(), den, bench_stats, bench_design
-        )
+    def test_benchmark_table(self, bench_stats):
+        re = lambda den: 100.0 * relative_efficiency(SampleMean(), den, bench_stats)
         assert re(Ratio()) == pytest.approx(196.1232, abs=5e-4)
         assert re(Product()) == pytest.approx(16.73153, abs=5e-5)
         assert re(UnbiasedAOE(bench_stats.c)) == pytest.approx(597.5724, abs=5e-4)
 
-    def test_design_independence(self, bench_stats):
-        a = relative_efficiency(SampleMean(), Ratio(), bench_stats, SamplingDesign(5, 17))
-        b = relative_efficiency(SampleMean(), Ratio(), bench_stats, SamplingDesign(112, 365))
-        assert a == pytest.approx(b, rel=1e-14)
+    SPECS = [SampleMean(), Ratio(), Product(), UnbiasedAOE(0.6092), RatioProductRatio(1.3, -0.4)]
+
+    @pytest.mark.parametrize("num", SPECS)
+    @pytest.mark.parametrize("den", SPECS[1:])
+    def test_ratio_of_the_design_free_factors(self, bench_stats, num, den):
+        s = bench_stats
+        factor = lambda w: s.cv_y**2 + s.cv_x**2 * w * (w - 2.0 * s.c)
+        want = factor(num.coefficients()[0]) / factor(den.coefficients()[0])
+        assert relative_efficiency(num, den, s) == want
+
+    @pytest.mark.parametrize("n, N", [(1, 2), (5, 17), (8, 365), (112, 365), (999, 1000)])
+    def test_design_independence(self, bench_stats, n, N):
+        s, d = bench_stats, SamplingDesign(n, N)
+        for num, den in [(SampleMean(), Ratio()), (SampleMean(), UnbiasedAOE(s.c)),
+                         (Product(), RatioProductRatio(-0.3349, 0.3176))]:
+            want = family_theory(num, s, d).mse1 / family_theory(den, s, d).mse1
+            assert relative_efficiency(num, den, s) == pytest.approx(want, rel=1e-14)
 
     def test_degenerate_denominator(self):
         stx = SummaryStats.from_moments(1.0, 1.0, 1.0, 1.0, 1.0)
-        d = SamplingDesign(4, 9)
         message = r"^denominator first-order MSE is zero \(perfect correlation\)$"
         with pytest.raises(InvalidInputError, match=message):
-            relative_efficiency(SampleMean(), UnbiasedAOE(stx.c), stx, d)
+            relative_efficiency(SampleMean(), UnbiasedAOE(stx.c), stx)
 
 
 class TestFamilyTheory:
